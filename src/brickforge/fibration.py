@@ -87,8 +87,12 @@ def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
     positive, in lowest terms) must additionally satisfy a > b with
     a - b odd.  Certification of the hit itself stays with the caller.
     """
-    tv = tau(c, P)
-    if tv is None or tv == 0:
+    return pair_from_tau(tau(c, P))
+
+
+def pair_from_tau(tv: Fraction | None) -> EuclidPair | None:
+    """The lift rule behind lift_point, applied to a tau value already known."""
+    if tv is None:
         return None
     root = is_square_rational(tv)
     if root is None:

@@ -7,16 +7,25 @@ torsion point, are pushed through tau; positive square values lift to
 candidate pairs and each candidate is re-certified with exact integer
 arithmetic before it may be reported.  Soundness is total, completeness
 is not claimed at any bound.
+
+Cost model of the enumeration: every seed and torsion point is checked
+on the curve once, where it enters; after that the raw group law runs
+unchecked.  Partial sums over coefficient prefixes are shared, so each
+combination (the base) costs one addition.  Each torsion shift of a base
+is then done in integers: with X = p/d^2, Y = r/d^3 and T integral, the
+shifted abscissa is u/D^2 without any gcd, and tau is built from u and D
+as one reduced Fraction.  Bases at infinity or above a torsion point take
+the ordinary Fraction group law instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
-from .ecq import INFINITY, CurvePoint, add, neg, on_curve, scalar_mul, torsion_subgroup
-from .fibration import FibreCurve, lift_point, phi, quartic_rhs
+from .ecq import INFINITY, CurvePoint, _add_raw, add, neg, on_curve, torsion_subgroup
+from .fibration import FibreCurve, lift_point, pair_from_tau, phi, quartic_rhs
 from .master import EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical
 from .ntkernel import is_perfect_square, is_square_rational
 
@@ -46,8 +55,6 @@ class MwRun:
     outputs: list[MasterTuple]
     stats: MwStats
     provenance: str
-    seeds: list[CurvePoint] = field(default_factory=list)
-    torsion_points: list[CurvePoint] = field(default_factory=list)
 
 
 def naive_quartic_search(c: FibreCurve, height_bound: int) -> list[EuclidPair]:
@@ -138,9 +145,18 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     if K < 1:
         raise ValueError("K must be at least 1")
     c = g.fibre
-    stats = MwStats()
-    outputs: list[MasterTuple] = []
-    seen: set[MasterTuple] = set()
+    shifts = []
+    for T in torsion.points:
+        if not on_curve(c, T):
+            raise ValueError(f"torsion point {T} not on fibre ({c.m},{c.n})")
+        if T.is_infinity:
+            shifts.append((T, None, None))
+        elif T.X.denominator != 1 or T.Y.denominator != 1:
+            # Nagell-Lutz on this integral model
+            raise AssertionError(f"torsion point {T} not integral on fibre ({c.m},{c.n})")
+        else:
+            shifts.append((T, T.X.numerator, T.Y.numerator))
+    # the checked law builds the multiples, so each seed is checked here
     multiples = []
     for P in g.points:
         row = {0: INFINITY}
@@ -149,17 +165,63 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
         for k in range(1, K + 1):
             row[-k] = neg(c, row[k])
         multiples.append(row)
+    prefixes = {(): INFINITY}
+
+    def partial_sum(vec: tuple[int, ...]) -> CurvePoint:
+        # extend the longest prefix already summed, keeping every new one
+        i = len(vec)
+        while vec[:i] not in prefixes:
+            i -= 1
+        P = prefixes[vec[:i]]
+        for j in range(i, len(vec)):
+            P = prefixes[vec[:j + 1]] = _add_raw(c, P, multiples[j][vec[j]])
+        return P
+
+    B, g2, g4 = c.B, 4 * c.gamma**2, 4 * c.gamma**4
+    stats = MwStats()
+    outputs: list[MasterTuple] = []
+    seen: set[MasterTuple] = set()
     for vec in _coefficient_vectors(len(g.points), K):
-        base = INFINITY
-        for i, coeff in enumerate(vec):
-            base = add(c, base, multiples[i][coeff])
-        for T in torsion.points:
+        base = _add_raw(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
+        if not base.is_infinity:
+            p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
+            d = isqrt(d2)
+            if d * d != d2 or d * d2 != base.Y.denominator:
+                raise AssertionError(f"point {base} not in integral form on fibre ({c.m},{c.n})")
+            d3 = d * d2
+        for T, xT, yT in shifts:
             stats.candidates += 1
-            R = add(c, base, T)
-            if _too_large(R):
-                stats.skipped_large += 1
-                continue
-            pair = lift_point(c, R)
+            if base.is_infinity or xT is not None and xT * d2 == p:
+                R = _add_raw(c, base, T)
+                if _too_large(R):
+                    stats.skipped_large += 1
+                    continue
+                pair = lift_point(c, R)
+            else:
+                if xT is None:
+                    u, D = p, d
+                    if _too_large(base):
+                        stats.skipped_large += 1
+                        continue
+                else:
+                    # base + T with X(base + T) = u / D^2, unreduced
+                    e = xT * d2 - p
+                    N = yT * d3 - r
+                    D = d * e
+                    pe2 = p * e * e
+                    u = N * N - (B + xT) * D * D - pe2
+                    # Y(base + T) = (N * (pe2 - u) - r * e^3) / D^3; reduction only
+                    # shrinks these bit lengths, so reduce only past the bound
+                    bits = max(u.bit_length(), 3 * D.bit_length(),
+                               N.bit_length() + max(pe2.bit_length(), u.bit_length()) + 2,
+                               r.bit_length() + 3 * e.bit_length() + 1)
+                    if bits > _CAP_BITS and _too_large(CurvePoint(
+                            Fraction(u, D * D), Fraction(N * (pe2 - u) - r * e**3, D**3))):
+                        stats.skipped_large += 1
+                        continue
+                D2 = D * D
+                den = u * u - g4 * D2 * D2  # zero exactly at X = +-2 gamma^2
+                pair = pair_from_tau(Fraction(g2 * (u + B * D2) * D2, den) if den else None)
             if pair is None:
                 continue
             stats.lifted += 1
@@ -171,12 +233,4 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             if canon not in seen:
                 seen.add(canon)
                 outputs.append(canon)
-    return MwRun(
-        fibre=c,
-        K=K,
-        outputs=outputs,
-        stats=stats,
-        provenance=f"MW-{c.m}-{c.n}",
-        seeds=list(g.points),
-        torsion_points=list(torsion.points),
-    )
+    return MwRun(fibre=c, K=K, outputs=outputs, stats=stats, provenance=f"MW-{c.m}-{c.n}")

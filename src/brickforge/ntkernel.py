@@ -244,8 +244,11 @@ def _brent_rho(n: int, deadline: float) -> int | None:
         batch = 128
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for j in range(0, r, batch):
+                for _ in range(min(batch, r - j)):
+                    y = (y * y + c) % n
+                if time.monotonic() >= deadline:
+                    return None
             k = 0
             while k < r and g == 1:
                 ys = y

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from brickforge.ecq import neg, torsion_subgroup
-from brickforge.fibration import build_fibre, tau
+from brickforge import mw
+from brickforge.ecq import INFINITY, CurvePoint, TorsionGroup, add, neg, torsion_subgroup
+from brickforge.fibration import build_fibre, lift_point, tau
 from brickforge.master import MasterTuple, edges, is_master_hit, sigma_canonical
 from brickforge.mw import (
     GeneratorSet,
+    MwStats,
     _coefficient_vectors,
     enumerate_and_certify,
     load_seed_file,
@@ -129,3 +131,110 @@ def test_load_seed_file(tmp_path):
     bad2.write_text("t 3/2\n")
     with pytest.raises(ValueError, match="not on a hit"):
         load_seed_file(bad2, F449, tor)
+
+
+# fibres with m < 100 that have seeds at height 60: every one with two or
+# more seeds, then the first single-seed ones in order
+SEEDED_FIBRES = (
+    (6, 5), (8, 3), (8, 5), (9, 8), (13, 2), (16, 5), (16, 11), (17, 8), (17, 16),
+    (18, 7), (19, 16), (24, 1), (24, 13), (32, 13), (32, 15), (33, 32), (40, 33),
+    (41, 32), (49, 16), (55, 48), (59, 40), (64, 11), (64, 17), (67, 48), (88, 7),
+    (88, 27), (88, 45), (91, 80), (96, 91),
+    (4, 3), (5, 2), (10, 1), (10, 3), (11, 2), (11, 6), (11, 8), (13, 4), (13, 8),
+    (13, 10), (14, 13), (16, 3), (20, 7), (21, 8), (22, 1), (22, 13), (23, 22),
+    (24, 7), (24, 17), (25, 14), (29, 18), (29, 22), (30, 17), (31, 8), (31, 26),
+    (32, 7), (32, 21),
+)
+
+
+def _reference_enumeration(g, K, torsion):
+    """Every combination and torsion shift, summed from scratch with the checked law."""
+    c = g.fibre
+    stats = MwStats()
+    outputs, seen = [], set()
+    multiples = []
+    for P in g.points:
+        row = {0: INFINITY}
+        for k in range(1, K + 1):
+            row[k] = add(c, row[k - 1], P)
+            row[-k] = neg(c, row[k])
+        multiples.append(row)
+    for vec in _coefficient_vectors(len(g.points), K):
+        base = INFINITY
+        for i, coeff in enumerate(vec):
+            base = add(c, base, multiples[i][coeff])
+        for T in torsion.points:
+            stats.candidates += 1
+            R = add(c, base, T)
+            if not R.is_infinity and max(
+                    v.bit_length() for v in (R.X.numerator, R.X.denominator,
+                                             R.Y.numerator, R.Y.denominator)) > mw._CAP_BITS:
+                stats.skipped_large += 1
+                continue
+            pair = lift_point(c, R)
+            if pair is None:
+                continue
+            stats.lifted += 1
+            t = MasterTuple(pair.a, pair.b, c.m, c.n)
+            assert is_master_hit(t) is not None
+            stats.certified += 1
+            canon = sigma_canonical(t)
+            if canon not in seen:
+                seen.add(canon)
+                outputs.append(canon)
+    return outputs, stats
+
+
+def _assert_matches_reference(g, K, tor):
+    run = enumerate_and_certify(g, K, tor)
+    outputs, stats = _reference_enumeration(g, K, tor)
+    assert run.outputs == outputs  # same tuples in the same order
+    assert run.stats == stats
+    return stats
+
+
+def test_enumerate_matches_reference_on_seeded_fibres():
+    for m, n in SEEDED_FIBRES:
+        c = build_fibre(m, n)
+        tor = torsion_subgroup(c)
+        g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+        assert g.points, (m, n)
+        for K in (1, 2):
+            _assert_matches_reference(g, K, tor)
+
+
+@pytest.mark.parametrize("m, n, K", [(44, 9, 3), (22, 17, 2)])
+def test_enumerate_matches_reference_with_dependent_seeds(m, n, K):
+    # the five (22,17) seeds are dependent: some bases land at infinity and
+    # some on a torsion point, which take the Fraction group law
+    c = build_fibre(m, n)
+    tor = torsion_subgroup(c)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    stats = _assert_matches_reference(g, K, tor)
+    assert stats.certified > 0
+
+
+def test_enumerate_checks_points_where_they_enter():
+    tor = torsion_subgroup(F449)
+    off = CurvePoint(Fraction(1), Fraction(1))
+    with pytest.raises(ValueError, match="not on fibre"):
+        enumerate_and_certify(GeneratorSet(F449, [off], "imported"), 1, tor)
+    g = seeds_from_hits(F449, [(55, 48)], tor)
+    with pytest.raises(ValueError, match="not on fibre"):
+        enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, off]))
+    # a non-integral point cannot be torsion on this integral model
+    P2 = add(F449, g.points[0], g.points[0])
+    with pytest.raises(AssertionError, match="not integral"):
+        enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, P2]))
+
+
+@pytest.mark.parametrize("cap", [40, 80, 120])
+def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
+    # at these caps the bit-length bound overshoots for some candidates that
+    # survive the exact reduction, and some candidates are truly too large
+    monkeypatch.setattr(mw, "_CAP_BITS", cap)
+    c = build_fibre(13, 2)
+    tor = torsion_subgroup(c)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    stats = _assert_matches_reference(g, 2, tor)
+    assert 0 < stats.skipped_large < stats.candidates

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from brickforge import ntkernel
 from brickforge.ntkernel import (
     Factorization,
     factor,
@@ -138,6 +140,26 @@ def test_factor_budget_exhaustion_degrades():
     assert f.residual == n
     assert not is_prime(f.residual)
     assert f.product() == n
+
+
+def test_factor_deadline_inside_rho_advance_loop(monkeypatch):
+    # the clock counts reductions mod n, so the deadline falls at a chosen
+    # step; 57000 lies inside the 16384-step advance of the r = 2**14 round
+    steps = 0
+
+    class Modulus(int):
+        def __rmod__(self, other):
+            nonlocal steps
+            steps += 1
+            return int(other) % int(self)
+
+    monkeypatch.setattr(ntkernel, "time", SimpleNamespace(monotonic=lambda: steps))
+    n = (2**61 - 1) * (2**89 - 1)
+    budget = 57000
+    f = factor(Modulus(n), budget=budget)
+    assert f.status == "partial"
+    assert f.residual == n
+    assert steps - budget <= 2 * 128  # one batch past the deadline at most
 
 
 def test_factor_reconstruction_random():
