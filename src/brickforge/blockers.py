@@ -9,10 +9,10 @@ to all 29 canonical expressions of the tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from .master import MasterTuple, f1, is_master_hit, parameter_set, require_admissible, triples
-from .ntkernel import Factorization, is_perfect_square, isqrt, valuation
+from .master import MasterTuple, f1, is_master_hit, parameter_set, triples
+from .ntkernel import Factorization, is_perfect_square, valuation
 
 VALID_MODIFIERS = (1, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
@@ -80,7 +80,6 @@ def verify_blocker_conjecture(t: MasterTuple, f: Factorization) -> BlockerReport
 
 def canonical_decomposition(t: MasterTuple) -> CanonicalDecomposition:
     """f1 = g0^2 (xi^2 + eta^2) with g0 = gcd(W1*U2, U1*V2), coprime tail."""
-    require_admissible(t)
     t1, t2 = triples(t)
     A, B = t1.W * t2.U, t1.U * t2.V
     g0 = gcd(A, B)
@@ -121,13 +120,12 @@ def k_invariant(t: MasterTuple, f: Factorization):
     """
     if f.status != "full":
         raise ValueError("k_invariant needs a full factorization")
-    require_admissible(t)
     return _square_part_split(f1(t), f, canonical_decomposition(t).g0)
 
 
 def gaussian_gcds(t: MasterTuple) -> tuple[int, int]:
     """gcd(am+bn, an+bm) and gcd(|am-bn|, |an-bm|); both odd, coprime."""
-    require_admissible(t)
+    triples(t)  # the admissibility gate; no triple is read here
     a, b, m, n = t
     return gcd(a * m + b * n, a * n + b * m), gcd(abs(a * m - b * n), abs(a * n - b * m))
 
@@ -155,7 +153,6 @@ def twelve_formulas(t: MasterTuple, k: int) -> list[int]:
     """The twelve square-extracting candidates D, in fixed order."""
     if k not in VALID_MODIFIERS:
         raise ValueError(f"modifier {k} not in {VALID_MODIFIERS}")
-    require_admissible(t)
     a, b, m, n = t
     t1, t2 = triples(t)
     g_plus, g_minus = gaussian_gcds(t)
@@ -170,7 +167,6 @@ def padic_profile(t: MasterTuple, p: int):
     """(v_p(W1*U2), v_p(U1*V2), predicted v_p(f1) when the two differ)."""
     if p == 2 or p < 3:
         raise ValueError("p must be an odd prime")
-    require_admissible(t)
     t1, t2 = triples(t)
     alpha = valuation(t1.W * t2.U, p)
     beta = valuation(t1.U * t2.V, p)

@@ -86,6 +86,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(dirpath) -> Store:
+    if not os.path.isdir(dirpath):
+        raise OSError(f"store directory {dirpath} does not exist")
     if not os.path.exists(os.path.join(dirpath, "master_hits.csv")):
         return Store()
     return import_csv(dirpath)

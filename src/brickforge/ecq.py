@@ -3,6 +3,10 @@
 The curve object is any value carrying integer attributes B, gamma and
 the three roots e1, e2, e3; all point coordinates are Fractions, so
 every identity below is checked exactly, never numerically.
+
+The group law (add, neg, scalar_mul, halve) assumes its inputs are on
+the curve and checks nothing.  Points are checked where they enter: in
+`mw` (seed files, seeds), `fibration.phi` and `store.validate_consistency`.
 """
 from __future__ import annotations
 
@@ -45,20 +49,14 @@ def on_curve(c, P: CurvePoint) -> bool:
     return P.Y * P.Y == cubic_rhs(c, P.X)
 
 
-def _require_on_curve(c, P: CurvePoint) -> None:
-    if not on_curve(c, P):
-        raise ValueError(f"point {P} not on fibre ({c.m},{c.n})")
-
-
 def neg(c, P: CurvePoint) -> CurvePoint:
-    _require_on_curve(c, P)
     if P.is_infinity:
         return INFINITY
     return CurvePoint(P.X, -P.Y)
 
 
-def _add_raw(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    # chord-tangent law, inputs assumed on curve
+def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    """Chord-tangent sum of two points on the curve."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -76,21 +74,14 @@ def _add_raw(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     return CurvePoint(X3, Y3)
 
 
-def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    _require_on_curve(c, P)
-    _require_on_curve(c, Q)
-    return _add_raw(c, P, Q)
-
-
 def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:
-    _require_on_curve(c, P)
     if k < 0:
         k, P = -k, neg(c, P)
     R = INFINITY
     while k:
         if k & 1:
-            R = _add_raw(c, R, P)
-        P = _add_raw(c, P, P)
+            R = add(c, R, P)
+        P = add(c, P, P)
         k >>= 1
     return R
 
@@ -113,7 +104,6 @@ def halve(c, P: CurvePoint) -> list[CurvePoint]:
     choices of the roots r_i, and every candidate is confirmed by an
     exact doubling before it is returned.
     """
-    _require_on_curve(c, P)
     if P.is_infinity:
         return [INFINITY] + two_torsion(c)
     roots = []
@@ -134,7 +124,7 @@ def halve(c, P: CurvePoint) -> list[CurvePoint]:
                 if Y is None:
                     continue
                 for Q in (CurvePoint(X, Y), CurvePoint(X, -Y)):
-                    if Q not in out and _add_raw(c, Q, Q) == P:
+                    if Q not in out and add(c, Q, Q) == P:
                         out.append(Q)
     return out
 
@@ -181,7 +171,7 @@ def _closure(c, pts: set[CurvePoint]) -> set[CurvePoint]:
         snapshot = list(pts)
         for P in snapshot:
             for Q in snapshot:
-                R = _add_raw(c, P, Q)
+                R = add(c, P, Q)
                 if R not in pts:
                     fresh.add(R)
         if not fresh:
@@ -192,7 +182,7 @@ def _closure(c, pts: set[CurvePoint]) -> set[CurvePoint]:
 def _element_order(c, P: CurvePoint) -> int:
     R, k = P, 1
     while not R.is_infinity:
-        R = _add_raw(c, R, P)
+        R = add(c, R, P)
         k += 1
         if k > MAZUR_CAP:
             raise AssertionError("torsion element order beyond the cap")

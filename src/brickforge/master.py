@@ -75,12 +75,6 @@ def is_admissible(a: int, b: int, m: int, n: int):
     return True, None
 
 
-def require_admissible(t: MasterTuple) -> None:
-    ok, reason = is_admissible(*t)
-    if not ok:
-        raise ValueError(f"inadmissible tuple {tuple(t)}: {reason}")
-
-
 def triple_from_pair(p: EuclidPair) -> PythTriple:
     """Primitive Pythagorean triple (a^2 - b^2, 2ab, a^2 + b^2).
 
@@ -94,11 +88,11 @@ def triple_from_pair(p: EuclidPair) -> PythTriple:
 
 
 def triples(t: MasterTuple) -> tuple[PythTriple, PythTriple]:
+    """Both triples; the admissibility gate of every tuple function."""
     return triple_from_pair(t.first), triple_from_pair(t.second)
 
 
 def master_norm(t: MasterTuple) -> int:
-    require_admissible(t)
     t1, t2 = triples(t)
     return (t1.V * t2.U) ** 2 + (t1.U * t2.V) ** 2
 
@@ -110,29 +104,28 @@ def is_master_hit(t: MasterTuple) -> int | None:
 
 def f1(t: MasterTuple) -> int:
     """The space-diagonal norm (W1*U2)^2 + (U1*V2)^2.  Always odd."""
-    require_admissible(t)
     t1, t2 = triples(t)
     return (t1.W * t2.U) ** 2 + (t1.U * t2.V) ** 2
 
 
 def edges(t: MasterTuple) -> Brick:
-    require_admissible(t)
     t1, t2 = triples(t)
+    y, z = t1.V * t2.U, t1.U * t2.V
     return Brick(
         x=t1.U * t2.U,
-        y=t1.V * t2.U,
-        z=t1.U * t2.V,
+        y=y,
+        z=z,
         dxy=t1.W * t2.U,
         dxz=t1.U * t2.W,
-        dyz=is_master_hit(t),
+        dyz=is_perfect_square(y * y + z * z),
     )
 
 
 def is_perfect_cuboid(t: MasterTuple) -> bool:
     """Whether the hit's space diagonal is an integer.  (None known.)"""
-    if is_master_hit(t) is None:
-        raise ValueError("is_perfect_cuboid expects a certified hit")
     e = edges(t)
+    if e.dyz is None:
+        raise ValueError("is_perfect_cuboid expects a certified hit")
     by_edges = is_perfect_square(e.x**2 + e.y**2 + e.z**2) is not None
     by_norm = is_perfect_square(f1(t)) is not None
     if by_edges != by_norm:
@@ -146,7 +139,6 @@ def canonical_expressions(t: MasterTuple) -> list[int]:
     Six entries repeat the squared-difference abbreviations, so the
     value set is generically of size 23.
     """
-    require_admissible(t)
     a, b, m, n = t
     (U1, V1, W1), (U2, V2, W2) = triples(t)
     return [
@@ -182,8 +174,11 @@ def _pair_from_triple(U: int, V: int) -> EuclidPair | None:
     return EuclidPair(a, b)
 
 
-def _recover_candidates(x: int, y: int, z: int) -> list[tuple[MasterTuple, int]]:
-    """All (tuple, scale) with edges(tuple) == scale * (x, y, z) slotwise.
+def recover_master_tuple_scaled(x: int, y: int, z: int) -> list[tuple[MasterTuple, int]]:
+    """All (tuple, scale) whose edges are scale times (x, y, z) in some
+    order.  Closed-form family bricks are primitive while the edges of a
+    hit carry an intrinsic common factor, so family output is matched
+    through this proportional form; exact edges come out with scale 1.
 
     Works on ratios: y/x reduces to V1/U1 and z/x to V2/U2 because both
     triples are primitive, so gcd(U1, V1) = gcd(U2, V2) = 1.  With exact
@@ -215,17 +210,3 @@ def _recover_candidates(x: int, y: int, z: int) -> list[tuple[MasterTuple, int]]
             if rec not in out:
                 out.append(rec)
     return out
-
-
-def recover_master_tuple(x: int, y: int, z: int) -> list[MasterTuple]:
-    """Tuples whose edges are exactly (x, y, z) up to reordering of the
-    two even edges; empty when no decomposition exists."""
-    return [t for t, scale in _recover_candidates(x, y, z) if scale == 1]
-
-
-def recover_master_tuple_scaled(x: int, y: int, z: int) -> list[tuple[MasterTuple, int]]:
-    """Tuples whose edges are an integer multiple of (x, y, z), with the
-    multiplier.  Closed-form family bricks are primitive while the edges
-    of a hit carry an intrinsic common factor, so family output is
-    matched through this proportional form."""
-    return _recover_candidates(x, y, z)

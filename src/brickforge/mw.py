@@ -8,14 +8,16 @@ candidate pairs and each candidate is re-certified with exact integer
 arithmetic before it may be reported.  Soundness is total, completeness
 is not claimed at any bound.
 
-Cost model of the enumeration: every seed and torsion point is checked
-on the curve once, where it enters; after that the raw group law runs
-unchecked.  Partial sums over coefficient prefixes are shared, so each
-combination (the base) costs one addition.  Each torsion shift of a base
-is then done in integers: with X = p/d^2, Y = r/d^3 and T integral, the
-shifted abscissa is u/D^2 without any gcd, and tau is built from u and D
-as one reduced Fraction.  Bases at infinity or above a torsion point take
-the ordinary Fraction group law instead.
+The `ecq` group law assumes its inputs are on the curve, so points are
+checked where they enter: seed file lines in `load_seed_file`, hit pairs
+in `fibration.phi`, and each seed and torsion point once per run at the
+top of `enumerate_and_certify`; the enumeration then runs unchecked.
+Partial sums over coefficient prefixes are shared, so each combination
+(the base) costs one addition.  Each torsion shift of a base is then done
+in integers: with X = p/d^2, Y = r/d^3 and T integral, the shifted
+abscissa is u/D^2 without any gcd, and tau is built from u and D as one
+reduced Fraction.  Bases at infinity or above a torsion point take the
+ordinary Fraction group law instead.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
-from .ecq import INFINITY, CurvePoint, _add_raw, add, neg, on_curve, torsion_subgroup
+from .ecq import INFINITY, CurvePoint, add, neg, on_curve, torsion_subgroup
 from .fibration import FibreCurve, lift_point, pair_from_tau, phi, quartic_rhs
 from .master import EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical
 from .ntkernel import is_perfect_square, is_square_rational
@@ -37,7 +39,6 @@ _CAP_BITS = int(DIGIT_CAP * 3.3220) + 8
 class GeneratorSet:
     fibre: FibreCurve
     points: list[CurvePoint]
-    source: str  # database_lift | naive_search | imported
 
 
 @dataclass
@@ -50,8 +51,6 @@ class MwStats:
 
 @dataclass
 class MwRun:
-    fibre: FibreCurve
-    K: int
     outputs: list[MasterTuple]
     stats: MwStats
     provenance: str
@@ -71,7 +70,7 @@ def naive_quartic_search(c: FibreCurve, height_bound: int) -> list[EuclidPair]:
     return out
 
 
-def seeds_from_hits(c: FibreCurve, hits, torsion=None, source="naive_search") -> GeneratorSet:
+def seeds_from_hits(c: FibreCurve, hits, torsion=None) -> GeneratorSet:
     """Map hit pairs onto the cubic and drop anything of finite order."""
     if torsion is None:
         torsion = torsion_subgroup(c)
@@ -86,7 +85,7 @@ def seeds_from_hits(c: FibreCurve, hits, torsion=None, source="naive_search") ->
         if P in torsion_set or P in points:
             continue
         points.append(P)
-    return GeneratorSet(c, points, source)
+    return GeneratorSet(c, points)
 
 
 def load_seed_file(path, c: FibreCurve, torsion=None) -> GeneratorSet:
@@ -114,7 +113,7 @@ def load_seed_file(path, c: FibreCurve, torsion=None) -> GeneratorSet:
                     raise ValueError(f"{path}:{lineno}: point not on fibre ({c.m},{c.n})")
             if P not in torsion_set and P not in points:
                 points.append(P)
-    return GeneratorSet(c, points, "imported")
+    return GeneratorSet(c, points)
 
 
 def _coefficient_vectors(r: int, K: int) -> list[tuple[int, ...]]:
@@ -156,9 +155,10 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             raise AssertionError(f"torsion point {T} not integral on fibre ({c.m},{c.n})")
         else:
             shifts.append((T, T.X.numerator, T.Y.numerator))
-    # the checked law builds the multiples, so each seed is checked here
     multiples = []
     for P in g.points:
+        if not on_curve(c, P):
+            raise ValueError(f"seed {P} not on fibre ({c.m},{c.n})")
         row = {0: INFINITY}
         for k in range(1, K + 1):
             row[k] = add(c, row[k - 1], P)
@@ -174,7 +174,7 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             i -= 1
         P = prefixes[vec[:i]]
         for j in range(i, len(vec)):
-            P = prefixes[vec[:j + 1]] = _add_raw(c, P, multiples[j][vec[j]])
+            P = prefixes[vec[:j + 1]] = add(c, P, multiples[j][vec[j]])
         return P
 
     B, g2, g4 = c.B, 4 * c.gamma**2, 4 * c.gamma**4
@@ -182,7 +182,7 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     outputs: list[MasterTuple] = []
     seen: set[MasterTuple] = set()
     for vec in _coefficient_vectors(len(g.points), K):
-        base = _add_raw(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
+        base = add(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
         if not base.is_infinity:
             p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
             d = isqrt(d2)
@@ -192,7 +192,7 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
         for T, xT, yT in shifts:
             stats.candidates += 1
             if base.is_infinity or xT is not None and xT * d2 == p:
-                R = _add_raw(c, base, T)
+                R = add(c, base, T)
                 if _too_large(R):
                     stats.skipped_large += 1
                     continue
@@ -233,4 +233,4 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             if canon not in seen:
                 seen.add(canon)
                 outputs.append(canon)
-    return MwRun(fibre=c, K=K, outputs=outputs, stats=stats, provenance=f"MW-{c.m}-{c.n}")
+    return MwRun(outputs=outputs, stats=stats, provenance=f"MW-{c.m}-{c.n}")

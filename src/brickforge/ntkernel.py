@@ -20,17 +20,6 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def isqrt(n: int) -> int:
-    """Floor of the square root of n.
-
-    >>> isqrt(15624)
-    124
-    """
-    if n < 0:
-        raise ValueError("isqrt of negative integer")
-    return math.isqrt(n)
-
-
 def is_perfect_square(n: int) -> int | None:
     """Return the nonnegative root when n is a perfect square, else None."""
     if n < 0:

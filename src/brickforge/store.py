@@ -109,12 +109,12 @@ class Store:
         if not _PROVENANCE.fullmatch(provenance):
             raise ValueError(f"unrecognized provenance {provenance!r}")
         canon = master.sigma_canonical(t)
-        if master.is_master_hit(canon) is None:
+        brick = master.edges(canon)
+        if brick.dyz is None:
             raise ValueError(f"{tuple(t)} is not a Master-Hit")
         key = tuple(canon)
         if key in self._by_tuple:
             return self._by_tuple[key], False
-        brick = master.edges(canon)
         g = gcd(gcd(brick.x, brick.y), brick.z)
         rec = HitRecord(
             id=self._next_id,
@@ -170,10 +170,10 @@ def validate_consistency(store: Store) -> list[str]:
             continue
         if tuple(master.sigma_canonical(t)) != tuple(t):
             bad.append(f"hit {rec.id}: not sigma-canonical")
-        if master.is_master_hit(t) is None:
+        brick = master.edges(t)
+        if brick.dyz is None:
             bad.append(f"hit {rec.id}: M is not a square")
             continue
-        brick = master.edges(t)
         g = gcd(gcd(brick.x, brick.y), brick.z)
         derived = (brick.x, brick.y, brick.z, g, brick.x // g, brick.y // g, brick.z // g)
         stored = (rec.x, rec.y, rec.z, rec.g_scale, rec.x_prim, rec.y_prim, rec.z_prim)

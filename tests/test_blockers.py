@@ -16,11 +16,35 @@ from brickforge.blockers import (
     verify_blocker_conjecture,
     _square_part_split,
 )
-from brickforge.master import MasterTuple, f1
+from brickforge.master import (
+    MasterTuple,
+    canonical_expressions,
+    edges,
+    f1,
+    is_master_hit,
+    master_norm,
+)
 from brickforge.ntkernel import Factorization, factor, valuation
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
 APPA1 = MasterTuple(835, 88, 160, 89)
+
+
+TUPLE_FUNCTIONS = {
+    fn.__name__: fn
+    for fn in (master_norm, is_master_hit, f1, edges, canonical_expressions,
+               canonical_decomposition, gaussian_gcds, semiscaled)
+}
+TUPLE_FUNCTIONS["twelve_formulas"] = lambda t: twelve_formulas(t, 1)
+TUPLE_FUNCTIONS["padic_profile"] = lambda t: padic_profile(t, 3)
+
+
+@pytest.mark.parametrize("t", [MasterTuple(3, 1, 2, 1), MasterTuple(2, 1, 4, 2)])
+@pytest.mark.parametrize("name", sorted(TUPLE_FUNCTIONS))
+def test_tuple_functions_reject_inadmissible(name, t):
+    # a - b even in the first pair, gcd(m, n) = 2 in the second
+    with pytest.raises(ValueError, match="inadmissible"):
+        TUPLE_FUNCTIONS[name](t)
 
 
 def test_blockers_listing():

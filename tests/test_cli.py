@@ -32,6 +32,14 @@ def test_missing_db_is_operational_error(monkeypatch, capsys):
     assert "BRICKFORGE_DB" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify", "theorem"], ["factorize", "--budget", "1"]])
+def test_mistyped_db_is_operational_error(tmp_path, capsys, argv):
+    missing = tmp_path / "no" / "such"
+    assert cli.main([*argv, "--db", str(missing)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+
+
 def test_verify_on_empty_store(db, capsys):
     for check in ("theorem", "perfect", "consistency", "single-blocker", "e1"):
         assert cli.main(["verify", check]) == 0

@@ -89,7 +89,7 @@ def test_enumerate_monotone_in_K():
 
 def test_enumerate_empty_generator_set():
     tor = torsion_subgroup(F21)
-    run = enumerate_and_certify(GeneratorSet(F21, [], "naive_search"), 2, tor)
+    run = enumerate_and_certify(GeneratorSet(F21, []), 2, tor)
     assert run.outputs == []
     assert run.stats.candidates == 0
 
@@ -97,7 +97,7 @@ def test_enumerate_empty_generator_set():
 def test_enumerate_rejects_bad_K():
     tor = torsion_subgroup(F21)
     with pytest.raises(ValueError):
-        enumerate_and_certify(GeneratorSet(F21, [], "naive_search"), 0, tor)
+        enumerate_and_certify(GeneratorSet(F21, []), 0, tor)
 
 
 def test_mirror_point_same_tau():
@@ -119,7 +119,6 @@ def test_load_seed_file(tmp_path):
         "\n"
     )
     loaded = load_seed_file(path, F449, tor)
-    assert loaded.source == "imported"
     assert len(loaded.points) == 1  # the two lines name the same point
 
     bad = tmp_path / "bad.txt"
@@ -218,7 +217,7 @@ def test_enumerate_checks_points_where_they_enter():
     tor = torsion_subgroup(F449)
     off = CurvePoint(Fraction(1), Fraction(1))
     with pytest.raises(ValueError, match="not on fibre"):
-        enumerate_and_certify(GeneratorSet(F449, [off], "imported"), 1, tor)
+        enumerate_and_certify(GeneratorSet(F449, [off]), 1, tor)
     g = seeds_from_hits(F449, [(55, 48)], tor)
     with pytest.raises(ValueError, match="not on fibre"):
         enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, off]))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,25 +12,8 @@ from brickforge.ntkernel import (
     is_perfect_square,
     is_prime,
     is_square_rational,
-    isqrt,
     valuation,
 )
-
-
-def test_isqrt_basics():
-    assert isqrt(0) == 0
-    assert isqrt(15624) == 124
-    assert isqrt(96256348905024) == 9811032
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-def test_isqrt_bracketing_random():
-    rng = random.Random(1)
-    for _ in range(500):
-        n = rng.randrange(10**18)
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 def test_is_perfect_square():
@@ -44,7 +28,7 @@ def test_square_detection_agrees_with_isqrt():
     for _ in range(500):
         n = rng.randrange(10**12)
         r = is_perfect_square(n)
-        assert (r is not None) == (isqrt(n) ** 2 == n)
+        assert (r is not None) == (math.isqrt(n) ** 2 == n)
         if r is not None:
             assert r * r == n
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from brickforge import master
+from brickforge.ecq import CurvePoint
 from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
 from brickforge.ntkernel import Factorization, factor
@@ -124,6 +125,10 @@ def test_fibre_row_upsert_and_validation():
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4,
                              generators=tuple(seeds.points)))
     assert validate_consistency(db) == []
+    P = seeds.points[0]
+    off = CurvePoint(P.X, P.Y + 1)
+    db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4, generators=(P, off)))
+    assert validate_consistency(db) == ["fibre (44,9): generator off curve"]
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=3))
     assert len(db.fibres()) == 1
     assert any("bad torsion" in p for p in validate_consistency(db))
