@@ -85,9 +85,14 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load(dirpath) -> Store:
+def _require_store_dir(dirpath) -> None:
+    # a mistyped --db must not pass as, or start, a new empty store
     if not os.path.isdir(dirpath):
         raise OSError(f"store directory {dirpath} does not exist")
+
+
+def _load(dirpath) -> Store:
+    _require_store_dir(dirpath)
     if not os.path.exists(os.path.join(dirpath, "master_hits.csv")):
         return Store()
     return import_csv(dirpath)
@@ -231,6 +236,7 @@ def _cmd_mw_run(args) -> int:
 
 
 def _cmd_families_build(args) -> int:
+    _require_store_dir(args.db)
     tables = build_tables(args.saunderson_max, args.lenhart_max, args.himane)
     save_tables(tables, os.path.join(args.db, "families"))
     for tag in sorted(tables):

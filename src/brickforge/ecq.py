@@ -164,19 +164,23 @@ def _good_odd_primes(c, how_many: int) -> list[int]:
     return out
 
 
-def _closure(c, pts: set[CurvePoint]) -> set[CurvePoint]:
-    pts = set(pts) | {INFINITY}
-    while True:
-        fresh = set()
-        snapshot = list(pts)
-        for P in snapshot:
-            for Q in snapshot:
+def _closure(c, pts, base=frozenset()) -> set[CurvePoint]:
+    """The group generated by `pts` and `base`, which must already be a
+    group (or empty).  Semi-naive: each round forms only the sums that
+    involve a point added in the round before."""
+    group = set(base) | {INFINITY}
+    fresh = [P for P in dict.fromkeys(pts) if P not in group]
+    while fresh:
+        older = [P for P in group if not P.is_infinity]
+        group.update(fresh)
+        new = []
+        for i, P in enumerate(fresh):
+            for Q in older + fresh[i:]:
                 R = add(c, P, Q)
-                if R not in pts:
-                    fresh.add(R)
-        if not fresh:
-            return pts
-        pts |= fresh
+                if R not in group and R not in new:
+                    new.append(R)
+        fresh = new
+    return group
 
 
 def _element_order(c, P: CurvePoint) -> int:
@@ -247,7 +251,7 @@ def torsion_subgroup(c) -> TorsionGroup:
     for n in counts:
         bound = gcd(bound, n)
     cap = min(bound, MAZUR_CAP)
-    group = _closure(c, set(two_torsion(c)))
+    group = _closure(c, two_torsion(c))
     lower_bound_only = False
     grew = True
     while grew:
@@ -259,7 +263,7 @@ def torsion_subgroup(c) -> TorsionGroup:
                 continue
             fresh = [Q for Q in halve(c, P) if Q not in group]
             if fresh:
-                group = _closure(c, group | set(fresh))
+                group = _closure(c, fresh, group)
                 grew = True
                 break
     if bound % 3 == 0 and len(group) * 3 <= cap:
@@ -267,7 +271,7 @@ def torsion_subgroup(c) -> TorsionGroup:
         if not complete:
             lower_bound_only = True
         elif pts3:
-            group = _closure(c, group | set(pts3))
+            group = _closure(c, pts3, group)
     order = len(group)
     d2 = max(_element_order(c, P) for P in group)
     d1 = order // d2

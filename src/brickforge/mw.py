@@ -8,6 +8,11 @@ candidate pairs and each candidate is re-certified with exact integer
 arithmetic before it may be reported.  Soundness is total, completeness
 is not claimed at any bound.
 
+The quartic scan tests M in plain integers over pairs that are admissible
+by construction, once the fibre pair has passed `triple_from_pair`; each
+pair it finds is checked again by `seeds_from_hits` (`master_norm`) and
+`phi` (on the curve) before it becomes a seed.
+
 The `ecq` group law assumes its inputs are on the curve, so points are
 checked where they enter: seed file lines in `load_seed_file`, hit pairs
 in `fibration.phi`, and each seed and torsion point once per run at the
@@ -28,7 +33,9 @@ from math import gcd, isqrt
 
 from .ecq import INFINITY, CurvePoint, add, neg, on_curve, torsion_subgroup
 from .fibration import FibreCurve, lift_point, pair_from_tau, phi, quartic_rhs
-from .master import EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical
+from .master import (
+    EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical, triple_from_pair,
+)
 from .ntkernel import is_perfect_square, is_square_rational
 
 DIGIT_CAP = 10000  # skip combination points with larger coordinates
@@ -60,12 +67,17 @@ def naive_quartic_search(c: FibreCurve, height_bound: int) -> list[EuclidPair]:
     """Every admissible (a, b) with a <= bound that is a hit on this fibre."""
     if height_bound < 2:
         raise ValueError("height bound must be at least 2")
+    U2, V2, _ = triple_from_pair(EuclidPair(c.m, c.n))
     out = []
     for a in range(2, height_bound + 1):
         for b in range(1 + (a % 2), a, 2):  # opposite parity to a
             if gcd(a, b) != 1:
                 continue
-            if is_perfect_square(master_norm(MasterTuple(a, b, c.m, c.n))) is not None:
+            # the coupling norm M of (a, b, m, n); (a, b) is admissible here
+            p, q = 2 * a * b * U2, (a * a - b * b) * V2
+            M = p * p + q * q
+            r = isqrt(M)
+            if r * r == M:
                 out.append(EuclidPair(a, b))
     return out
 

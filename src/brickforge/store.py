@@ -4,17 +4,25 @@ Records are keyed by the slot-swap canonical form of their tuple, so a
 rediscovery under sigma never creates a second row and never overwrites
 the first writer's provenance.  Export ordering and number formatting
 are fixed to make repeated exports byte-identical.
+
+An export replaces each file atomically, manifest.txt last, and an import
+checks every file against the sha256 listed in manifest.txt, so a torn
+export or a damaged file is rejected rather than loaded.  A store without
+a manifest.txt still loads, unchecked.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from . import master
 from .ecq import CurvePoint, on_curve
@@ -45,9 +53,6 @@ class HitRecord:
     y: int
     z: int
     g_scale: int
-    x_prim: int
-    y_prim: int
-    z_prim: int
     provenance: str
     family_tags: set = field(default_factory=set)
     f1_status: str = "none"
@@ -55,6 +60,18 @@ class HitRecord:
     @property
     def tuple(self) -> MasterTuple:
         return MasterTuple(self.a, self.b, self.m, self.n)
+
+    @property
+    def x_prim(self) -> int:
+        return self.x // self.g_scale
+
+    @property
+    def y_prim(self) -> int:
+        return self.y // self.g_scale
+
+    @property
+    def z_prim(self) -> int:
+        return self.z // self.g_scale
 
 
 @dataclass(frozen=True)
@@ -115,13 +132,11 @@ class Store:
         key = tuple(canon)
         if key in self._by_tuple:
             return self._by_tuple[key], False
-        g = gcd(gcd(brick.x, brick.y), brick.z)
         rec = HitRecord(
             id=self._next_id,
             a=canon.a, b=canon.b, m=canon.m, n=canon.n,
             x=brick.x, y=brick.y, z=brick.z,
-            g_scale=g,
-            x_prim=brick.x // g, y_prim=brick.y // g, z_prim=brick.z // g,
+            g_scale=gcd(gcd(brick.x, brick.y), brick.z),
             provenance=provenance,
         )
         self._hits[rec.id] = rec
@@ -174,12 +189,10 @@ def validate_consistency(store: Store) -> list[str]:
         if brick.dyz is None:
             bad.append(f"hit {rec.id}: M is not a square")
             continue
-        g = gcd(gcd(brick.x, brick.y), brick.z)
-        derived = (brick.x, brick.y, brick.z, g, brick.x // g, brick.y // g, brick.z // g)
-        stored = (rec.x, rec.y, rec.z, rec.g_scale, rec.x_prim, rec.y_prim, rec.z_prim)
-        for name, want, got in zip(
-            ("x", "y", "z", "g_scale", "x_prim", "y_prim", "z_prim"), derived, stored
-        ):
+        # the primitive edges are derived from these, so they agree too
+        derived = (brick.x, brick.y, brick.z, gcd(gcd(brick.x, brick.y), brick.z))
+        stored = (rec.x, rec.y, rec.z, rec.g_scale)
+        for name, want, got in zip(("x", "y", "z", "g_scale"), derived, stored):
             if want != got:
                 bad.append(f"hit {rec.id}: {name} is {got}, derived {want}")
         if not _PROVENANCE.fullmatch(rec.provenance):
@@ -256,92 +269,162 @@ def _parse_points(text: str) -> tuple:
 def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     """Writes the three CSVs plus manifest.txt; returns (filename, sha256)
     pairs.  Ordering and formatting are fixed, so equal stores export
-    byte-identical trees."""
+    byte-identical trees.
+
+    Each file is built and hashed in memory, written to `<name>.tmp` and
+    moved over the old file with os.replace, manifest.txt last.  A crash
+    before the manifest is replaced leaves either the old store or files
+    that no longer match the old manifest, which import_csv rejects.
+    """
     _unlock_big_decimals()
-    os.makedirs(dirpath, exist_ok=True)
-    try:
-        _write_csv(
-            os.path.join(dirpath, "master_hits.csv"),
-            ("id", "a", "b", "m", "n", "x", "y", "z", "g_scale",
-             "provenance", "family_tags", "f1_status"),
-            (
-                (rec.id, rec.a, rec.b, rec.m, rec.n, rec.x, rec.y, rec.z,
-                 rec.g_scale, rec.provenance, ";".join(sorted(rec.family_tags)),
-                 rec.f1_status)
-                for rec in store.hits()
-            ),
-        )
-        factor_rows = [row for rec in store.hits() for row in store.factor_rows(rec.id)]
-        factor_rows.sort(key=lambda r: (r.hit_id, r.is_residual, r.prime))
-        _write_csv(
-            os.path.join(dirpath, "f1_factors.csv"),
-            ("hit_id", "prime", "exponent", "is_residual"),
+    hits = store.hits()
+    factor_rows = [row for rec in hits for row in store.factor_rows(rec.id)]
+    factor_rows.sort(key=lambda r: (r.hit_id, r.is_residual, r.prime))
+    files = {
+        "master_hits.csv": _csv_bytes(
+            _HIT_COLUMNS,
+            ((rec.id, rec.a, rec.b, rec.m, rec.n, rec.x, rec.y, rec.z,
+              rec.g_scale, rec.provenance, ";".join(sorted(rec.family_tags)),
+              rec.f1_status)
+             for rec in hits),
+        ),
+        "f1_factors.csv": _csv_bytes(
+            _FACTOR_COLUMNS,
             ((r.hit_id, r.prime, r.exponent, int(r.is_residual)) for r in factor_rows),
-        )
-        _write_csv(
-            os.path.join(dirpath, "fibers.csv"),
-            ("m", "n", "torsion_d1", "torsion_d2", "rank_lb", "generators"),
-            (
-                (row.m, row.n, row.torsion_d1, row.torsion_d2,
-                 "" if row.rank_lb is None else row.rank_lb,
-                 _serialize_points(row.generators))
-                for row in store.fibres()
-            ),
-        )
-        manifest = []
-        for name in CSV_NAMES:
-            with open(os.path.join(dirpath, name), "rb") as fh:
-                manifest.append((name, hashlib.sha256(fh.read()).hexdigest()))
-        with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="ascii") as fh:
-            for name, digest in manifest:
-                fh.write(f"{digest}  {name}\n")
+        ),
+        "fibers.csv": _csv_bytes(
+            _FIBRE_COLUMNS,
+            ((row.m, row.n, row.torsion_d1, row.torsion_d2,
+              "" if row.rank_lb is None else row.rank_lb,
+              _serialize_points(row.generators))
+             for row in store.fibres()),
+        ),
+    }
+    manifest = [(name, hashlib.sha256(data).hexdigest()) for name, data in files.items()]
+    files["manifest.txt"] = "".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii")
+    os.makedirs(dirpath, exist_ok=True)
+    paths = [os.path.join(dirpath, name) for name in files]
+    try:
+        for path, data in zip(paths, files.values()):
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(data)
+        for path in paths:
+            os.replace(path + ".tmp", path)
     except OSError as err:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
         raise OSError(f"export to {dirpath} failed: {err}") from err
     return manifest
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+_HIT_COLUMNS = ("id", "a", "b", "m", "n", "x", "y", "z", "g_scale",
+                "provenance", "family_tags", "f1_status")
+_FACTOR_COLUMNS = ("hit_id", "prime", "exponent", "is_residual")
+_FIBRE_COLUMNS = ("m", "n", "torsion_d1", "torsion_d2", "rank_lb", "generators")
+
+
+def _csv_bytes(header, rows) -> bytes:
+    # the same bytes as csv.writer with "\n" line ends: fields are joined
+    # plainly, and the rare row with a comma, quote or line break inside a
+    # field is written by csv.writer itself, which quotes that field
+    lines = [",".join(header)]
+    for row in rows:
+        line = ",".join(map(str, row))
+        if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(row)
+            line = buf.getvalue()[:-1]
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
 
 
 def import_csv(dirpath) -> Store:
+    """Loads an exported store, reading and parsing each file once.
+
+    When manifest.txt is present, every CSV must match the digest it lists
+    there; a store without a manifest (built by hand) loads unchecked.
+    Either way a repeated hit id, a repeated (a, b, m, n) row or a repeated
+    fibre is rejected.  A damaged or inconsistent file raises ValueError
+    naming it; a missing one raises OSError.
+    """
     _unlock_big_decimals()
+    data = {name: _read(os.path.join(dirpath, name)) for name in CSV_NAMES}
+    if os.path.exists(os.path.join(dirpath, "manifest.txt")):
+        _check_manifest(_read(os.path.join(dirpath, "manifest.txt")), data)
     store = Store()
-    for row in _read_csv(os.path.join(dirpath, "master_hits.csv")):
-        g = int(row["g_scale"])
+    for i, a, b, m, n, x, y, z, g, provenance, tags, status in _records(
+            "master_hits.csv", data, _HIT_COLUMNS):
         rec = HitRecord(
-            id=int(row["id"]),
-            a=int(row["a"]), b=int(row["b"]), m=int(row["m"]), n=int(row["n"]),
-            x=int(row["x"]), y=int(row["y"]), z=int(row["z"]),
-            g_scale=g,
-            x_prim=int(row["x"]) // g, y_prim=int(row["y"]) // g, z_prim=int(row["z"]) // g,
-            provenance=row["provenance"],
-            family_tags=set(filter(None, row["family_tags"].split(";"))),
-            f1_status=row["f1_status"],
+            id=int(i), a=int(a), b=int(b), m=int(m), n=int(n),
+            x=int(x), y=int(y), z=int(z), g_scale=int(g),
+            provenance=provenance,
+            family_tags=set(filter(None, tags.split(";"))),
+            f1_status=status,
         )
+        key = (rec.a, rec.b, rec.m, rec.n)
+        if rec.id in store._hits:
+            raise ValueError(f"master_hits.csv: duplicate hit id {rec.id}")
+        if key in store._by_tuple:
+            raise ValueError(
+                f"master_hits.csv: tuple {key} in hits {store._by_tuple[key]} and {rec.id}")
         store._hits[rec.id] = rec
-        store._by_tuple[tuple(rec.tuple)] = rec.id
+        store._by_tuple[key] = rec.id
         store._next_id = max(store._next_id, rec.id + 1)
-    for row in _read_csv(os.path.join(dirpath, "f1_factors.csv")):
-        frow = FactorRow(int(row["hit_id"]), int(row["prime"]),
-                         int(row["exponent"]), bool(int(row["is_residual"])))
+    for hit_id, prime, exponent, is_residual in _records("f1_factors.csv", data, _FACTOR_COLUMNS):
+        frow = FactorRow(int(hit_id), int(prime), int(exponent), bool(int(is_residual)))
         store._factors.setdefault(frow.hit_id, []).append(frow)
-    for row in _read_csv(os.path.join(dirpath, "fibers.csv")):
-        store.upsert_fibre(FibreRow(
-            m=int(row["m"]), n=int(row["n"]),
-            torsion_d1=int(row["torsion_d1"]), torsion_d2=int(row["torsion_d2"]),
-            rank_lb=None if row["rank_lb"] == "" else int(row["rank_lb"]),
-            generators=_parse_points(row["generators"]),
-        ))
+    for m, n, d1, d2, rank_lb, generators in _records("fibers.csv", data, _FIBRE_COLUMNS):
+        row = FibreRow(
+            m=int(m), n=int(n), torsion_d1=int(d1), torsion_d2=int(d2),
+            rank_lb=None if rank_lb == "" else int(rank_lb),
+            generators=_parse_points(generators),
+        )
+        if (row.m, row.n) in store._fibres:
+            raise ValueError(f"fibers.csv: duplicate fibre ({row.m},{row.n})")
+        store.upsert_fibre(row)
     return store
 
 
-def _read_csv(path) -> list[dict]:
+def _read(path) -> bytes:
     try:
-        with open(path, encoding="ascii", newline="") as fh:
-            return list(csv.DictReader(fh))
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as err:
         raise OSError(f"import from {path} failed: {err}") from err
+
+
+def _check_manifest(text: bytes, data: dict[str, bytes]) -> None:
+    listed = {}
+    for line in text.decode("ascii").splitlines():
+        digest, sep, name = line.partition("  ")
+        if not sep or name not in data or name in listed:
+            raise ValueError(f"manifest.txt: unexpected line {line!r}")
+        listed[name] = digest
+    for name, raw in data.items():
+        if name not in listed:
+            raise ValueError(f"manifest.txt does not list {name}")
+        if hashlib.sha256(raw).hexdigest() != listed[name]:
+            raise ValueError(f"{name} does not match its sha256 in manifest.txt")
+
+
+def _records(name: str, data: dict[str, bytes], columns):
+    """The named columns of each row of one file, as strings."""
+    text = data[name].decode("ascii")
+    if '"' in text or "\r" in text:
+        rows = csv.reader(io.StringIO(text, newline=""))
+    else:  # nothing is quoted, so csv.reader would split exactly here
+        rows = (line.split(",") for line in text.split("\n"))
+    header = next(rows, [])
+    for col in columns:
+        if col not in header:
+            raise ValueError(f"{name}: no column {col!r}")
+    pick = itemgetter(*(header.index(col) for col in columns))
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            if row in ([], [""]):  # a blank line
+                continue
+            raise ValueError(f"{name} row {number}: {len(row)} fields, "
+                             f"expected {len(header)}")
+        yield pick(row)

@@ -32,7 +32,11 @@ def test_missing_db_is_operational_error(monkeypatch, capsys):
     assert "BRICKFORGE_DB" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["verify", "theorem"], ["factorize", "--budget", "1"]])
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem"],
+    ["factorize", "--budget", "1"],
+    ["families", "build", "--saunderson-max", "5", "--lenhart-max", "5"],
+])
 def test_mistyped_db_is_operational_error(tmp_path, capsys, argv):
     missing = tmp_path / "no" / "such"
     assert cli.main([*argv, "--db", str(missing)]) == 2
@@ -175,3 +179,11 @@ def test_usage_error_exit_code(db):
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", "--what", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_corrupted_store_is_operational_error(db, capsys):
+    seeded_db(db)
+    path = db / "f1_factors.csv"
+    path.write_bytes(path.read_bytes().replace(b"1597", b"1598"))
+    assert cli.main(["verify", "consistency"]) == 2
+    assert "f1_factors.csv does not match" in capsys.readouterr().err

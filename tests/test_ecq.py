@@ -155,3 +155,49 @@ def test_cubic_rhs_matches_roots():
     for c in (F21, F449):
         for e in (c.e1, c.e2, c.e3):
             assert cubic_rhs(c, Fraction(e)) == 0
+
+
+def _all_pairs_closure(c, pts):
+    # every pass re-adds all pairs until nothing new appears
+    pts = set(pts) | {INFINITY}
+    while True:
+        fresh = {add(c, P, Q) for P in pts for Q in pts} - pts
+        if not fresh:
+            return pts
+        pts |= fresh
+
+
+def test_torsion_matches_all_pairs_closure(monkeypatch):
+    from brickforge import ecq
+
+    rng = random.Random(1717)
+    fibres = {random_pair(rng, 2, 300) for _ in range(110)} | {(2, 1), (44, 9), (88, 7)}
+    assert len(fibres) >= 100
+    semi_naive = ecq._closure
+    calls = []
+
+    def checked(c, pts, base=frozenset()):
+        # each semi-naive call must agree with the plain closure of its input
+        got = semi_naive(c, pts, base)
+        assert got == _all_pairs_closure(c, set(pts) | set(base))
+        calls.append(len(got))
+        return got
+
+    for m, n in sorted(fibres):
+        c = build_fibre(m, n)
+        monkeypatch.setattr(ecq, "_closure", checked)
+        fast = torsion_subgroup(c)
+        monkeypatch.setattr(ecq, "_closure", lambda c, pts, base=(): _all_pairs_closure(
+            c, set(pts) | set(base)))
+        plain = torsion_subgroup(c)
+        assert (fast.structure, fast.points, fast.lower_bound_only) == (
+            plain.structure, plain.points, plain.lower_bound_only), (m, n)
+    assert len(calls) >= 2 * len(fibres)  # the two-torsion and at least one halving
+    monkeypatch.undo()
+    # one generator, alone and on top of the two-torsion group
+    for m, n in sorted(fibres)[:20]:
+        c = build_fibre(m, n)
+        two = ecq._closure(c, two_torsion(c))
+        for P in torsion_subgroup(c).points:
+            assert ecq._closure(c, [P]) == _all_pairs_closure(c, {P})
+            assert ecq._closure(c, [P], two) == _all_pairs_closure(c, two | {P})

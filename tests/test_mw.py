@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from brickforge import mw
+from brickforge import master, mw
 from brickforge.ecq import INFINITY, CurvePoint, TorsionGroup, add, neg, torsion_subgroup
 from brickforge.fibration import build_fibre, lift_point, tau
 from brickforge.master import MasterTuple, edges, is_master_hit, sigma_canonical
@@ -29,6 +30,35 @@ def test_naive_quartic_search():
     assert naive_quartic_search(F21, 2) == []
     with pytest.raises(ValueError):
         naive_quartic_search(F449, 1)
+
+
+def _reference_quartic_search(c, height_bound):
+    """Every admissible (a, b), each tested through MasterTuple and master_norm."""
+    out = []
+    for a in range(2, height_bound + 1):
+        for b in range(1, a):
+            if not master.is_admissible(a, b, c.m, c.n)[0]:
+                continue
+            if is_perfect_square(master.master_norm(MasterTuple(a, b, c.m, c.n))) is not None:
+                out.append((a, b))
+    return out
+
+
+def test_naive_quartic_search_matches_master_norm():
+    fibres = SEEDED_FIBRES + ((2, 1), (22, 17), (44, 9), (99, 70))
+    for m, n in fibres:
+        c = build_fibre(m, n)
+        for H in (2, 3, 60, 80):
+            assert naive_quartic_search(c, H) == _reference_quartic_search(c, H), (m, n, H)
+
+
+def test_naive_quartic_search_gates_its_inputs():
+    for m, n in ((4, 2), (3, 1), (5, 5), (2, 3)):
+        with pytest.raises(ValueError, match="inadmissible"):
+            naive_quartic_search(replace(F449, m=m, n=n), 60)
+    for H in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            naive_quartic_search(F449, H)
 
 
 def test_seeds_from_hits():
