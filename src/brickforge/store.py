@@ -5,7 +5,7 @@ rediscovery under sigma never creates a second row and never overwrites
 the first writer's provenance.  Export ordering and number formatting
 are fixed to make repeated exports byte-identical.
 
-An export replaces each file atomically, manifest.txt last, and an import
+An export replaces each file atomically, manifest.txt first, and an import
 checks every file against the sha256 listed in manifest.txt, so a torn
 export or a damaged file is rejected rather than loaded.  A store without
 a manifest.txt still loads, unchecked.
@@ -272,9 +272,10 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     byte-identical trees.
 
     Each file is built and hashed in memory, written to `<name>.tmp` and
-    moved over the old file with os.replace, manifest.txt last.  A crash
-    before the manifest is replaced leaves either the old store or files
-    that no longer match the old manifest, which import_csv rejects.
+    moved over the old file with os.replace, manifest.txt first.  A crash
+    at the manifest leaves the old store; a crash after it leaves old files
+    that do not match the new manifest, which import_csv rejects, whether
+    or not the old store had a manifest.
     """
     _unlock_big_decimals()
     hits = store.hits()
@@ -301,7 +302,8 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
         ),
     }
     manifest = [(name, hashlib.sha256(data).hexdigest()) for name, data in files.items()]
-    files["manifest.txt"] = "".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii")
+    files = {"manifest.txt": "".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii"),
+             **files}
     os.makedirs(dirpath, exist_ok=True)
     paths = [os.path.join(dirpath, name) for name in files]
     try:
@@ -411,11 +413,8 @@ def _check_manifest(text: bytes, data: dict[str, bytes]) -> None:
 
 def _records(name: str, data: dict[str, bytes], columns):
     """The named columns of each row of one file, as strings."""
-    text = data[name].decode("ascii")
-    if '"' in text or "\r" in text:
-        rows = csv.reader(io.StringIO(text, newline=""))
-    else:  # nothing is quoted, so csv.reader would split exactly here
-        rows = (line.split(",") for line in text.split("\n"))
+    # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data[name]), encoding="ascii", newline=""))
     header = next(rows, [])
     for col in columns:
         if col not in header:
@@ -423,7 +422,7 @@ def _records(name: str, data: dict[str, bytes], columns):
     pick = itemgetter(*(header.index(col) for col in columns))
     for number, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            if row in ([], [""]):  # a blank line
+            if not row:  # a blank line
                 continue
             raise ValueError(f"{name} row {number}: {len(row)} fields, "
                              f"expected {len(header)}")

@@ -318,8 +318,8 @@ def test_import_without_manifest_loads(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_import_reads_crlf_and_blank_lines_like_csv_reader(tmp_path):
-    # plain files are split without csv.reader; anything else goes through it
+def test_import_reads_crlf_and_blank_lines(tmp_path):
+    # a store saved with CRLF line ends or blank lines still loads
     export_csv(full_store(), tmp_path / "a")
     want = _tree(tmp_path / "a")
     (tmp_path / "a" / "manifest.txt").unlink()
@@ -343,11 +343,14 @@ def test_import_rejects_bad_manifest(tmp_path):
         import_csv(tmp_path)
 
 
+@pytest.mark.parametrize("start", ["manifest", "no manifest", "empty"])
 @pytest.mark.parametrize("fail_at", range(4))
-def test_export_interrupted_at_each_replace(tmp_path, monkeypatch, fail_at):
-    old = golden_store()
-    export_csv(old, tmp_path)
-    before = _tree(tmp_path)
+def test_export_interrupted_at_each_replace(tmp_path, monkeypatch, start, fail_at):
+    if start != "empty":
+        export_csv(golden_store(), tmp_path)
+    if start == "no manifest":
+        (tmp_path / "manifest.txt").unlink()
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     new = full_store()  # differs from the old store in every file
     real_replace = os.replace
     replaced = []
@@ -362,15 +365,21 @@ def test_export_interrupted_at_each_replace(tmp_path, monkeypatch, fail_at):
     with pytest.raises(OSError, match="injected fault"):
         export_csv(new, tmp_path)
     monkeypatch.undo()
-    assert replaced == list(STORE_FILES[:fail_at])  # the manifest goes last
-    assert sorted(os.listdir(tmp_path)) == sorted(STORE_FILES)  # no .tmp left
+    assert replaced == ["manifest.txt", *CSV_NAMES][:fail_at]  # the manifest goes first
+    left = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     if fail_at == 0:
-        export_csv(import_csv(tmp_path), tmp_path / "again")
-        assert _tree(tmp_path / "again") == before  # still the old store
-    else:
-        # new and old files side by side: the old manifest refuses the mix
-        with pytest.raises(ValueError, match=f"{replaced[0]} does not match"):
+        assert left == before  # still the old store
+        if start != "empty":
             import_csv(tmp_path)
+    elif start == "empty":
+        # the new manifest without all the new files: a file is missing
+        with pytest.raises(OSError, match=CSV_NAMES[fail_at - 1]):
+            import_csv(tmp_path)
+    else:
+        # new and old files side by side: the new manifest refuses the mix
+        with pytest.raises(ValueError, match=f"{CSV_NAMES[fail_at - 1]} does not match"):
+            import_csv(tmp_path)
+    assert not [name for name in left if name.endswith(".tmp")]
 
 
 def test_roundtrip_random_hits(tmp_path):
