@@ -56,7 +56,13 @@ def neg(c, P: CurvePoint) -> CurvePoint:
 
 
 def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    """Chord-tangent sum of two points on the curve."""
+    """Chord-tangent sum of two points on the curve.
+
+    The model is integral, so a point on it is X = p/d^2, Y = r/d^3 in
+    lowest terms.  The chord is summed in those integers: with
+    E = p2 d1^2 - p1 d2^2, F = r2 d1^3 - r1 d2^3 and D = d1 d2 E the slope
+    is F/D, and the sum is (u/D^2, w/D^3), reduced once at the end.
+    """
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -66,12 +72,19 @@ def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
             return INFINITY
         a2, a4, _ = _coeffs(c)
         lam = (3 * P.X * P.X + 2 * a2 * P.X + a4) / (2 * P.Y)
-    else:
-        lam = (Q.Y - P.Y) / (Q.X - P.X)
-    a2 = c.B
-    X3 = lam * lam - a2 - P.X - Q.X
-    Y3 = lam * (P.X - X3) - P.Y
-    return CurvePoint(X3, Y3)
+        X3 = lam * lam - a2 - P.X - Q.X
+        return CurvePoint(X3, lam * (P.X - X3) - P.Y)
+    # s = d^2 and t = d^3 are the denominators of X and Y
+    p1, s1, r1, t1 = P.X.numerator, P.X.denominator, P.Y.numerator, P.Y.denominator
+    p2, s2, r2, t2 = Q.X.numerator, Q.X.denominator, Q.Y.numerator, Q.Y.denominator
+    E = p2 * s1 - p1 * s2
+    F = r2 * t1 - r1 * t2
+    D = (t1 // s1) * (t2 // s2) * E
+    E2, D2 = E * E, D * D
+    x1 = p1 * s2 * E2  # X(P) * D^2
+    u = F * F - c.B * D2 - x1 - p2 * s1 * E2
+    w = F * (x1 - u) - r1 * t2 * E2 * E
+    return CurvePoint(Fraction(u, D2), Fraction(w, D2 * D))
 
 
 def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:

@@ -87,20 +87,20 @@ def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
     positive, in lowest terms) must additionally satisfy a > b with
     a - b odd.  Certification of the hit itself stays with the caller.
     """
-    return pair_from_tau(tau(c, P))
+    return lift_pairs(tau(c, P))[0]
 
 
-def pair_from_tau(tv: Fraction | None) -> EuclidPair | None:
-    """The lift rule behind lift_point, applied to a tau value already known."""
-    if tv is None:
-        return None
-    root = is_square_rational(tv)
+def lift_pairs(tv: Fraction | None) -> tuple[EuclidPair | None, EuclidPair | None]:
+    """The lift rule behind lift_point for a tau value already known, applied
+    to tau and to 1/tau at once: the root of 1/tau is b/a, so one square
+    test decides both, and at most one of the two lifts."""
+    root = None if tv is None else is_square_rational(tv)
     if root is None:
-        return None
+        return None, None
     a, b = root.numerator, root.denominator
-    if a <= b or (a - b) % 2 == 0:
-        return None
-    return EuclidPair(a, b)
+    if (a - b) % 2 == 0:
+        return None, None
+    return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Seeds (points of presumed infinite order, independence never assumed)
 come from a direct quartic scan, a stored database, or a file.  All
 integer combinations with coefficients up to K, shifted through every
 torsion point, are pushed through tau; positive square values lift to
-candidate pairs and each candidate is re-certified with exact integer
+candidate pairs and each distinct pair is re-certified with exact integer
 arithmetic before it may be reported.  Soundness is total, completeness
 is not claimed at any bound.
 
@@ -18,11 +18,17 @@ checked where they enter: seed file lines in `load_seed_file`, hit pairs
 in `fibration.phi`, and each seed and torsion point once per run at the
 top of `enumerate_and_certify`; the enumeration then runs unchecked.
 Partial sums over coefficient prefixes are shared, so each combination
-(the base) costs one addition.  Each torsion shift of a base is then done
-in integers: with X = p/d^2, Y = r/d^3 and T integral, the shifted
-abscissa is u/D^2 without any gcd, and tau is built from u and D as one
-reduced Fraction.  Bases at infinity or above a torsion point take the
-ordinary Fraction group law instead.
+(the base) costs one addition of the integer chord law.  Each torsion
+shift of a base is then done in integers: with X = p/d^2, Y = r/d^3 and
+T integral, the shifted abscissa is u/D^2 without any gcd, and tau is
+built from u and D as one reduced Fraction.  Only one shift per coset of
+E[2] = {O, (e1,0), (e2,0), (e3,0)} is computed: translation by (e1,0)
+keeps tau and translation by (e2,0) or (e3,0) inverts it (an exact
+identity, see `_cosets`), so one square test decides the lifts of all
+four translates.  A translate that a bit-length bound cannot keep under
+the size cap, and every translate of a base at infinity or above a
+torsion point, is lifted on its own (`_lift_one`).  Each distinct lifted
+pair is certified once per run.
 """
 from __future__ import annotations
 
@@ -31,8 +37,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
-from .ecq import INFINITY, CurvePoint, add, neg, on_curve, torsion_subgroup
-from .fibration import FibreCurve, lift_point, pair_from_tau, phi, quartic_rhs
+from .ecq import INFINITY, CurvePoint, add, neg, on_curve, torsion_subgroup, two_torsion
+from .fibration import FibreCurve, lift_pairs, lift_point, phi, quartic_rhs
 from .master import (
     EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical, triple_from_pair,
 )
@@ -151,6 +157,76 @@ def _too_large(P: CurvePoint) -> bool:
     ) > _CAP_BITS
 
 
+def _shift(c: FibreCurve, p: int, r: int, d: int, xT: int, yT: int) -> tuple[int, int, int]:
+    """base + T for integral T off the vertical line of base = (p/d^2, r/d^3):
+    (u, w, D) with X = u/D^2 and Y = w/D^3, unreduced."""
+    d2 = d * d
+    e = xT * d2 - p
+    N = yT * d2 * d - r
+    D = d * e
+    pe2 = p * e * e
+    u = N * N - (c.B + xT) * D * D - pe2
+    return u, N * (pe2 - u) - r * e**3, D
+
+
+def _tau(c: FibreCurve, u: int, D: int) -> Fraction | None:
+    """tau at X = u/D^2 as one reduced Fraction; None at X = +-2 gamma^2."""
+    D2 = D * D
+    den = u * u - 4 * c.gamma**4 * D2 * D2
+    return Fraction(4 * c.gamma**2 * (u + c.B * D2) * D2, den) if den else None
+
+
+def _lift_one(c: FibreCurve, base: CurvePoint, shift, stats: MwStats) -> EuclidPair | None:
+    """The lift of the translate base + T found on its own, None where there
+    is none; a translate too large to try is counted in `stats`."""
+    T, xT, yT = shift
+    if base.is_infinity or xT is not None and base.X == xT:
+        R = add(c, base, T)
+        if _too_large(R):
+            stats.skipped_large += 1
+            return None
+        return lift_point(c, R)
+    p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
+    d = base.Y.denominator // d2
+    u, w, D = (p, r, d) if xT is None else _shift(c, p, r, d, xT, yT)
+    # reduction only shrinks these bit lengths, so reduce only past the bound
+    if max(u.bit_length(), w.bit_length(), 3 * D.bit_length()) > _CAP_BITS and _too_large(
+            CurvePoint(Fraction(u, D * D), Fraction(w, D**3))):
+        stats.skipped_large += 1
+        return None
+    return lift_pairs(_tau(c, u, D))[0]
+
+
+def _cosets(c: FibreCurve, points: list[CurvePoint]):
+    """The torsion points grouped into cosets of E[2] = {O, (e1,0), (e2,0), (e3,0)}.
+
+    Returns the index of each coset's representative and, per point, the
+    number of its coset, whether the point is the representative plus
+    (e2,0) or (e3,0), and whether it is a twin (not the representative).
+    Translation by (e, 0) sends X to e + K/(X - e), K = (e - e')(e - e'').
+    With tau = 4 gamma^2 (X + B) / ((X - 2 gamma^2)(X + 2 gamma^2)), (e1,0)
+    gives X' + B = (B^2 - 4 gamma^4)/(X + B), so tau is kept, and (e2,0)
+    gives X' + B = (2 gamma^2 + B)(X + 2 gamma^2)/(X - 2 gamma^2) and
+    X' + 2 gamma^2 = 4 gamma^2 (X + B)/(X - 2 gamma^2), so tau is inverted,
+    as it is by (e3,0).  Hence tau(P + T) is tau(P + rep) or its inverse.
+    A point whose partner is not in `points` is not grouped with it.
+    """
+    index = {T: i for i, T in enumerate(points)}
+    E1, E2, E3 = two_torsion(c)
+    reps: list[int] = []
+    coset: list = [None] * len(points)
+    for i, T in enumerate(points):
+        if coset[i] is not None:
+            continue
+        coset[i] = (len(reps), False, False)
+        for E, inverted in ((E1, False), (E2, True), (E3, True)):
+            j = index.get(add(c, T, E))
+            if j is not None:
+                coset[j] = (len(reps), inverted, True)
+        reps.append(i)
+    return reps, coset
+
+
 def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     """Run the bounded enumeration and keep only re-certified hits."""
     if K < 1:
@@ -167,6 +243,36 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             raise AssertionError(f"torsion point {T} not integral on fibre ({c.m},{c.n})")
         else:
             shifts.append((T, T.X.numerator, T.Y.numerator))
+    torsion_xs = {xT for _, xT, _ in shifts if xT is not None}
+    reps, coset = _cosets(c, torsion.points)
+    reps = [shifts[i][1:] for i in reps]
+    # translating X = u/D^2 by (e, 0) gives X' = (e v + K D^2)/v and
+    # Y' = -K w D / v^2 with v = u - e D^2, K = (e - e')(e - e''); these
+    # bound the bit lengths of the twins of each coset representative
+    roots = (c.e1, c.e2, c.e3)
+    e_bits = max(abs(e).bit_length() for e in roots)
+    K_bits = max(abs((e - roots[i - 1]) * (e - roots[i - 2])).bit_length()
+                 for i, e in enumerate(roots))
+
+    def lift_by_coset(base: CurvePoint, p: int, r: int, d: int) -> list:
+        # one tau per coset; a translate that may be too large is lifted on its own
+        shared = []
+        for xT, yT in reps:
+            u, w, D = (p, r, d) if xT is None else _shift(c, p, r, d, xT, yT)
+            bu, bw, bD = u.bit_length(), w.bit_length(), D.bit_length()
+            bv = max(bu, e_bits + 2 * bD) + 1
+            twin_bits = max(e_bits + bv + 1, K_bits + 2 * bD + 1, K_bits + bw + bD, 2 * bv)
+            shared.append((lift_pairs(_tau(c, u, D)),
+                           max(bu, bw, 3 * bD) <= _CAP_BITS, twin_bits <= _CAP_BITS))
+        out = []
+        for shift, (k, inverted, twin) in zip(shifts, coset):
+            lifts, rep_fits, twin_fits = shared[k]
+            if twin_fits if twin else rep_fits:
+                out.append(lifts[inverted])
+            else:
+                out.append(_lift_one(c, base, shift, stats))
+        return out
+
     multiples = []
     for P in g.points:
         if not on_curve(c, P):
@@ -189,10 +295,10 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             P = prefixes[vec[:j + 1]] = add(c, P, multiples[j][vec[j]])
         return P
 
-    B, g2, g4 = c.B, 4 * c.gamma**2, 4 * c.gamma**4
     stats = MwStats()
     outputs: list[MasterTuple] = []
     seen: set[MasterTuple] = set()
+    certified: dict[EuclidPair, MasterTuple] = {}  # lifted pair -> canonical tuple
     for vec in _coefficient_vectors(len(g.points), K):
         base = add(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
         if not base.is_infinity:
@@ -200,48 +306,22 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             d = isqrt(d2)
             if d * d != d2 or d * d2 != base.Y.denominator:
                 raise AssertionError(f"point {base} not in integral form on fibre ({c.m},{c.n})")
-            d3 = d * d2
-        for T, xT, yT in shifts:
-            stats.candidates += 1
-            if base.is_infinity or xT is not None and xT * d2 == p:
-                R = add(c, base, T)
-                if _too_large(R):
-                    stats.skipped_large += 1
-                    continue
-                pair = lift_point(c, R)
-            else:
-                if xT is None:
-                    u, D = p, d
-                    if _too_large(base):
-                        stats.skipped_large += 1
-                        continue
-                else:
-                    # base + T with X(base + T) = u / D^2, unreduced
-                    e = xT * d2 - p
-                    N = yT * d3 - r
-                    D = d * e
-                    pe2 = p * e * e
-                    u = N * N - (B + xT) * D * D - pe2
-                    # Y(base + T) = (N * (pe2 - u) - r * e^3) / D^3; reduction only
-                    # shrinks these bit lengths, so reduce only past the bound
-                    bits = max(u.bit_length(), 3 * D.bit_length(),
-                               N.bit_length() + max(pe2.bit_length(), u.bit_length()) + 2,
-                               r.bit_length() + 3 * e.bit_length() + 1)
-                    if bits > _CAP_BITS and _too_large(CurvePoint(
-                            Fraction(u, D * D), Fraction(N * (pe2 - u) - r * e**3, D**3))):
-                        stats.skipped_large += 1
-                        continue
-                D2 = D * D
-                den = u * u - g4 * D2 * D2  # zero exactly at X = +-2 gamma^2
-                pair = pair_from_tau(Fraction(g2 * (u + B * D2) * D2, den) if den else None)
+        if base.is_infinity or d2 == 1 and p in torsion_xs:  # or above a torsion point
+            pairs = [_lift_one(c, base, shift, stats) for shift in shifts]
+        else:
+            pairs = lift_by_coset(base, p, r, d)
+        stats.candidates += len(pairs)
+        for pair in pairs:
             if pair is None:
                 continue
             stats.lifted += 1
-            t = MasterTuple(pair.a, pair.b, c.m, c.n)
-            if is_master_hit(t) is None:
-                raise AssertionError(f"lifted pair {tuple(t)} failed certification")
+            canon = certified.get(pair)
+            if canon is None:
+                t = MasterTuple(pair.a, pair.b, c.m, c.n)
+                if is_master_hit(t) is None:
+                    raise AssertionError(f"lifted pair {tuple(t)} failed certification")
+                canon = certified[pair] = sigma_canonical(t)
             stats.certified += 1
-            canon = sigma_canonical(t)
             if canon not in seen:
                 seen.add(canon)
                 outputs.append(canon)

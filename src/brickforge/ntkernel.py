@@ -1,10 +1,10 @@
 """Integer utilities and the staged factorization engine.
 
 Plain Python ints throughout.  The factor() pipeline is two-stage:
-trial division by primes below 10**6, then Brent's cycle-finding
-variant of Pollard rho with batched gcds.  Whatever survives the
-time budget is returned as a composite residual and the result is
-marked partial instead of raising.
+trial division by primes below 10**6 (one gcd per run of 256 primes),
+then Brent's cycle-finding variant of Pollard rho with batched gcds.
+Whatever survives the time budget is returned as a composite residual
+and the result is marked partial instead of raising.
 """
 from __future__ import annotations
 
@@ -181,6 +181,8 @@ class Factorization:
 
 
 _trial_primes_cache: list[int] | None = None
+_trial_blocks_cache: list[tuple[int, int]] | None = None
+_BLOCK = 256  # trial primes per gcd
 
 
 def _trial_primes() -> list[int]:
@@ -193,6 +195,42 @@ def _trial_primes() -> list[int]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         _trial_primes_cache = [i for i in range(TRIAL_LIMIT) if sieve[i]]
     return _trial_primes_cache
+
+
+def _trial_blocks() -> list[tuple[int, int]]:
+    """The product of each run of _BLOCK trial primes, with the index of its first prime."""
+    global _trial_blocks_cache
+    if _trial_blocks_cache is None:
+        primes = _trial_primes()
+        _trial_blocks_cache = [(math.prod(primes[i:i + _BLOCK]), i)
+                               for i in range(0, len(primes), _BLOCK)]
+    return _trial_blocks_cache
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Stage 1 of factor(): the primes below TRIAL_LIMIT with their
+    exponents, and the cofactor free of them.  Each run of trial primes
+    costs one gcd; single primes are tried only in a run that shares a
+    factor with what is left."""
+    primes = _trial_primes()
+    counts: dict[int, int] = {}
+    rem = n
+    for product, start in _trial_blocks():
+        if primes[start] ** 2 > rem:
+            break
+        g = math.gcd(rem, product)
+        if g == 1:
+            continue
+        for p in primes[start:start + _BLOCK]:
+            if g % p == 0:
+                while rem % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    rem //= p
+    if 1 < rem < TRIAL_LIMIT * TRIAL_LIMIT:
+        # rem has no prime factor up to its square root, so it is prime
+        counts[rem] = counts.get(rem, 0) + 1
+        rem = 1
+    return counts, rem
 
 
 def _iroot(n: int, k: int) -> int:
@@ -264,8 +302,8 @@ def _brent_rho(n: int, deadline: float) -> int | None:
 def factor(n: int, budget: float = DEFAULT_BUDGET) -> Factorization:
     """Factor n within a wall-clock budget in seconds.
 
-    Stage 1 is trial division by every prime below 10**6, stage 2 is
-    Brent rho with recursive splitting; all emitted primes pass
+    Stage 1 is trial division by every prime below 10**6 (`_trial_divide`),
+    stage 2 is Brent rho with recursive splitting; all emitted primes pass
     is_prime.  Budget exhaustion is not an error, the unsplit part
     becomes the residual and the status degrades to "partial".
 
@@ -275,18 +313,7 @@ def factor(n: int, budget: float = DEFAULT_BUDGET) -> Factorization:
     if n < 1:
         raise ValueError("factor() wants n >= 1")
     deadline = time.monotonic() + budget
-    counts: dict[int, int] = {}
-    rem = n
-    for p in _trial_primes():
-        if p * p > rem:
-            break
-        while rem % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rem //= p
-    if 1 < rem < TRIAL_LIMIT * TRIAL_LIMIT:
-        # below the trial bound squared the leftover must be prime
-        counts[rem] = counts.get(rem, 0) + 1
-        rem = 1
+    counts, rem = _trial_divide(n)
     leftovers: list[int] = []
     stack: list[tuple[int, int]] = [(rem, 1)] if rem > 1 else []
     while stack:

@@ -347,9 +347,10 @@ def import_csv(dirpath) -> Store:
 
     When manifest.txt is present, every CSV must match the digest it lists
     there; a store without a manifest (built by hand) loads unchecked.
-    Either way a repeated hit id, a repeated (a, b, m, n) row or a repeated
-    fibre is rejected.  A damaged or inconsistent file raises ValueError
-    naming it; a missing one raises OSError.
+    Either way a repeated hit id, a repeated (a, b, m, n) row, a repeated
+    fibre or a factor row whose hit id names no hit is rejected.  A damaged
+    or inconsistent file raises ValueError naming it; a missing one raises
+    OSError.
     """
     _unlock_big_decimals()
     data = {name: _read(os.path.join(dirpath, name)) for name in CSV_NAMES}
@@ -376,6 +377,10 @@ def import_csv(dirpath) -> Store:
         store._next_id = max(store._next_id, rec.id + 1)
     for hit_id, prime, exponent, is_residual in _records("f1_factors.csv", data, _FACTOR_COLUMNS):
         frow = FactorRow(int(hit_id), int(prime), int(exponent), bool(int(is_residual)))
+        if frow.hit_id not in store._hits:
+            # export writes factor rows per hit, so this row would be dropped
+            raise ValueError(f"f1_factors.csv: factor row for hit id {frow.hit_id}, "
+                             "which names no hit")
         store._factors.setdefault(frow.hit_id, []).append(frow)
     for m, n, d1, d2, rank_lb, generators in _records("fibers.csv", data, _FIBRE_COLUMNS):
         row = FibreRow(

@@ -187,3 +187,12 @@ def test_corrupted_store_is_operational_error(db, capsys):
     path.write_bytes(path.read_bytes().replace(b"1597", b"1598"))
     assert cli.main(["verify", "consistency"]) == 2
     assert "f1_factors.csv does not match" in capsys.readouterr().err
+
+
+def test_orphan_factor_row_is_operational_error(db, capsys):
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / "f1_factors.csv"
+    path.write_text(path.read_text() + "9,5,1,0\n")
+    assert cli.main(["verify", "consistency"]) == 2
+    assert "hit id 9, which names no hit" in capsys.readouterr().err

@@ -201,3 +201,43 @@ def test_torsion_matches_all_pairs_closure(monkeypatch):
         for P in torsion_subgroup(c).points:
             assert ecq._closure(c, [P]) == _all_pairs_closure(c, {P})
             assert ecq._closure(c, [P], two) == _all_pairs_closure(c, two | {P})
+
+
+def _fraction_add(c, P, Q):
+    """The chord-tangent law in Fractions, step by step, for comparison."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    if P.X == Q.X:
+        if P.Y == -Q.Y:
+            return INFINITY
+        lam = (3 * P.X * P.X + 2 * c.B * P.X - 4 * c.gamma**4) / (2 * P.Y)
+    else:
+        lam = (Q.Y - P.Y) / (Q.X - P.X)
+    X3 = lam * lam - c.B - P.X - Q.X
+    return CurvePoint(X3, lam * (P.X - X3) - P.Y)
+
+
+def test_integer_chord_law_matches_fraction_formula():
+    from brickforge.mw import naive_quartic_search, seeds_from_hits
+
+    pairs = 0
+    integral = 0
+    for m, n in ((13, 2), (44, 9), (6, 5), (2, 1)):
+        c = build_fibre(m, n)
+        tor = torsion_subgroup(c).points
+        seeds = seeds_from_hits(c, naive_quartic_search(c, 60), torsion_subgroup(c)).points
+        pts = list(tor) + [pt(80, 672)] * (m == 2)
+        for P in seeds:
+            for k in (1, 2, -1, -3):
+                Q = scalar_mul(c, k, P)
+                pts += [Q] + [_fraction_add(c, Q, T) for T in tor[1:4]]
+        assert all(on_curve(c, P) for P in pts)
+        integral += sum(1 for P in pts if not P.is_infinity and P.X.denominator == 1)
+        for P, Q in product(pts, repeat=2):
+            R = add(c, P, Q)
+            assert R == _fraction_add(c, P, Q), (m, n, P, Q)
+            assert on_curve(c, R)
+            pairs += 1
+    assert pairs >= 1000 and integral >= 40

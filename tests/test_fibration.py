@@ -117,3 +117,56 @@ def test_tau_of_doubled_seed_is_square_consistent():
     Q = scalar_mul(c, 2, P)
     tv = tau(c, Q)
     assert tv is not None and tv > 0
+
+
+def _poly(*coeffs):
+    # coefficients from the constant term up, without trailing zeros
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _padd(f, g):
+    n = max(len(f), len(g))
+    return _poly(*((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)))
+
+
+def _pmul(f, g):
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _poly(*out)
+
+
+def _pscale(f, k):
+    return _poly(*(k * a for a in f))
+
+
+def test_tau_under_two_torsion_translation_in_ZX():
+    # in Z[X]: translation by (e, 0) sends X to e + K/(X - e), K = (e - e')(e - e'');
+    # then tau is kept by (e1, 0) and inverted by (e2, 0) and (e3, 0)
+    rng = random.Random(5)
+    fibres = [(2, 1), (44, 9), (88, 7), (22, 17)] + [random_pair(rng, hi=400) for _ in range(100)]
+    for m, n in fibres:
+        c = build_fibre(m, n)
+        g2, g4 = 4 * c.gamma**2, 4 * c.gamma**4
+        tau_num, tau_den = _pscale(_poly(c.B, 1), g2), _poly(-g4, 0, 1)
+        cubic = _pmul(_poly(c.B, 1), tau_den)  # (X + B)(X^2 - 4 gamma^4)
+        roots = (c.e1, c.e2, c.e3)
+        assert roots[0] == -c.B and sorted(roots[1:]) == [-g2 // 2, g2 // 2]
+        for i, e in enumerate(roots):
+            K = (e - roots[i - 1]) * (e - roots[i - 2])
+            N, V = _poly(K - e * e, e), _poly(-e, 1)  # X' = N / V
+            # X' is the chord sum: X' (X - e)^2 = Y^2 - (X + e + B)(X - e)^2
+            V2 = _pmul(V, V)
+            assert _pmul(N, V) == _padd(cubic, _pscale(_pmul(_poly(e + c.B, 1), V2), -1))
+            # tau(X') = 4 gamma^2 (N + B V) V / (N^2 - 4 gamma^4 V^2)
+            num = _pmul(_pscale(_padd(N, _pscale(V, c.B)), g2), V)
+            den = _padd(_pmul(N, N), _pscale(V2, -g4))
+            assert num and den
+            if i == 0:
+                assert _pmul(num, tau_den) == _pmul(den, tau_num), (m, n)
+            else:
+                assert _pmul(num, tau_num) == _pmul(den, tau_den), (m, n, i)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from brickforge import master, mw
-from brickforge.ecq import INFINITY, CurvePoint, TorsionGroup, add, neg, torsion_subgroup
+from brickforge.ecq import (
+    INFINITY, CurvePoint, TorsionGroup, add, neg, scalar_mul, torsion_subgroup, two_torsion,
+)
 from brickforge.fibration import build_fibre, lift_point, tau
 from brickforge.master import MasterTuple, edges, is_master_hit, sigma_canonical
 from brickforge.mw import (
@@ -257,13 +259,62 @@ def test_enumerate_checks_points_where_they_enter():
         enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, P2]))
 
 
+@pytest.mark.parametrize("m, n, K", [(13, 2, 2), (44, 9, 2), (8, 5, 2), (22, 17, 1)])
+def test_enumerate_matches_reference_with_hand_built_torsion(m, n, K):
+    # the E[2] cosets are found from the list itself: a point whose partner
+    # is missing stands alone, and the order of the list is the output order
+    c = build_fibre(m, n)
+    tor = torsion_subgroup(c)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    E1, E2, E3 = two_torsion(c)
+    shuffled = list(tor.points)
+    random.Random(m * n).shuffle(shuffled)
+    assert len(shuffled) == 8 and shuffled != tor.points
+    for points in ([INFINITY, E1, E2, E3], [INFINITY], [INFINITY, E1], [E3, E1],
+                   shuffled, shuffled[:5]):
+        stats = _assert_matches_reference(g, K, TorsionGroup(tor.structure, points))
+        assert stats.candidates == len(points) * len(_coefficient_vectors(len(g.points), K))
+
+
+def test_tau_shared_across_two_torsion_on_seeds():
+    # translation by (e1,0) keeps tau, by (e2,0) or (e3,0) it inverts tau
+    for m, n in SEEDED_FIBRES:
+        c = build_fibre(m, n)
+        tor = torsion_subgroup(c)
+        E1, E2, E3 = two_torsion(c)
+        for P in seeds_from_hits(c, naive_quartic_search(c, 60), tor).points:
+            for k in (1, 2, -3):
+                for T in tor.points:
+                    R = add(c, scalar_mul(c, k, P), T)
+                    t = tau(c, R)
+                    assert t is not None and t != 0, (m, n)
+                    assert tau(c, add(c, R, E1)) == t
+                    assert tau(c, add(c, R, E2)) == tau(c, add(c, R, E3)) == 1 / t
+
+
 @pytest.mark.parametrize("cap", [40, 80, 120])
 def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
     # at these caps the bit-length bound overshoots for some candidates that
-    # survive the exact reduction, and some candidates are truly too large
+    # survive the exact reduction, and some candidates are truly too large;
+    # the tau of a coset representative is shared with the twins whose size
+    # bound fits under the cap, and every other translate is lifted on its own
     monkeypatch.setattr(mw, "_CAP_BITS", cap)
+    lift_one = mw._lift_one
+    alone = []
+
+    def counted(c, base, shift, stats):
+        alone.append(shift)
+        return lift_one(c, base, shift, stats)
+
+    monkeypatch.setattr(mw, "_lift_one", counted)
     c = build_fibre(13, 2)
     tor = torsion_subgroup(c)
     g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
     stats = _assert_matches_reference(g, 2, tor)
     assert 0 < stats.skipped_large < stats.candidates
+    assert stats.skipped_large < len(alone) < stats.candidates
+    # past the smallest cap, some twins read the tau of their representative
+    twins = [T for T, (_, _, twin) in zip(tor.points, mw._cosets(c, tor.points)[1]) if twin]
+    twins_alone = sum(shift[0] in twins for shift in alone)
+    bases = len(_coefficient_vectors(len(g.points), 2))
+    assert len(twins) == 6 and (twins_alone < 6 * bases) == (cap > 40)

@@ -146,6 +146,56 @@ def test_factor_deadline_inside_rho_advance_loop(monkeypatch):
     assert steps - budget <= 2 * 128  # one batch past the deadline at most
 
 
+def _plain_trial_division(n):
+    """Stage 1 of factor() as one prime at a time, for comparison."""
+    counts, rem = {}, n
+    for p in ntkernel._trial_primes():
+        if p * p > rem:
+            break
+        while rem % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            rem //= p
+    if 1 < rem < ntkernel.TRIAL_LIMIT**2:
+        counts[rem] = counts.get(rem, 0) + 1
+        rem = 1
+    return counts, rem
+
+
+def _audit_f1_values():
+    # f1 of the 346 hits of mw run (22,17) at seed height 80, K=2
+    from brickforge.ecq import torsion_subgroup
+    from brickforge.fibration import build_fibre
+    from brickforge.master import f1
+    from brickforge.mw import enumerate_and_certify, naive_quartic_search, seeds_from_hits
+
+    c = build_fibre(22, 17)
+    tor = torsion_subgroup(c)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80), tor), 2, tor)
+    return [f1(t) for t in run.outputs]
+
+
+def test_trial_division_by_blocks_matches_plain_loop():
+    primes = ntkernel._trial_primes()
+    below = primes[-12:]
+    above = [p for p in range(ntkernel.TRIAL_LIMIT, ntkernel.TRIAL_LIMIT + 400) if is_prime(p)][:12]
+    # the first and last prime of every few runs, where a run's product starts and ends
+    edges = [primes[i] for k in range(0, len(primes), 8 * ntkernel._BLOCK)
+             for i in (k, min(k + ntkernel._BLOCK - 1, len(primes) - 1))]
+    audit = _audit_f1_values()
+    assert len(audit) == 346
+    # the plain loop takes about 12 ms on each of these 90-digit values, so a
+    # quarter of them, spread over the whole store, keeps the test short
+    inputs = audit[::4]
+    inputs += list(range(1, 200))
+    inputs += below + above + [p * q for p in below[:4] for q in above[:4]]
+    inputs += [2 * p for p in below] + [3 * p * p for p in above[:4]]
+    inputs += [p**k for p in [2, 3, 1619, 1621, *edges, *below[-3:]] for k in (2, 3)]
+    inputs += [math.prod(below[-3:]) * 2**40, 2**89 - 1, (2**61 - 1) * 999983**2]
+    assert len(inputs) >= 300
+    for n in inputs:
+        assert ntkernel._trial_divide(n) == _plain_trial_division(n), n
+
+
 def test_factor_reconstruction_random():
     rng = random.Random(3)
     for _ in range(60):

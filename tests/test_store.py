@@ -310,6 +310,20 @@ def test_import_rejects_duplicated_rows(tmp_path):
         import_csv(tmp_path)
 
 
+@pytest.mark.parametrize("manifest", [True, False])
+def test_import_rejects_orphan_factor_rows(tmp_path, manifest):
+    # a factor row for a hit id that names no hit would be dropped by the next export
+    export_csv(golden_store(), tmp_path)
+    path = tmp_path / "f1_factors.csv"
+    path.write_text(path.read_text() + "7,3,1,0\n")
+    if manifest:
+        _rewrite_manifest(tmp_path)  # the digests match; the orphan is what fails
+    else:
+        (tmp_path / "manifest.txt").unlink()
+    with pytest.raises(ValueError, match="f1_factors.csv: factor row for hit id 7"):
+        import_csv(tmp_path)
+
+
 def test_import_without_manifest_loads(tmp_path):
     export_csv(full_store(), tmp_path / "a")
     (tmp_path / "a" / "manifest.txt").unlink()
