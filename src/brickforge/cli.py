@@ -24,7 +24,8 @@ from .store import FibreRow, Store, export_csv, import_csv, validate_consistency
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     if args.db is None:
         print("error: no store directory (pass --db or set BRICKFORGE_DB)", file=sys.stderr)
         return 2
@@ -35,14 +36,22 @@ def main(argv=None) -> int:
         return 2
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one command, or of every command when `command` names
+    none (help, a typo, no argument), so usage and errors read the same."""
     db = argparse.ArgumentParser(add_help=False)
     db.add_argument("--db", default=os.environ.get("BRICKFORGE_DB"),
                     help="store directory (default: $BRICKFORGE_DB)")
 
     top = argparse.ArgumentParser(prog="brickforge")
     sub = top.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command == name or command not in _COMMANDS:
+            add(sub, db)
+    return top
 
+
+def _add_verify(sub, db) -> None:
     verify = sub.add_parser("verify", help="run store-wide checks")
     vsub = verify.add_subparsers(dest="check", required=True)
     p = vsub.add_parser("theorem", parents=[db])
@@ -53,11 +62,15 @@ def _parser() -> argparse.ArgumentParser:
     vsub.add_parser("single-blocker", parents=[db]).set_defaults(func=_cmd_verify_single_blocker)
     vsub.add_parser("e1", parents=[db]).set_defaults(func=_cmd_verify_e1)
 
+
+def _add_factorize(sub, db) -> None:
     p = sub.add_parser("factorize", parents=[db], help="factor f1 of unfinished records")
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_factorize)
 
+
+def _add_mw(sub, db) -> None:
     mw = sub.add_parser("mw", help="fibre-by-fibre generation")
     msub = mw.add_subparsers(dest="action", required=True)
     p = msub.add_parser("run", parents=[db])
@@ -69,6 +82,8 @@ def _parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seeds", metavar="FILE")
     p.set_defaults(func=_cmd_mw_run)
 
+
+def _add_families(sub, db) -> None:
     fam = sub.add_parser("families", help="closed-form family tables")
     fsub = fam.add_subparsers(dest="action", required=True)
     p = fsub.add_parser("build", parents=[db])
@@ -78,11 +93,16 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_families_build)
     fsub.add_parser("classify", parents=[db]).set_defaults(func=_cmd_families_classify)
 
+
+def _add_report(sub, db) -> None:
     p = sub.add_parser("report", parents=[db], help="text reports over the store")
     p.add_argument("--what", required=True,
                    choices=("k-distribution", "blockers", "fibres"))
     p.set_defaults(func=_cmd_report)
-    return top
+
+
+_COMMANDS = {"verify": _add_verify, "factorize": _add_factorize, "mw": _add_mw,
+             "families": _add_families, "report": _add_report}
 
 
 def _require_store_dir(dirpath) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .ecq import CurvePoint, on_curve
 from .master import EuclidPair, triple_from_pair
-from .ntkernel import is_square_rational
+from .ntkernel import is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,13 @@ def lift_pairs(tv: Fraction | None) -> tuple[EuclidPair | None, EuclidPair | Non
     """The lift rule behind lift_point for a tau value already known, applied
     to tau and to 1/tau at once: the root of 1/tau is b/a, so one square
     test decides both, and at most one of the two lifts."""
-    root = None if tv is None else is_square_rational(tv)
-    if root is None:
+    if tv is None or tv.numerator <= 0:  # a Fraction's denominator is positive
         return None, None
-    a, b = root.numerator, root.denominator
+    # numerator and denominator are coprime, so their roots are too
+    a = is_perfect_square(tv.numerator)
+    b = None if a is None else is_perfect_square(tv.denominator)
+    if b is None:
+        return None, None
     if (a - b) % 2 == 0:
         return None, None
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))

@@ -9,6 +9,17 @@ An export replaces each file atomically, manifest.txt first, and an import
 checks every file against the sha256 listed in manifest.txt, so a torn
 export or a damaged file is rejected rather than loaded.  A store without
 a manifest.txt still loads, unchecked.
+
+A command pays only for the rows it reads.  A master_hits.csv row is
+canonical when export would write its fields back unchanged: each of its
+nine integer fields reads 0|-?[1-9][0-9]*, and its tags field is empty or
+sorted, distinct, non-empty names joined by ";".  Import parses only the
+id and tuple of a canonical row and keeps the row as its fields; it
+becomes a HitRecord, through the same parse as any other row, the first
+time get, find, hits, factorization_of or a setter reads it, and export
+writes the fields of a row still unread as they are.  Every other row is
+parsed at import.  Export does not rewrite a file that is still the one
+this store read or last wrote when its bytes would not change.
 """
 from __future__ import annotations
 
@@ -94,25 +105,34 @@ class FibreRow:
 
 class Store:
     def __init__(self):
-        self._hits: dict[int, HitRecord] = {}
+        # a loaded row stays the tuple of its fields until it is read
+        self._hits: dict[int, HitRecord | tuple] = {}
         self._by_tuple: dict[tuple, int] = {}
         self._factors: dict[int, list[FactorRow]] = {}
         self._fibres: dict[tuple, FibreRow] = {}
         self._next_id = 1
+        # file name -> (sha256, stat signature) of the file last read or written
+        self._on_disk: dict[str, tuple[str, tuple]] = {}
 
     def __len__(self) -> int:
         return len(self._hits)
 
+    def _record(self, hit_id: int) -> HitRecord:
+        rec = self._hits[hit_id]
+        if type(rec) is tuple:
+            rec = self._hits[hit_id] = _hit_record(rec)
+        return rec
+
     def hits(self) -> list[HitRecord]:
-        return [self._hits[i] for i in sorted(self._hits)]
+        return [self._record(i) for i in sorted(self._hits)]
 
     def get(self, hit_id: int) -> HitRecord:
-        return self._hits[hit_id]
+        return self._record(hit_id)
 
     def find(self, t: MasterTuple):
         key = tuple(master.sigma_canonical(t))
         hit_id = self._by_tuple.get(key)
-        return None if hit_id is None else self._hits[hit_id]
+        return None if hit_id is None else self._record(hit_id)
 
     def factor_rows(self, hit_id: int) -> list[FactorRow]:
         return list(self._factors.get(hit_id, ()))
@@ -145,7 +165,7 @@ class Store:
         return rec.id, True
 
     def set_factorization(self, hit_id: int, fact: Factorization) -> None:
-        rec = self._hits[hit_id]
+        rec = self._record(hit_id)
         if fact.product() != master.f1(rec.tuple):
             raise ValueError(f"factorization does not multiply back to f1 of hit {hit_id}")
         rows = [FactorRow(hit_id, p, e, False) for p, e in fact.factors]
@@ -155,7 +175,7 @@ class Store:
         rec.f1_status = fact.status
 
     def factorization_of(self, hit_id: int) -> Factorization | None:
-        rec = self._hits[hit_id]
+        rec = self._record(hit_id)
         if rec.f1_status == "none":
             return None
         factors = []
@@ -168,7 +188,7 @@ class Store:
         return Factorization(factors=factors, residual=residual, status=rec.f1_status)
 
     def set_family_tags(self, hit_id: int, tags) -> None:
-        self._hits[hit_id].family_tags = set(tags)
+        self._record(hit_id).family_tags = set(tags)
 
     def upsert_fibre(self, row: FibreRow) -> None:
         self._fibres[(row.m, row.n)] = row
@@ -275,20 +295,17 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     moved over the old file with os.replace, manifest.txt first.  A crash
     at the manifest leaves the old store; a crash after it leaves old files
     that do not match the new manifest, which import_csv rejects, whether
-    or not the old store had a manifest.
+    or not the old store had a manifest.  A CSV is not written at all when
+    the file there is still the one this store last read or wrote (same
+    device, inode, size and mtime) and its sha256 would not change; it
+    already matches the new manifest, so the rule above still holds.
     """
     _unlock_big_decimals()
-    hits = store.hits()
-    factor_rows = [row for rec in hits for row in store.factor_rows(rec.id)]
+    ids = sorted(store._hits)
+    factor_rows = [row for i in ids for row in store._factors.get(i, ())]
     factor_rows.sort(key=lambda r: (r.hit_id, r.is_residual, r.prime))
     files = {
-        "master_hits.csv": _csv_bytes(
-            _HIT_COLUMNS,
-            ((rec.id, rec.a, rec.b, rec.m, rec.n, rec.x, rec.y, rec.z,
-              rec.g_scale, rec.provenance, ";".join(sorted(rec.family_tags)),
-              rec.f1_status)
-             for rec in hits),
-        ),
+        "master_hits.csv": _csv_bytes(_HIT_COLUMNS, (_hit_fields(store._hits[i]) for i in ids)),
         "f1_factors.csv": _csv_bytes(
             _FACTOR_COLUMNS,
             ((r.hit_id, r.prime, r.exponent, int(r.is_residual)) for r in factor_rows),
@@ -302,6 +319,10 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
         ),
     }
     manifest = [(name, hashlib.sha256(data).hexdigest()) for name, data in files.items()]
+    on_disk, store._on_disk = store._on_disk, {}  # a failed export leaves nothing known
+    for name, digest in manifest:
+        if name in on_disk and on_disk[name] == (digest, _stat(os.path.join(dirpath, name))):
+            del files[name]
     files = {"manifest.txt": "".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii"),
              **files}
     os.makedirs(dirpath, exist_ok=True)
@@ -317,7 +338,27 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
             with contextlib.suppress(OSError):
                 os.remove(path + ".tmp")
         raise OSError(f"export to {dirpath} failed: {err}") from err
+    store._on_disk = {name: (digest, _stat(os.path.join(dirpath, name)))
+                      for name, digest in manifest}
     return manifest
+
+
+def _hit_fields(rec) -> tuple:
+    if type(rec) is tuple:
+        return rec
+    return (rec.id, rec.a, rec.b, rec.m, rec.n, rec.x, rec.y, rec.z, rec.g_scale,
+            rec.provenance, ";".join(sorted(rec.family_tags)), rec.f1_status)
+
+
+def _stat(path) -> tuple | None:
+    try:
+        return _signature(os.stat(path))
+    except OSError:
+        return None
+
+
+def _signature(st) -> tuple:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 _HIT_COLUMNS = ("id", "a", "b", "m", "n", "x", "y", "z", "g_scale",
@@ -350,31 +391,35 @@ def import_csv(dirpath) -> Store:
     Either way a repeated hit id, a repeated (a, b, m, n) row, a repeated
     fibre or a factor row whose hit id names no hit is rejected.  A damaged
     or inconsistent file raises ValueError naming it; a missing one raises
-    OSError.
+    OSError.  A canonical hit row is kept as its fields (see the module
+    docstring); any other row is parsed here, so a field that is no integer
+    is refused here.
     """
     _unlock_big_decimals()
-    data = {name: _read(os.path.join(dirpath, name)) for name in CSV_NAMES}
+    data, stats = {}, {}
+    for name in CSV_NAMES:
+        data[name], stats[name] = _read(os.path.join(dirpath, name))
+    digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in data.items()}
     if os.path.exists(os.path.join(dirpath, "manifest.txt")):
-        _check_manifest(_read(os.path.join(dirpath, "manifest.txt")), data)
+        _check_manifest(_read(os.path.join(dirpath, "manifest.txt"))[0], digests)
     store = Store()
-    for i, a, b, m, n, x, y, z, g, provenance, tags, status in _records(
-            "master_hits.csv", data, _HIT_COLUMNS):
-        rec = HitRecord(
-            id=int(i), a=int(a), b=int(b), m=int(m), n=int(n),
-            x=int(x), y=int(y), z=int(z), g_scale=int(g),
-            provenance=provenance,
-            family_tags=set(filter(None, tags.split(";"))),
-            f1_status=status,
-        )
-        key = (rec.a, rec.b, rec.m, rec.n)
-        if rec.id in store._hits:
-            raise ValueError(f"master_hits.csv: duplicate hit id {rec.id}")
+    for fields in _records("master_hits.csv", data, _HIT_COLUMNS):
+        if _CANONICAL_INTS.fullmatch(",".join(fields[:9])) and _canonical_tags(fields[10]):
+            hit_id, a, b, m, n = map(int, fields[:5])
+            # their text is str() of these ints; holding the ints saves memory
+            row = (hit_id, a, b, m, n) + fields[5:]
+        else:
+            row = _hit_record(fields)
+            hit_id, a, b, m, n = row.id, row.a, row.b, row.m, row.n
+        key = (a, b, m, n)
+        if hit_id in store._hits:
+            raise ValueError(f"master_hits.csv: duplicate hit id {hit_id}")
         if key in store._by_tuple:
             raise ValueError(
-                f"master_hits.csv: tuple {key} in hits {store._by_tuple[key]} and {rec.id}")
-        store._hits[rec.id] = rec
-        store._by_tuple[key] = rec.id
-        store._next_id = max(store._next_id, rec.id + 1)
+                f"master_hits.csv: tuple {key} in hits {store._by_tuple[key]} and {hit_id}")
+        store._hits[hit_id] = row
+        store._by_tuple[key] = hit_id
+        store._next_id = max(store._next_id, hit_id + 1)
     for hit_id, prime, exponent, is_residual in _records("f1_factors.csv", data, _FACTOR_COLUMNS):
         frow = FactorRow(int(hit_id), int(prime), int(exponent), bool(int(is_residual)))
         if frow.hit_id not in store._hits:
@@ -391,28 +436,51 @@ def import_csv(dirpath) -> Store:
         if (row.m, row.n) in store._fibres:
             raise ValueError(f"fibers.csv: duplicate fibre ({row.m},{row.n})")
         store.upsert_fibre(row)
+    store._on_disk = {name: (digests[name], stats[name]) for name in CSV_NAMES}
     return store
 
 
-def _read(path) -> bytes:
+# the integer fields of a row that export writes back as they are: str(int(s)) == s
+_CANONICAL_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*)){8}")
+
+
+def _canonical_tags(tags: str) -> bool:
+    return not tags or tags == ";".join(sorted(set(filter(None, tags.split(";")))))
+
+
+def _hit_record(fields) -> HitRecord:
+    """The one parse of a master_hits.csv row, its fields in _HIT_COLUMNS
+    order; a row kept at import holds its id and tuple as ints already."""
+    i, a, b, m, n, x, y, z, g, provenance, tags, status = fields
+    return HitRecord(
+        id=int(i), a=int(a), b=int(b), m=int(m), n=int(n),
+        x=int(x), y=int(y), z=int(z), g_scale=int(g),
+        provenance=provenance,
+        family_tags=set(filter(None, tags.split(";"))),
+        f1_status=status,
+    )
+
+
+def _read(path) -> tuple[bytes, tuple]:
+    """The bytes of a file and its stat signature as read."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            return fh.read(), _signature(os.fstat(fh.fileno()))
     except OSError as err:
         raise OSError(f"import from {path} failed: {err}") from err
 
 
-def _check_manifest(text: bytes, data: dict[str, bytes]) -> None:
+def _check_manifest(text: bytes, digests: dict[str, str]) -> None:
     listed = {}
     for line in text.decode("ascii").splitlines():
         digest, sep, name = line.partition("  ")
-        if not sep or name not in data or name in listed:
+        if not sep or name not in digests or name in listed:
             raise ValueError(f"manifest.txt: unexpected line {line!r}")
         listed[name] = digest
-    for name, raw in data.items():
+    for name, digest in digests.items():
         if name not in listed:
             raise ValueError(f"manifest.txt does not list {name}")
-        if hashlib.sha256(raw).hexdigest() != listed[name]:
+        if digest != listed[name]:
             raise ValueError(f"{name} does not match its sha256 in manifest.txt")
 
 

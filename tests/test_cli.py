@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from brickforge import cli, master
@@ -196,3 +198,73 @@ def test_orphan_factor_row_is_operational_error(db, capsys):
     path.write_text(path.read_text() + "9,5,1,0\n")
     assert cli.main(["verify", "consistency"]) == 2
     assert "hit id 9, which names no hit" in capsys.readouterr().err
+
+
+# mw run (22,17) H=80 K=2, then these fibres at H=60 K=2: inserts, fibres without
+# seeds, a rerun that inserts nothing and a rerun of the first fibre
+GUARD_FIBRES = ((4, 3), (6, 5), (8, 3), (2, 1), (13, 2), (16, 5), (7, 2), (18, 7), (21, 8),
+                (3, 2), (24, 1), (6, 5), (31, 8), (22, 17), (10, 1))
+GUARD_INSERTED = (346, 2, 30, 6, 0, 30, 6, 0, 29, 2, 0, 5, 0, 3, 0, 1)
+GUARD_STDOUT_SHA256 = "7fd942ad7b3294758ada68778a2460c1f6b4fe67972091b6404d0727fcce5d4a"
+GUARD_FILES_SHA256 = {
+    "master_hits.csv": "e6f3f70e8ec400fb8160fb44d3c5971dbed2ce3bc812f28f3129825315d83115",
+    "f1_factors.csv": "c2c73759eb81b7c0cdeeb7aff446a0813c1c25c00789fea819197dd09ac084bc",
+    "fibers.csv": "21662e7327eff26122d0075250270c8a1e52f84aa6f884d3b6dcfbc556774ea7",
+    "manifest.txt": "5713666bdf3794a243d746fb7a873e1be2232efbffe24a206cb18005bbdc8ec0",
+}
+
+
+def test_fibre_sweep_output_is_byte_stable(db, capsys):
+    # digests of a run before store rows were kept as text; any change to the
+    # store or the walk has to keep these bytes
+    outs = []
+    for m, n, height in ((22, 17, 80), *((m, n, 60) for m, n in GUARD_FIBRES)):
+        assert cli.main(["mw", "run", "--m", str(m), "--n", str(n),
+                         "--seed-height", str(height), "--K", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert tuple(int(out.split("inserted=")[1]) for out in outs) == GUARD_INSERTED
+    assert hashlib.sha256("".join(outs).encode("ascii")).hexdigest() == GUARD_STDOUT_SHA256
+    assert {name: hashlib.sha256((db / name).read_bytes()).hexdigest()
+            for name in GUARD_FILES_SHA256} == GUARD_FILES_SHA256
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    built = []
+    for name, add in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda sub, parent, name=name, add=add: built.append(name) or add(sub, parent))
+    return built
+
+
+HELP_AND_USAGE = [[], ["--help"], ["nope"], ["verif"], ["--db", "x", "mw"], ["mw"],
+                  ["mw", "--help"], ["mw", "run", "--help"], ["mw", "run"], ["mw", "rn"],
+                  ["verify", "--help"], ["verify", "theorem", "--help"], ["verify", "bogus"],
+                  ["factorize", "--help"], ["factorize", "--budget", "x"],
+                  ["families", "build", "--help"], ["report", "--what", "x"]]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(db, monkeypatch, capsys, argv):
+    def printed(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    monkeypatch.setenv("COLUMNS", "80")
+    full = printed(cli._parser())
+    built = _count_builds(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, capsys.readouterr()) == full
+    if argv and argv[0] in cli._COMMANDS:
+        assert built == [argv[0]]
+    else:
+        assert built == list(cli._COMMANDS)
+
+
+def test_main_builds_only_the_chosen_command(db, monkeypatch):
+    built = _count_builds(monkeypatch)
+    assert cli.main(["mw", "run", "--m", "2", "--n", "1", "--seed-height", "20", "--K", "2"]) == 0
+    assert cli.main(["report", "--what", "fibres"]) == 0
+    assert cli.main(["verify", "consistency"]) == 0
+    assert built == ["mw", "report", "verify"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import pytest
 
 from conftest import random_pair
 from brickforge.ecq import CurvePoint, INFINITY, scalar_mul
-from brickforge.fibration import build_fibre, lift_point, phi, quartic_rhs, tau, tau_phi_identity
-from brickforge.master import MasterTuple, is_master_hit
+from brickforge.fibration import (
+    build_fibre, lift_pairs, lift_point, phi, quartic_rhs, tau, tau_phi_identity,
+)
+from brickforge.master import EuclidPair, MasterTuple, is_master_hit
+from brickforge.ntkernel import is_square_rational
 
 
 def test_build_fibre_values():
@@ -170,3 +174,46 @@ def test_tau_under_two_torsion_translation_in_ZX():
                 assert _pmul(num, tau_den) == _pmul(den, tau_num), (m, n)
             else:
                 assert _pmul(num, tau_num) == _pmul(den, tau_den), (m, n, i)
+
+
+def _lift_pairs_by_root(tv):
+    """lift_pairs as it was written over is_square_rational's root."""
+    root = None if tv is None else is_square_rational(tv)
+    if root is None:
+        return None, None
+    a, b = root.numerator, root.denominator
+    if (a - b) % 2 == 0:
+        return None, None
+    return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
+
+
+def test_lift_pairs_matches_the_square_root_rule():
+    rng = random.Random(61)
+    taus = [None, Fraction(0), Fraction(1), Fraction(-1), Fraction(4), Fraction(1, 4)]
+    for _ in range(12000):
+        p, q = rng.randrange(1, 300), rng.randrange(1, 300)
+        if rng.random() < 0.7:
+            p, q = p * p, q * q  # a square, unless a common factor leaves one
+        p += rng.choice((0, 0, 0, 1, -1))  # numerators near a square
+        taus.append(Fraction(rng.choice((1, 1, 1, -1)) * p, q))
+    kinds = {"none": 0, "zero": 0, "negative": 0, "lifts": 0, "square, no lift": 0,
+             "numerator not a square": 0, "denominator not a square": 0}
+    for tv in taus:
+        want = _lift_pairs_by_root(tv)
+        assert lift_pairs(tv) == want, tv
+        if tv is None:
+            kinds["none"] += 1
+        elif tv <= 0:
+            kinds["zero" if tv == 0 else "negative"] += 1
+        elif want != (None, None):
+            kinds["lifts"] += 1
+        elif is_square_rational(tv) is not None:
+            kinds["square, no lift"] += 1
+        elif math.isqrt(tv.numerator) ** 2 != tv.numerator:
+            kinds["numerator not a square"] += 1
+        else:
+            kinds["denominator not a square"] += 1
+    assert len(taus) >= 10000
+    assert all(count >= 1 for count in kinds.values()), kinds
+    assert min(kinds["negative"], kinds["lifts"], kinds["square, no lift"],
+               kinds["numerator not a square"], kinds["denominator not a square"]) >= 100, kinds

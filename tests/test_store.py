@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import hashlib
 import io
 import os
 import random
+import re
+import shutil
 
 import pytest
 
-from brickforge import master
+from brickforge import cli, master
+from brickforge import store as store_module
 from brickforge.ecq import CurvePoint
 from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
@@ -412,3 +416,272 @@ def test_roundtrip_random_hits(tmp_path):
     back = import_csv(tmp_path)
     assert [tuple(r.tuple) for r in back.hits()] == [tuple(r.tuple) for r in db.hits()]
     assert validate_consistency(back) == []
+
+
+# -- rows kept as their fields until read, files left alone when unchanged -----
+
+def _mw_argv(m, n, height, K, db):
+    return ["mw", "run", "--m", str(m), "--n", str(n), "--seed-height", str(height),
+            "--K", str(K), "--db", str(db)]
+
+
+@pytest.fixture(scope="module")
+def k2_store(tmp_path_factory):
+    """The 346-record store of mw run (22,17) H=80 K=2."""
+    db = tmp_path_factory.mktemp("k2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(_mw_argv(22, 17, 80, 2, db)) == 0
+    return db
+
+
+class _Count:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_mw_run_parses_no_loaded_row(k2_store, tmp_path, monkeypatch, capsys):
+    db = shutil.copytree(k2_store, tmp_path / "db")
+    parse = _Count(store_module._hit_record)
+    monkeypatch.setattr(store_module, "_hit_record", parse)
+    for m, n, height in ((6, 5, 60), (6, 5, 60), (2, 1, 60), (22, 17, 30)):
+        assert cli.main(_mw_argv(m, n, height, 2, db)) == 0  # inserts, then dedup only
+    assert "inserted=30" in capsys.readouterr().out
+    assert parse.calls == 0
+    back = import_csv(db)
+    assert parse.calls == 0 and len(back) == 376
+    back.hits()  # the count is real: every row parses once, when read
+    back.hits()
+    assert parse.calls == 376
+
+
+def _reference_rows(data: bytes) -> list[tuple]:
+    """Each master_hits.csv row parsed field by field with int() and a tag set."""
+    rows = csv.reader(io.StringIO(data.decode("ascii"), newline=""))
+    next(rows)
+    return [(*map(int, r[:9]), r[9], set(filter(None, r[10].split(";"))), r[11])
+            for r in rows if r]
+
+
+def _reference_hits_csv(rows) -> bytes:
+    """master_hits.csv as csv.writer writes the parsed rows, one field at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "a", "b", "m", "n", "x", "y", "z", "g_scale",
+                     "provenance", "family_tags", "f1_status"))
+    writer.writerows((*r[:10], ";".join(sorted(r[10])), r[11]) for r in rows)
+    return buf.getvalue().encode("ascii")
+
+
+def _values(rec) -> tuple:
+    return (rec.id, rec.a, rec.b, rec.m, rec.n, rec.x, rec.y, rec.z, rec.g_scale,
+            rec.provenance, rec.family_tags, rec.f1_status)
+
+
+def _edit_field(column: int, edit):
+    def apply(text: bytes) -> bytes:
+        header, first, second = text.decode("ascii").splitlines()
+        fields = second.split(",")
+        fields[column] = edit(fields[column])
+        return "\n".join([header, first, ",".join(fields), ""]).encode("ascii")
+    return apply
+
+
+NONCANONICAL = {
+    "leading zero": (_edit_field(5, lambda x: "0" + x), 1),
+    "leading zero id": (_edit_field(0, lambda i: "0" + i), 1),
+    "plus sign": (_edit_field(1, lambda a: "+" + a), 1),
+    "minus zero": (_edit_field(8, lambda g: "-0"), 1),
+    "leading space": (_edit_field(6, lambda y: " " + y), 1),
+    "trailing space": (_edit_field(4, lambda n: n + " "), 1),
+    "underscore": (_edit_field(7, lambda z: z[:1] + "_" + z[1:]), 1),
+    "unsorted tags": (_edit_field(10, lambda t: "Sporadic;Euler"), 1),
+    "repeated tags": (_edit_field(10, lambda t: "Euler;Euler"), 1),
+    "empty tag segments": (_edit_field(10, lambda t: ";Euler;;Sporadic;"), 1),
+    "crlf": (lambda text: text.replace(b"\n", b"\r\n"), 0),
+    "blank lines": (lambda text: text.replace(b"\n", b"\n\n"), 0),
+    "quoted provenance": (_edit_field(9, lambda p: f'"{p}"'), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONCANONICAL))
+def test_noncanonical_row_reads_and_exports_as_before(tmp_path, monkeypatch, case):
+    edit, parsed = NONCANONICAL[case]
+    export_csv(full_store(), tmp_path / "a")
+    want = _tree(tmp_path / "a")
+    (tmp_path / "a" / "manifest.txt").unlink()
+    data = edit(want["master_hits.csv"])
+    (tmp_path / "a" / "master_hits.csv").write_bytes(data)
+    parse = _Count(store_module._hit_record)
+    monkeypatch.setattr(store_module, "_hit_record", parse)
+    back = import_csv(tmp_path / "a")
+    assert parse.calls == parsed  # only a row export would not write back as it is
+    export_csv(back, tmp_path / "b")
+    ref = _reference_rows(data)
+    got = _tree(tmp_path / "b")
+    assert got["master_hits.csv"] == _reference_hits_csv(ref)
+    assert [got[name] for name in CSV_NAMES[1:]] == [want[name] for name in CSV_NAMES[1:]]
+    assert [_values(rec) for rec in back.hits()] == ref
+
+
+def test_record_changed_in_place_is_exported(tmp_path):
+    export_csv(full_store(), tmp_path)
+    before = (tmp_path / "master_hits.csv").read_bytes()
+    back = import_csv(tmp_path)
+    export_csv(back, tmp_path)  # nothing changed: nothing rewritten
+    assert (tmp_path / "master_hits.csv").read_bytes() == before
+    back.get(2).y += 1
+    back.hits()[0].family_tags.add("Lenhart")
+    back.find(GOLDEN).provenance = "MW-44-9"
+    export_csv(back, tmp_path)
+    assert (tmp_path / "master_hits.csv").read_bytes() == \
+        _csv_writer_export(back)["master_hits.csv"] != before
+    again = import_csv(tmp_path)
+    assert again.get(2).y == back.get(2).y
+    assert again.get(1).family_tags == {"Euler", "Lenhart", "Sporadic"}
+    assert again.get(1).provenance == "MW-44-9"
+    # changed back, the file goes back too, though the store last wrote other bytes
+    again.get(2).y -= 1
+    again.get(1).family_tags.discard("Lenhart")
+    again.get(1).provenance = "Rathbun-Search"
+    export_csv(again, tmp_path)
+    assert (tmp_path / "master_hits.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("column", range(9))
+@pytest.mark.parametrize("text", ["x1", "1.5", ""])
+def test_import_rejects_non_integer_field(tmp_path, column, text):
+    export_csv(full_store(), tmp_path)
+    path = tmp_path / "master_hits.csv"
+    path.write_bytes(_edit_field(column, lambda _: text)(path.read_bytes()))
+    _rewrite_manifest(tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"invalid literal for int() with base 10: {text!r}")):
+        import_csv(tmp_path)
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_import_rejects_duplicates_written_either_way(tmp_path, canonical):
+    # the repeated row is canonical text, kept as it is, or parsed at import
+    export_csv(full_store(), tmp_path)
+    path = tmp_path / "master_hits.csv"
+    header, first, second = path.read_text().splitlines()
+    again = first if canonical else "0" + first
+    path.write_text("\n".join([header, first, second, again]) + "\n")
+    _rewrite_manifest(tmp_path)
+    with pytest.raises(ValueError, match="master_hits.csv: duplicate hit id 1"):
+        import_csv(tmp_path)
+    fields = first.split(",")
+    fields[0] = "3" if canonical else "03"
+    path.write_text("\n".join([header, first, second, ",".join(fields)]) + "\n")
+    _rewrite_manifest(tmp_path)
+    with pytest.raises(ValueError, match=r"tuple \(44, 9, 55, 48\) in hits 1 and 3"):
+        import_csv(tmp_path)
+    path.write_text("\n".join([header, first, second + ",extra"]) + "\n")
+    _rewrite_manifest(tmp_path)
+    with pytest.raises(ValueError, match="master_hits.csv row 3: 13 fields, expected 12"):
+        import_csv(tmp_path)
+
+
+def _record_replaces(monkeypatch) -> list[str]:
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return replaced
+
+
+def test_mw_run_rewrites_only_changed_files(k2_store, tmp_path, monkeypatch, capsys):
+    db = shutil.copytree(k2_store, tmp_path / "db")
+    replaced = _record_replaces(monkeypatch)
+    for argv, files in (
+        (_mw_argv(2, 1, 60, 2, db), ["manifest.txt", "fibers.csv"]),  # a new fibre row only
+        (_mw_argv(6, 5, 60, 2, db), ["manifest.txt", "master_hits.csv", "fibers.csv"]),
+        (_mw_argv(6, 5, 60, 2, db), ["manifest.txt"]),  # a rerun changes nothing
+        (_mw_argv(22, 17, 30, 2, db), ["manifest.txt", "fibers.csv"]),  # dedup, fewer seeds
+    ):
+        del replaced[:]
+        before = _tree(db)
+        assert cli.main(argv) == 0
+        assert replaced == files
+        assert [name for name in CSV_NAMES if _tree(db)[name] != before[name]] == files[1:]
+        assert sorted(os.listdir(db)) == sorted(STORE_FILES)
+    assert "inserted=30" in capsys.readouterr().out
+    del replaced[:]
+    export_csv(import_csv(db), tmp_path / "other")
+    assert replaced == ["manifest.txt", *CSV_NAMES]  # a new directory gets every file
+    assert _tree(tmp_path / "other") == _tree(db)
+
+
+def test_export_rewrites_a_file_replaced_since_it_was_read(tmp_path, monkeypatch):
+    export_csv(full_store(), tmp_path / "a")
+    export_csv(golden_store(), tmp_path / "b")
+    back = import_csv(tmp_path / "a")
+    want = _tree(tmp_path / "a")
+    shutil.copy(tmp_path / "b" / "fibers.csv", tmp_path / "a" / "fibers.csv")
+    replaced = _record_replaces(monkeypatch)
+    export_csv(back, tmp_path / "a")
+    assert replaced == ["manifest.txt", "fibers.csv"]
+    assert _tree(tmp_path / "a") == want
+
+
+@pytest.mark.parametrize("change", ["hits", "fibres", "nothing"])
+def test_export_with_skipped_files_interrupted_at_each_replace(tmp_path, monkeypatch, change):
+    db = tmp_path / "db"
+    export_csv(full_store(), db)
+    before = _tree(db)
+    written = ["manifest.txt"] + {"hits": ["master_hits.csv"], "fibres": ["fibers.csv"],
+                                  "nothing": []}[change]
+
+    def changed_store() -> Store:
+        new = import_csv(db)
+        if change == "hits":
+            new.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32")
+        elif change == "fibres":
+            new.upsert_fibre(FibreRow(m=4, n=1, torsion_d1=2, torsion_d2=4))
+        return new
+
+    for fail_at in range(len(written)):
+        new = changed_store()
+        real_replace = os.replace
+        replaced = []
+
+        def failing_replace(src, dst):
+            if len(replaced) == fail_at:
+                raise OSError("injected fault")
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected fault"):
+            export_csv(new, db)
+        monkeypatch.undo()
+        assert replaced == written[:fail_at]
+        assert sorted(os.listdir(db)) == sorted(STORE_FILES)  # no .tmp left
+        if fail_at == 0:
+            assert _tree(db) == before  # still the old store
+            import_csv(db)
+        else:
+            # the new manifest and a file it does not list yet: refused
+            with pytest.raises(ValueError, match=f"{written[fail_at]} does not match"):
+                import_csv(db)
+            for name, data in before.items():
+                (db / name).write_bytes(data)
+        replaced = _record_replaces(monkeypatch)
+        export_csv(new, db)  # after a failed export, every file is written
+        monkeypatch.undo()
+        assert replaced == ["manifest.txt", *CSV_NAMES]
+        assert _tree(db) == _tree_of(new, tmp_path / "fresh")
+        for name, data in before.items():
+            (db / name).write_bytes(data)
+
+
+def _tree_of(store: Store, dirpath) -> dict[str, bytes]:
+    export_csv(store, dirpath)
+    return _tree(dirpath)
