@@ -7,6 +7,7 @@ unreadable store, malformed input).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -132,6 +133,8 @@ def _theorem_verdict(item):
 
 
 def _cmd_verify_theorem(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     db = _load(args.db)
     full = [rec for rec in db.hits() if rec.f1_status == "full"]
     jobs = [(tuple(rec.tuple), db.factorization_of(rec.id)) for rec in full]
@@ -208,6 +211,10 @@ def _factor_f1(item):
 
 
 def _cmd_factorize(args) -> int:
+    if not 0 < args.budget < math.inf:
+        raise ValueError("--budget must be a finite number above 0")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     db = _load(args.db)
     todo = [rec for rec in db.hits() if rec.f1_status != "full"]
     results = _pmap(args.jobs, _factor_f1,

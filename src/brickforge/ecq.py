@@ -12,12 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .ntkernel import factor, is_prime, is_square_rational
-
-MAZUR_CAP = 16  # largest torsion order for the full-2-torsion shapes
-COUNT_P_LIMIT = 10**5
+from .ntkernel import is_perfect_square, is_square_rational
 
 
 @dataclass(frozen=True)
@@ -142,41 +138,6 @@ def halve(c, P: CurvePoint) -> list[CurvePoint]:
     return out
 
 
-def _discriminant_core(c) -> int:
-    return (c.e1 - c.e2) * (c.e1 - c.e3) * (c.e2 - c.e3)
-
-
-def count_points_mod_p(c, p: int) -> int:
-    """#E(F_p) by direct Euler-criterion summation; p odd, good, small."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if p > COUNT_P_LIMIT:
-        raise ValueError(f"p > {COUNT_P_LIMIT} not supported by direct counting")
-    if _discriminant_core(c) % p == 0:
-        raise ValueError(f"bad reduction at {p}")
-    a2, a4, a6 = (v % p for v in _coeffs(c))
-    count = 1
-    half = (p - 1) // 2
-    for x in range(p):
-        v = (((x + a2) * x + a4) * x + a6) % p
-        if v == 0:
-            count += 1
-        elif pow(v, half, p) == 1:
-            count += 2
-    return count
-
-
-def _good_odd_primes(c, how_many: int) -> list[int]:
-    disc = _discriminant_core(c)
-    out = []
-    p = 3
-    while len(out) < how_many:
-        if is_prime(p) and disc % p != 0:
-            out.append(p)
-        p += 2
-    return out
-
-
 def _closure(c, pts, base=frozenset()) -> set[CurvePoint]:
     """The group generated by `pts` and `base`, which must already be a
     group (or empty).  Semi-naive: each round forms only the sums that
@@ -196,101 +157,44 @@ def _closure(c, pts, base=frozenset()) -> set[CurvePoint]:
     return group
 
 
-def _element_order(c, P: CurvePoint) -> int:
-    R, k = P, 1
-    while not R.is_infinity:
-        R = add(c, R, P)
-        k += 1
-        if k > MAZUR_CAP:
-            raise AssertionError("torsion element order beyond the cap")
-    return k
-
-
-def _psi3_rational_points(c, budget: float = 2.0):
-    """Points of order three via rational roots of the division polynomial.
-
-    Returns (points, complete).  complete is False when the constant
-    term would not factor inside the budget, in which case the search
-    is abandoned rather than trusted.
-    """
-    a2, a4, a6 = _coeffs(c)
-    const = 4 * a2 * a6 - a4 * a4
-    if const == 0:
-        candidates = [Fraction(0)]
-    else:
-        f = factor(abs(const), budget=budget)
-        if f.status != "full":
-            return [], False
-        divisors = [1]
-        for p, e in f.factors:
-            divisors = [d * p**i for d in divisors for i in range(e + 1)]
-            if len(divisors) > 4096:
-                return [], False
-        candidates = []
-        for d in divisors:
-            for q in (1, 3):
-                candidates.append(Fraction(d, q))
-                candidates.append(Fraction(-d, q))
-    pts = []
-    for X in candidates:
-        if 3 * X**4 + 4 * a2 * X**3 + 6 * a4 * X**2 + 12 * a6 * X + (4 * a2 * a6 - a4 * a4) != 0:
-            continue
-        Y2 = cubic_rhs(c, X)
-        Y = is_square_rational(Y2) if Y2 != 0 else Fraction(0)
-        if Y is None:
-            continue
-        pts.extend([CurvePoint(X, Y), CurvePoint(X, -Y)])
-    return pts, True
-
-
 @dataclass
 class TorsionGroup:
     structure: tuple[int, int]  # (d1, d2) meaning Z/d1 + Z/d2
     points: list[CurvePoint]
+    # always False, as the group is complete by theorem; kept only because
+    # perfbench's torsion observer reads it
     lower_bound_only: bool = False
 
 
 def torsion_subgroup(c) -> TorsionGroup:
-    """Torsion as (d1, d2) plus the full point list.
+    """Torsion as (d1, d2) plus the full point list, in closed form.
 
-    The order bound is the gcd of point counts at the five smallest
-    good odd primes; the group is then grown from the split two-torsion
-    by repeated halving, with a division-polynomial check for order
-    three only when the bound asks for it.  Mazur's theorem caps the
-    possible order at sixteen for these shapes.
+    On every fibre e2 - e1 = (2 U2)^2 = r1^2 and e2 - e3 = (2 gamma)^2 = r3^2,
+    so (e2, 0) halves to X = e2 + s r1 r3, Y = +-r1 r3 (r1 + s r3), s = +-1:
+    with the 2-torsion, Z/2 x Z/4.  By Mazur's theorem the torsion is that
+    or Z/2 x Z/8 (no Z/4 x Z/4 or Z/2 x Z/12 over Q), the latter exactly
+    when one of those points halves: when each X - e_i is a square.
     """
-    counts = [count_points_mod_p(c, p) for p in _good_odd_primes(c, 5)]
-    bound = 0
-    for n in counts:
-        bound = gcd(bound, n)
-    cap = min(bound, MAZUR_CAP)
-    group = _closure(c, two_torsion(c))
-    lower_bound_only = False
-    grew = True
-    while grew:
-        grew = False
-        if 2 * len(group) > cap:
-            break
-        for P in sorted(group, key=_point_key):
-            if P.is_infinity:
-                continue
-            fresh = [Q for Q in halve(c, P) if Q not in group]
-            if fresh:
-                group = _closure(c, fresh, group)
-                grew = True
-                break
-    if bound % 3 == 0 and len(group) * 3 <= cap:
-        pts3, complete = _psi3_rational_points(c)
-        if not complete:
-            lower_bound_only = True
-        elif pts3:
-            group = _closure(c, pts3, group)
-    order = len(group)
-    d2 = max(_element_order(c, P) for P in group)
-    d1 = order // d2
-    if d1 * d2 != order or d2 % max(d1, 1) != 0:
-        raise AssertionError(f"torsion structure ({d1},{d2}) inconsistent with order {order}")
-    return TorsionGroup((d1, d2), sorted(group, key=_point_key), lower_bound_only)
+    r1 = is_perfect_square(c.e2 - c.e1)
+    r3 = is_perfect_square(c.e2 - c.e3)
+    if r1 is None or r3 is None or r1 * r3 * (r1 - r3) == 0:
+        raise ValueError(f"e2 - e1 = {c.e2 - c.e1} and e2 - e3 = {c.e2 - c.e3} "
+                         "are not distinct non-zero squares")
+    group = {INFINITY, *two_torsion(c)}
+    eighth = []
+    for s in (1, -1):
+        X, Y = c.e2 + s * r1 * r3, r1 * r3 * (r1 + s * r3)
+        P = CurvePoint(Fraction(X), Fraction(Y))
+        group.update((P, CurvePoint(P.X, Fraction(-Y))))
+        if all(is_perfect_square(X - e) is not None for e in (c.e1, c.e2, c.e3)):
+            eighth = halve(c, P)
+    structure = (2, 4)
+    if eighth:
+        group = _closure(c, eighth[:1], group)
+        structure = (2, 8)
+    if len(group) != 2 * structure[1]:
+        raise AssertionError(f"torsion {structure} with {len(group)} points")
+    return TorsionGroup(structure, sorted(group, key=_point_key))
 
 
 def _point_key(P: CurvePoint):

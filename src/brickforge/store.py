@@ -10,33 +10,27 @@ checks every file against the sha256 listed in manifest.txt, so a torn
 export or a damaged file is rejected rather than loaded.  A store without
 a manifest.txt still loads, unchecked.
 
-A command pays only for the rows it reads.  A master_hits.csv row is
-canonical when export would write its fields back unchanged: each of its
-nine integer fields reads 0|-?[1-9][0-9]*, and its tags field is empty or
-sorted, distinct, non-empty names joined by ";".  Import parses only the
-id and tuple of a canonical row and keeps the row as its fields; it
-becomes a HitRecord, through the same parse as any other row, the first
-time get, find, hits, factorization_of or a setter reads it, and export
-writes the fields of a row still unread as they are.  Every other row is
-parsed at import.  Export does not rewrite a file that is still the one
-this store read or last wrote when its bytes would not change.
+A command pays only for the rows it reads and adds.  Import keeps a row
+that export would write back unchanged as its line (see csvrows), parsed
+only for its id and tuple, or its pair, until get, find, hits, fibres,
+factorization_of or a setter reads it.  Export writes an unread line as it
+is, skips a file still the one this store read or wrote whose bytes would
+not change, and does not even build master_hits.csv while it is the file
+as loaded, in export form (this header, ids ascending, no blank line, a
+final line end), with no hit row read or inserted since.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
-import io
 import os
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
-from . import master
-from .ecq import CurvePoint, on_curve
+from . import csvrows, master
+from .ecq import on_curve
 from .families import FAMILY_TAGS
 from .fibration import build_fibre
 from .master import MasterTuple
@@ -105,22 +99,27 @@ class FibreRow:
 
 class Store:
     def __init__(self):
-        # a loaded row stays the tuple of its fields until it is read
-        self._hits: dict[int, HitRecord | tuple] = {}
-        self._by_tuple: dict[tuple, int] = {}
+        # a loaded row stays its CSV line until it is read
+        self._hits: dict[int, HitRecord | str] = {}
+        # "a,b,m,n" of a sigma-canonical tuple, as a row holds it -> hit id
+        self._by_tuple: dict[str, int] = {}
         self._factors: dict[int, list[FactorRow]] = {}
-        self._fibres: dict[tuple, FibreRow] = {}
+        self._fibres: dict[tuple, FibreRow | str] = {}
         self._next_id = 1
         # file name -> (sha256, stat signature) of the file last read or written
         self._on_disk: dict[str, tuple[str, tuple]] = {}
+        # sha256 of the master_hits.csv export would write, known while it is
+        # the file as loaded: no hit row read or inserted since
+        self._hits_digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._hits)
 
     def _record(self, hit_id: int) -> HitRecord:
         rec = self._hits[hit_id]
-        if type(rec) is tuple:
-            rec = self._hits[hit_id] = _hit_record(rec)
+        if type(rec) is str:
+            rec = self._hits[hit_id] = _hit_record(rec.split(","))
+            self._hits_digest = None
         return rec
 
     def hits(self) -> list[HitRecord]:
@@ -130,14 +129,16 @@ class Store:
         return self._record(hit_id)
 
     def find(self, t: MasterTuple):
-        key = tuple(master.sigma_canonical(t))
-        hit_id = self._by_tuple.get(key)
+        hit_id = self._by_tuple.get(csvrows.tuple_key(master.sigma_canonical(t)))
         return None if hit_id is None else self._record(hit_id)
 
     def factor_rows(self, hit_id: int) -> list[FactorRow]:
         return list(self._factors.get(hit_id, ()))
 
     def fibres(self) -> list[FibreRow]:
+        for key, row in self._fibres.items():
+            if type(row) is str:
+                self._fibres[key] = _fibre_row(row.split(","))
         return [self._fibres[key] for key in sorted(self._fibres)]
 
     def insert_hit(self, t: MasterTuple, provenance: str) -> tuple[int, bool]:
@@ -149,7 +150,7 @@ class Store:
         brick = master.edges(canon)
         if brick.dyz is None:
             raise ValueError(f"{tuple(t)} is not a Master-Hit")
-        key = tuple(canon)
+        key = csvrows.tuple_key(canon)
         if key in self._by_tuple:
             return self._by_tuple[key], False
         rec = HitRecord(
@@ -162,6 +163,7 @@ class Store:
         self._hits[rec.id] = rec
         self._by_tuple[key] = rec.id
         self._next_id += 1
+        self._hits_digest = None
         return rec.id, True
 
     def set_factorization(self, hit_id: int, fact: Factorization) -> None:
@@ -267,25 +269,6 @@ def _check_factor_rows(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
     return bad
 
 
-def _serialize_points(points) -> str:
-    return ";".join(
-        f"{p.X.numerator}/{p.X.denominator}:{p.Y.numerator}/{p.Y.denominator}"
-        for p in points
-    )
-
-
-def _parse_points(text: str) -> tuple:
-    points = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        xs, ys = chunk.split(":")
-        xn, xd = xs.split("/")
-        yn, yd = ys.split("/")
-        points.append(CurvePoint(Fraction(int(xn), int(xd)), Fraction(int(yn), int(yd))))
-    return tuple(points)
-
-
 def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     """Writes the three CSVs plus manifest.txt; returns (filename, sha256)
     pairs.  Ordering and formatting are fixed, so equal stores export
@@ -298,31 +281,23 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     or not the old store had a manifest.  A CSV is not written at all when
     the file there is still the one this store last read or wrote (same
     device, inode, size and mtime) and its sha256 would not change; it
-    already matches the new manifest, so the rule above still holds.
+    already matches the new manifest, so the rule above still holds (nor is
+    master_hits.csv built while its sha256 is known: see the module docstring).
     """
     _unlock_big_decimals()
-    ids = sorted(store._hits)
-    factor_rows = [row for i in ids for row in store._factors.get(i, ())]
-    factor_rows.sort(key=lambda r: (r.hit_id, r.is_residual, r.prime))
-    files = {
-        "master_hits.csv": _csv_bytes(_HIT_COLUMNS, (_hit_fields(store._hits[i]) for i in ids)),
-        "f1_factors.csv": _csv_bytes(
-            _FACTOR_COLUMNS,
-            ((r.hit_id, r.prime, r.exponent, int(r.is_residual)) for r in factor_rows),
-        ),
-        "fibers.csv": _csv_bytes(
-            _FIBRE_COLUMNS,
-            ((row.m, row.n, row.torsion_d1, row.torsion_d2,
-              "" if row.rank_lb is None else row.rank_lb,
-              _serialize_points(row.generators))
-             for row in store.fibres()),
-        ),
-    }
-    manifest = [(name, hashlib.sha256(data).hexdigest()) for name, data in files.items()]
     on_disk, store._on_disk = store._on_disk, {}  # a failed export leaves nothing known
-    for name, digest in manifest:
-        if name in on_disk and on_disk[name] == (digest, _stat(os.path.join(dirpath, name))):
-            del files[name]
+    manifest, files = [], {}
+    for name, build in zip(CSV_NAMES, (_hits_csv, _factors_csv, _fibres_csv)):
+        known = on_disk.get(name)
+        if known is not None and known[1] != _stat(os.path.join(dirpath, name)):
+            known = None  # replaced since
+        if known is not None and name == "master_hits.csv" and known[0] == store._hits_digest:
+            manifest.append((name, known[0]))
+            continue
+        data = build(store)
+        manifest.append((name, hashlib.sha256(data).hexdigest()))
+        if known is None or known[0] != manifest[-1][1]:
+            files[name] = data
     files = {"manifest.txt": "".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii"),
              **files}
     os.makedirs(dirpath, exist_ok=True)
@@ -343,11 +318,21 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     return manifest
 
 
-def _hit_fields(rec) -> tuple:
-    if type(rec) is tuple:
-        return rec
-    return (rec.id, rec.a, rec.b, rec.m, rec.n, rec.x, rec.y, rec.z, rec.g_scale,
-            rec.provenance, ";".join(sorted(rec.family_tags)), rec.f1_status)
+def _hits_csv(store: Store) -> bytes:
+    return csvrows.csv_bytes(csvrows.HIT_COLUMNS,
+                             (_line(store._hits[i]) for i in sorted(store._hits)))
+
+
+def _factors_csv(store: Store) -> bytes:
+    rows = sorted((row for hit_id, group in store._factors.items() if hit_id in store._hits
+                   for row in group), key=lambda r: (r.hit_id, r.is_residual, r.prime))
+    return csvrows.csv_bytes(csvrows.FACTOR_COLUMNS, (
+        _line((r.hit_id, r.prime, r.exponent, int(r.is_residual))) for r in rows))
+
+
+def _fibres_csv(store: Store) -> bytes:
+    return csvrows.csv_bytes(csvrows.FIBRE_COLUMNS,
+                             (_line(store._fibres[key]) for key in sorted(store._fibres)))
 
 
 def _stat(path) -> tuple | None:
@@ -361,38 +346,30 @@ def _signature(st) -> tuple:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-_HIT_COLUMNS = ("id", "a", "b", "m", "n", "x", "y", "z", "g_scale",
-                "provenance", "family_tags", "f1_status")
-_FACTOR_COLUMNS = ("hit_id", "prime", "exponent", "is_residual")
-_FIBRE_COLUMNS = ("m", "n", "torsion_d1", "torsion_d2", "rank_lb", "generators")
-
-
-def _csv_bytes(header, rows) -> bytes:
-    # the same bytes as csv.writer with "\n" line ends: fields are joined
-    # plainly, and the rare row with a comma, quote or line break inside a
-    # field is written by csv.writer itself, which quotes that field
-    lines = [",".join(header)]
-    for row in rows:
-        line = ",".join(map(str, row))
-        if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(row)
-            line = buf.getvalue()[:-1]
-        lines.append(line)
-    lines.append("")
-    return "\n".join(lines).encode("ascii")
+def _line(row) -> str:
+    """A row as export writes it: a kept line as it is, else its fields."""
+    if type(row) is str:
+        return row
+    if type(row) is HitRecord:
+        row = (row.id, row.a, row.b, row.m, row.n, row.x, row.y, row.z, row.g_scale,
+               row.provenance, ";".join(sorted(row.family_tags)), row.f1_status)
+    elif type(row) is FibreRow:
+        rank_lb = "" if row.rank_lb is None else row.rank_lb
+        row = (row.m, row.n, row.torsion_d1, row.torsion_d2, rank_lb,
+               csvrows.serialize_points(row.generators))
+    return csvrows.csv_line(row)
 
 
 def import_csv(dirpath) -> Store:
-    """Loads an exported store, reading and parsing each file once.
+    """Loads an exported store, reading each file once.
 
     When manifest.txt is present, every CSV must match the digest it lists
     there; a store without a manifest (built by hand) loads unchecked.
     Either way a repeated hit id, a repeated (a, b, m, n) row, a repeated
     fibre or a factor row whose hit id names no hit is rejected.  A damaged
     or inconsistent file raises ValueError naming it; a missing one raises
-    OSError.  A canonical hit row is kept as its fields (see the module
-    docstring); any other row is parsed here, so a field that is no integer
+    OSError.  A row export would write back as it is stays its line (see
+    csvrows); any other row is parsed here, so a field that is no integer
     is refused here.
     """
     _unlock_big_decimals()
@@ -402,55 +379,51 @@ def import_csv(dirpath) -> Store:
     digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in data.items()}
     if os.path.exists(os.path.join(dirpath, "manifest.txt")):
         _check_manifest(_read(os.path.join(dirpath, "manifest.txt"))[0], digests)
+    raw = data["master_hits.csv"]
+    # in export form, too, if every row is kept and the ids ascend
+    tidy = (raw.startswith(",".join(csvrows.HIT_COLUMNS).encode("ascii") + b"\n")
+            and raw.endswith(b"\n") and not any(s in raw for s in (b"\n\n", b'"', b"\r")))
+    del raw
     store = Store()
-    for fields in _records("master_hits.csv", data, _HIT_COLUMNS):
-        if _CANONICAL_INTS.fullmatch(",".join(fields[:9])) and _canonical_tags(fields[10]):
-            hit_id, a, b, m, n = map(int, fields[:5])
-            # their text is str() of these ints; holding the ints saves memory
-            row = (hit_id, a, b, m, n) + fields[5:]
+    for row in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, csvrows.kept_hit):
+        if type(row) is tuple:
+            row = _hit_record(row)
+            hit_id, key, tidy = row.id, csvrows.tuple_key(row.tuple), False
         else:
-            row = _hit_record(fields)
-            hit_id, a, b, m, n = row.id, row.a, row.b, row.m, row.n
-        key = (a, b, m, n)
+            hit_id, key, row = int(row[1]), row[2], row[0]
         if hit_id in store._hits:
             raise ValueError(f"master_hits.csv: duplicate hit id {hit_id}")
         if key in store._by_tuple:
-            raise ValueError(
-                f"master_hits.csv: tuple {key} in hits {store._by_tuple[key]} and {hit_id}")
+            raise ValueError(f"master_hits.csv: tuple ({key.replace(',', ', ')}) in hits "
+                             f"{store._by_tuple[key]} and {hit_id}")
         store._hits[hit_id] = row
         store._by_tuple[key] = hit_id
+        tidy = tidy and hit_id >= store._next_id
         store._next_id = max(store._next_id, hit_id + 1)
-    for hit_id, prime, exponent, is_residual in _records("f1_factors.csv", data, _FACTOR_COLUMNS):
+    for hit_id, prime, exponent, is_residual in csvrows.records("f1_factors.csv", data,
+                                                                csvrows.FACTOR_COLUMNS):
         frow = FactorRow(int(hit_id), int(prime), int(exponent), bool(int(is_residual)))
         if frow.hit_id not in store._hits:
             # export writes factor rows per hit, so this row would be dropped
             raise ValueError(f"f1_factors.csv: factor row for hit id {frow.hit_id}, "
                              "which names no hit")
         store._factors.setdefault(frow.hit_id, []).append(frow)
-    for m, n, d1, d2, rank_lb, generators in _records("fibers.csv", data, _FIBRE_COLUMNS):
-        row = FibreRow(
-            m=int(m), n=int(n), torsion_d1=int(d1), torsion_d2=int(d2),
-            rank_lb=None if rank_lb == "" else int(rank_lb),
-            generators=_parse_points(generators),
-        )
-        if (row.m, row.n) in store._fibres:
-            raise ValueError(f"fibers.csv: duplicate fibre ({row.m},{row.n})")
-        store.upsert_fibre(row)
+    for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, csvrows.kept_fibre):
+        if type(row) is tuple:
+            row = _fibre_row(row)
+            key = (row.m, row.n)
+        else:
+            row, key = row[0], (int(row[1]), int(row[2]))
+        if key in store._fibres:
+            raise ValueError(f"fibers.csv: duplicate fibre ({key[0]},{key[1]})")
+        store._fibres[key] = row
     store._on_disk = {name: (digests[name], stats[name]) for name in CSV_NAMES}
+    store._hits_digest = digests["master_hits.csv"] if tidy else None
     return store
 
 
-# the integer fields of a row that export writes back as they are: str(int(s)) == s
-_CANONICAL_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*)){8}")
-
-
-def _canonical_tags(tags: str) -> bool:
-    return not tags or tags == ";".join(sorted(set(filter(None, tags.split(";")))))
-
-
 def _hit_record(fields) -> HitRecord:
-    """The one parse of a master_hits.csv row, its fields in _HIT_COLUMNS
-    order; a row kept at import holds its id and tuple as ints already."""
+    """The one parse of a master_hits.csv row, its fields in HIT_COLUMNS order."""
     i, a, b, m, n, x, y, z, g, provenance, tags, status = fields
     return HitRecord(
         id=int(i), a=int(a), b=int(b), m=int(m), n=int(n),
@@ -459,6 +432,14 @@ def _hit_record(fields) -> HitRecord:
         family_tags=set(filter(None, tags.split(";"))),
         f1_status=status,
     )
+
+
+def _fibre_row(fields) -> FibreRow:
+    """The one parse of a fibers.csv row, its fields in FIBRE_COLUMNS order."""
+    m, n, d1, d2, rank_lb, generators = fields
+    return FibreRow(m=int(m), n=int(n), torsion_d1=int(d1), torsion_d2=int(d2),
+                    rank_lb=None if rank_lb == "" else int(rank_lb),
+                    generators=csvrows.parse_points(generators))
 
 
 def _read(path) -> tuple[bytes, tuple]:
@@ -482,21 +463,3 @@ def _check_manifest(text: bytes, digests: dict[str, str]) -> None:
             raise ValueError(f"manifest.txt does not list {name}")
         if digest != listed[name]:
             raise ValueError(f"{name} does not match its sha256 in manifest.txt")
-
-
-def _records(name: str, data: dict[str, bytes], columns):
-    """The named columns of each row of one file, as strings."""
-    # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data[name]), encoding="ascii", newline=""))
-    header = next(rows, [])
-    for col in columns:
-        if col not in header:
-            raise ValueError(f"{name}: no column {col!r}")
-    pick = itemgetter(*(header.index(col) for col in columns))
-    for number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            if not row:  # a blank line
-                continue
-            raise ValueError(f"{name} row {number}: {len(row)} fields, "
-                             f"expected {len(header)}")
-        yield pick(row)

@@ -101,6 +101,25 @@ def test_factorize_parallel_matches_serial(db, tmp_path_factory, monkeypatch, ca
         assert parallel.factor_rows(hit_id) == serial.factor_rows(hit_id)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["factorize", "--budget", "-1"], "--budget must be a finite number above 0"),
+    (["factorize", "--budget", "0"], "--budget must be a finite number above 0"),
+    (["factorize", "--budget", "nan"], "--budget must be a finite number above 0"),
+    (["factorize", "--budget", "inf"], "--budget must be a finite number above 0"),
+    (["factorize", "--jobs", "0"], "--jobs must be at least 1"),
+    (["factorize", "--jobs", "-4"], "--jobs must be at least 1"),
+    (["verify", "theorem", "--jobs", "0"], "--jobs must be at least 1"),
+    (["verify", "theorem", "--jobs", "-4"], "--jobs must be at least 1"),
+], ids=" ".join)
+def test_bad_budget_or_jobs_is_operational_error(db, capsys, argv, message):
+    seeded_db(db, factored=False)
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
+
+
 def test_mw_run_inserts_sigma_form(db, capsys):
     code = cli.main(["mw", "run", "--m", "44", "--n", "9",
                      "--seed-height", "60", "--K", "1"])

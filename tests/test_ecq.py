@@ -9,8 +9,8 @@ from conftest import random_pair
 from brickforge.ecq import (
     INFINITY,
     CurvePoint,
+    TorsionGroup,
     add,
-    count_points_mod_p,
     cubic_rhs,
     halve,
     neg,
@@ -19,7 +19,8 @@ from brickforge.ecq import (
     torsion_subgroup,
     two_torsion,
 )
-from brickforge.fibration import build_fibre
+from brickforge.fibration import FibreCurve, build_fibre
+from brickforge.ntkernel import factor, is_prime, is_square_rational
 
 F21 = build_fibre(2, 1)
 F449 = build_fibre(44, 9)
@@ -98,6 +99,192 @@ def test_halve_universal_on_random_fibres():
             assert scalar_mul(c, 2, Q) == P
 
 
+# -- the torsion search that torsion_subgroup replaced, kept as its reference --
+
+MAZUR_CAP = 16  # largest torsion order for the full-2-torsion shapes
+COUNT_P_LIMIT = 10**5
+
+
+def _discriminant_core(c) -> int:
+    return (c.e1 - c.e2) * (c.e1 - c.e3) * (c.e2 - c.e3)
+
+
+def count_points_mod_p(c, p: int) -> int:
+    """#E(F_p) by direct Euler-criterion summation; p odd, good, small."""
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if p > COUNT_P_LIMIT:
+        raise ValueError(f"p > {COUNT_P_LIMIT} not supported by direct counting")
+    if _discriminant_core(c) % p == 0:
+        raise ValueError(f"bad reduction at {p}")
+    a2, a4, a6 = c.B % p, -4 * c.gamma**4 % p, -4 * c.gamma**4 * c.B % p
+    count = 1
+    half = (p - 1) // 2
+    for x in range(p):
+        v = (((x + a2) * x + a4) * x + a6) % p
+        if v == 0:
+            count += 1
+        elif pow(v, half, p) == 1:
+            count += 2
+    return count
+
+
+def _good_odd_primes(c, how_many: int) -> list[int]:
+    disc = _discriminant_core(c)
+    out = []
+    p = 3
+    while len(out) < how_many:
+        if is_prime(p) and disc % p != 0:
+            out.append(p)
+        p += 2
+    return out
+
+
+def _element_order(c, P: CurvePoint) -> int:
+    R, k = P, 1
+    while not R.is_infinity:
+        R = add(c, R, P)
+        k += 1
+        if k > MAZUR_CAP:
+            raise AssertionError("torsion element order beyond the cap")
+    return k
+
+
+def _psi3_rational_points(c, budget: float = 2.0):
+    """Points of order three via rational roots of the division polynomial;
+    (points, complete), complete False when the constant term would not
+    factor inside the budget."""
+    a2, a4, a6 = c.B, -4 * c.gamma**4, -4 * c.gamma**4 * c.B
+    const = 4 * a2 * a6 - a4 * a4
+    if const == 0:
+        candidates = [Fraction(0)]
+    else:
+        f = factor(abs(const), budget=budget)
+        if f.status != "full":
+            return [], False
+        divisors = [1]
+        for p, e in f.factors:
+            divisors = [d * p**i for d in divisors for i in range(e + 1)]
+            if len(divisors) > 4096:
+                return [], False
+        candidates = []
+        for d in divisors:
+            for q in (1, 3):
+                candidates.append(Fraction(d, q))
+                candidates.append(Fraction(-d, q))
+    pts = []
+    for X in candidates:
+        if 3 * X**4 + 4 * a2 * X**3 + 6 * a4 * X**2 + 12 * a6 * X + const != 0:
+            continue
+        Y2 = cubic_rhs(c, X)
+        Y = is_square_rational(Y2) if Y2 != 0 else Fraction(0)
+        if Y is None:
+            continue
+        pts.extend([CurvePoint(X, Y), CurvePoint(X, -Y)])
+    return pts, True
+
+
+def _point_key(P: CurvePoint):
+    if P.is_infinity:
+        return (0, Fraction(0), Fraction(0))
+    return (1, P.X, P.Y)
+
+
+def reference_torsion(c) -> TorsionGroup:
+    """The search: an order bound from point counts at the five smallest good
+    odd primes, growth from the two-torsion by repeated halving, a
+    division-polynomial check for order three when the bound asks for it,
+    and the structure from the largest element order."""
+    from brickforge.ecq import _closure
+
+    bound = 0
+    for p in _good_odd_primes(c, 5):
+        bound = gcd(bound, count_points_mod_p(c, p))
+    cap = min(bound, MAZUR_CAP)
+    group = _closure(c, two_torsion(c))
+    lower_bound_only = False
+    grew = True
+    while grew:
+        grew = False
+        if 2 * len(group) > cap:
+            break
+        for P in sorted(group, key=_point_key):
+            if P.is_infinity:
+                continue
+            fresh = [Q for Q in halve(c, P) if Q not in group]
+            if fresh:
+                group = _closure(c, fresh, group)
+                grew = True
+                break
+    if bound % 3 == 0 and len(group) * 3 <= cap:
+        pts3, complete = _psi3_rational_points(c)
+        if not complete:
+            lower_bound_only = True
+        elif pts3:
+            group = _closure(c, pts3, group)
+    order = len(group)
+    d2 = max(_element_order(c, P) for P in group)
+    d1 = order // d2
+    assert d1 * d2 == order and d2 % max(d1, 1) == 0
+    return TorsionGroup((d1, d2), sorted(group, key=_point_key), lower_bound_only)
+
+
+def admissible_fibres(how_many: int) -> list[tuple[int, int]]:
+    """The first admissible (m, n) by m, then n."""
+    out = []
+    m = 2
+    while len(out) < how_many:
+        out += [(m, n) for n in range(1, m) if (m - n) % 2 and gcd(m, n) == 1]
+        m += 1
+    return out[:how_many]
+
+
+def hand_fibre(U2: int, gamma: int) -> FibreCurve:
+    """The cubic of build_fibre for any U2 and gamma, not only a pair's."""
+    B = 4 * U2 * U2 - 2 * gamma * gamma
+    g2 = gamma * gamma
+    return FibreCurve(m=0, n=0, U2=U2, V2=gamma, gamma=gamma, A=g2, B=B, C=g2,
+                      e1=-B, e2=2 * g2, e3=-2 * g2)
+
+
+# (U2, gamma) where U2 gamma, U2 (U2 + gamma) and gamma (U2 + gamma) are all squares
+EIGHT_TORSION = [(9, 16), (16, 9), (27, 48)]
+
+
+def test_closed_form_torsion_matches_search_on_fibres():
+    fibres = admissible_fibres(1500)
+    for m, n in fibres:
+        c = build_fibre(m, n)
+        got, want = torsion_subgroup(c), reference_torsion(c)
+        assert (got.structure, got.points, got.lower_bound_only) == (
+            want.structure, want.points, want.lower_bound_only), (m, n)
+    assert fibres[-1][0] >= 70
+
+
+@pytest.mark.parametrize("U2,gamma", EIGHT_TORSION)
+def test_closed_form_torsion_matches_search_on_eight_torsion(U2, gamma):
+    c = hand_fibre(U2, gamma)
+    got, want = torsion_subgroup(c), reference_torsion(c)
+    assert want.structure == (2, 8) and len(want.points) == 16
+    assert (got.structure, got.points, got.lower_bound_only) == (
+        want.structure, want.points, want.lower_bound_only)
+    for P in got.points:
+        assert on_curve(c, P) and scalar_mul(c, 8, P) == INFINITY
+
+
+def test_roots_differ_by_squares_on_every_fibre():
+    for m, n in admissible_fibres(1500):
+        c = build_fibre(m, n)
+        assert c.e2 - c.e1 == (2 * c.U2) ** 2, (m, n)
+        assert c.e2 - c.e3 == (2 * c.gamma) ** 2, (m, n)
+
+
+def test_torsion_rejects_a_cubic_off_the_family():
+    c = hand_fibre(3, 4)
+    with pytest.raises(ValueError, match="not distinct non-zero squares"):
+        torsion_subgroup(FibreCurve(**{**c.__dict__, "e1": c.e1 + 1}))
+
+
 def test_count_points_brute_force_agreement():
     for p in (5, 11, 13):
         expected = 1
@@ -171,8 +358,10 @@ def test_torsion_matches_all_pairs_closure(monkeypatch):
     from brickforge import ecq
 
     rng = random.Random(1717)
-    fibres = {random_pair(rng, 2, 300) for _ in range(110)} | {(2, 1), (44, 9), (88, 7)}
+    fibres = [build_fibre(m, n) for m, n in
+              sorted({random_pair(rng, 2, 300) for _ in range(110)} | {(2, 1), (44, 9), (88, 7)})]
     assert len(fibres) >= 100
+    eights = [hand_fibre(U2, gamma) for U2, gamma in EIGHT_TORSION]
     semi_naive = ecq._closure
     calls = []
 
@@ -183,21 +372,17 @@ def test_torsion_matches_all_pairs_closure(monkeypatch):
         calls.append(len(got))
         return got
 
-    for m, n in sorted(fibres):
-        c = build_fibre(m, n)
-        monkeypatch.setattr(ecq, "_closure", checked)
-        fast = torsion_subgroup(c)
-        monkeypatch.setattr(ecq, "_closure", lambda c, pts, base=(): _all_pairs_closure(
-            c, set(pts) | set(base)))
-        plain = torsion_subgroup(c)
-        assert (fast.structure, fast.points, fast.lower_bound_only) == (
-            plain.structure, plain.points, plain.lower_bound_only), (m, n)
-    assert len(calls) >= 2 * len(fibres)  # the two-torsion and at least one halving
+    monkeypatch.setattr(ecq, "_closure", checked)
+    for c in fibres + eights:
+        # the closed form lists a group: closed under addition, nothing left out
+        points = torsion_subgroup(c).points
+        assert set(points) == _all_pairs_closure(c, points)
+    assert calls == [16] * len(eights)  # only a Z/2 x Z/8 group is closed by search
     monkeypatch.undo()
     # one generator, alone and on top of the two-torsion group
-    for m, n in sorted(fibres)[:20]:
-        c = build_fibre(m, n)
+    for c in fibres[:20] + eights:
         two = ecq._closure(c, two_torsion(c))
+        assert two == _all_pairs_closure(c, two_torsion(c))
         for P in torsion_subgroup(c).points:
             assert ecq._closure(c, [P]) == _all_pairs_closure(c, {P})
             assert ecq._closure(c, [P], two) == _all_pairs_closure(c, two | {P})

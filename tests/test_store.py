@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from brickforge import cli, master
+from brickforge import cli, csvrows, master
 from brickforge import store as store_module
 from brickforge.ecq import CurvePoint
 from brickforge.master import MasterTuple
@@ -685,3 +685,192 @@ def test_export_with_skipped_files_interrupted_at_each_replace(tmp_path, monkeyp
 def _tree_of(store: Store, dirpath) -> dict[str, bytes]:
     export_csv(store, dirpath)
     return _tree(dirpath)
+
+
+# -- fibre rows kept as their lines, master_hits.csv not rebuilt when unchanged --
+
+def test_mw_run_that_inserts_nothing_builds_no_hits_file(k2_store, tmp_path, monkeypatch,
+                                                         capsys):
+    db = shutil.copytree(k2_store, tmp_path / "db")
+    builds = _Count(store_module._hits_csv)
+    parses = _Count(csvrows.parse_points)
+    monkeypatch.setattr(store_module, "_hits_csv", builds)
+    monkeypatch.setattr(csvrows, "parse_points", parses)
+    assert cli.main(_mw_argv(6, 5, 60, 2, db)) == 0  # inserts, and adds generators
+    assert "inserted=30" in capsys.readouterr().out
+    assert (builds.calls, parses.calls) == (1, 0)
+    for m, n, height in ((6, 5, 60), (2, 1, 60), (22, 17, 30)):
+        assert cli.main(_mw_argv(m, n, height, 2, db)) == 0
+        assert "inserted=0" in capsys.readouterr().out
+    assert (builds.calls, parses.calls) == (1, 0)
+    assert len(import_csv(db).fibres()) == 3
+    assert parses.calls == 3  # the count is real: each kept row parses when read
+    assert validate_consistency(import_csv(db)) == []
+
+
+def fibre_store() -> Store:
+    """full_store with fibre rows whose generators are fractions."""
+    from brickforge.fibration import build_fibre
+    from brickforge.mw import naive_quartic_search
+
+    db = full_store()
+    for m, n in ((6, 5), (13, 2), (22, 17)):
+        c = build_fibre(m, n)
+        gens = seeds_from_hits(c, naive_quartic_search(c, 60)).points
+        db.upsert_fibre(FibreRow(m=m, n=n, torsion_d1=2, torsion_d2=4, generators=tuple(gens)))
+    return db
+
+
+def _edit_fibre(column: int, edit, key=("22", "17")):
+    def apply(text: bytes) -> bytes:
+        lines = text.decode("ascii").split("\n")
+        for i, line in enumerate(lines):
+            fields = line.split(",")
+            if tuple(fields[:2]) == key:
+                fields[column] = edit(fields[column])
+                lines[i] = ",".join(fields)
+        return "\n".join(lines).encode("ascii")
+    return apply
+
+
+def _first_fraction(edit):
+    # the first fraction n/d of the generators field that is not an integer
+    def apply(generators: str) -> str:
+        head, sep, tail = generators.partition("/9:")
+        assert sep, generators
+        cut = max(head.rfind(";"), head.rfind(":")) + 1
+        return head[:cut] + edit(int(head[cut:]), 9) + ":" + tail
+    return apply
+
+
+FIBRE_NONCANONICAL = {
+    "2/4": _edit_fibre(5, _first_fraction(lambda n, d: f"{2 * n}/{2 * d}")),
+    "1/-2": _edit_fibre(5, _first_fraction(lambda n, d: f"{-n}/-{d}")),
+    "+3": _edit_fibre(5, _first_fraction(lambda n, d: f"+{n}/{d}")),
+    "-0": _edit_fibre(4, lambda rank: "-0"),
+    "leading zero": _edit_fibre(0, lambda m: "0" + m),
+    "leading zero denominator": _edit_fibre(5, _first_fraction(lambda n, d: f"{n}/0{d}")),
+    "space": _edit_fibre(3, lambda d2: " " + d2),
+    "empty generator": _edit_fibre(5, lambda g: g.replace(";", ";;", 1) + ";"),
+}
+
+
+def _reference_fibres(data: bytes) -> list[tuple]:
+    """Each fibers.csv row parsed field by field with int() and Fraction."""
+    from fractions import Fraction
+
+    rows = csv.reader(io.StringIO(data.decode("ascii"), newline=""))
+    next(rows)
+    out = []
+    for m, n, d1, d2, rank_lb, gens in (r for r in rows if r):
+        points = []
+        for chunk in filter(None, gens.split(";")):
+            (xn, xd), (yn, yd) = (part.split("/") for part in chunk.split(":"))
+            points.append((Fraction(int(xn), int(xd)), Fraction(int(yn), int(yd))))
+        out.append((int(m), int(n), int(d1), int(d2),
+                    None if rank_lb == "" else int(rank_lb), tuple(points)))
+    return sorted(out, key=lambda r: r[:2])
+
+
+def _reference_fibres_csv(rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("m", "n", "torsion_d1", "torsion_d2", "rank_lb", "generators"))
+    writer.writerows((*r[:4], "" if r[4] is None else r[4],
+                      ";".join(f"{x.numerator}/{x.denominator}:{y.numerator}/{y.denominator}"
+                               for x, y in r[5])) for r in rows)
+    return buf.getvalue().encode("ascii")
+
+
+@pytest.mark.parametrize("case", sorted(FIBRE_NONCANONICAL))
+def test_noncanonical_fibre_row_reads_and_exports_as_before(tmp_path, monkeypatch, case):
+    export_csv(fibre_store(), tmp_path / "a")
+    want = _tree(tmp_path / "a")
+    (tmp_path / "a" / "manifest.txt").unlink()
+    data = FIBRE_NONCANONICAL[case](want["fibers.csv"])
+    assert data != want["fibers.csv"]
+    (tmp_path / "a" / "fibers.csv").write_bytes(data)
+    parse = _Count(store_module._fibre_row)
+    monkeypatch.setattr(store_module, "_fibre_row", parse)
+    back = import_csv(tmp_path / "a")
+    assert parse.calls == 1  # only the row export would not write back as it is
+    export_csv(back, tmp_path / "b")
+    ref = _reference_fibres(data)
+    got = _tree(tmp_path / "b")
+    assert got["fibers.csv"] == _reference_fibres_csv(ref)
+    assert [got[name] for name in CSV_NAMES[:2]] == [want[name] for name in CSV_NAMES[:2]]
+    assert [(f.m, f.n, f.torsion_d1, f.torsion_d2, f.rank_lb,
+             tuple((P.X, P.Y) for P in f.generators)) for f in back.fibres()] == ref
+
+
+def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
+    export_csv(fibre_store(), tmp_path / "a")
+    (tmp_path / "a" / "manifest.txt").unlink()
+    # one row of each file parsed at import, between rows kept as lines
+    hits = tmp_path / "a" / "master_hits.csv"
+    hits.write_bytes(_edit_field(5, lambda x: "0" + x)(hits.read_bytes()))
+    fibres = tmp_path / "a" / "fibers.csv"
+    fibres.write_bytes(FIBRE_NONCANONICAL["2/4"](fibres.read_bytes()))
+    back, ref = import_csv(tmp_path / "a"), import_csv(tmp_path / "a")
+    assert [type(r) for r in back._hits.values()] == [str, store_module.HitRecord]
+    assert [type(r) for _, r in sorted(back._fibres.items())] == [str, str, str, FibreRow, str]
+    steps = [
+        lambda db: None,
+        lambda db: setattr(db.get(2), "y", db.get(2).y + 1),  # an in-place edit
+        lambda db: db.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32"),
+        lambda db: db.upsert_fibre(FibreRow(m=4, n=1, torsion_d1=2, torsion_d2=4)),
+        lambda db: db.upsert_fibre(FibreRow(m=13, n=2, torsion_d1=2, torsion_d2=8)),
+    ]
+    for i, step in enumerate(steps):
+        step(back)
+        step(ref)
+        export_csv(back, tmp_path / f"b{i}")
+        assert type(back._hits[1]) is str and type(back._fibres[(6, 5)]) is str
+        got = _tree(tmp_path / f"b{i}")
+        assert {name: got[name] for name in CSV_NAMES} == _csv_writer_export(ref), i
+
+
+@pytest.mark.parametrize("form", ["lines", "csv.reader"])
+@pytest.mark.parametrize("name,row,message", [
+    ("master_hits.csv", "3,1,2", "master_hits.csv row 4: 3 fields, expected 12"),
+    ("f1_factors.csv", "1,7,2,0,5", "f1_factors.csv row 9: 5 fields, expected 4"),
+    ("fibers.csv", "4,1,2,4,,,", "fibers.csv row 4: 7 fields, expected 6"),
+    ("fibers.csv", "4,1,2,x,,", "invalid literal for int() with base 10: 'x'"),
+    ("fibers.csv", "4,1,2,4,,1/2", "not enough values to unpack"),
+])
+def test_import_reports_bad_rows_the_same_either_way(tmp_path, form, name, row, message):
+    # a file with a quote or a carriage return goes through csv.reader,
+    # any other is split into lines; the errors read the same
+    export_csv(full_store(), tmp_path)
+    (tmp_path / "manifest.txt").unlink()
+    path = tmp_path / name
+    text = path.read_text() + row + "\n"
+    if form == "csv.reader":
+        text = text.replace("\n", "\r\n")
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        import_csv(tmp_path)
+
+
+def test_loaded_hits_file_in_export_form_is_not_rebuilt(tmp_path, monkeypatch):
+    export_csv(full_store(), tmp_path)
+    builds = _Count(store_module._hits_csv)
+    monkeypatch.setattr(store_module, "_hits_csv", builds)
+    export_csv(import_csv(tmp_path), tmp_path)
+    assert builds.calls == 0
+    back = import_csv(tmp_path)
+    back.find(GOLDEN)  # a row read may be changed in place: built again
+    export_csv(back, tmp_path)
+    assert builds.calls == 1
+    path = tmp_path / "master_hits.csv"
+    want = path.read_bytes()
+    header, *rows = want.decode("ascii").splitlines()
+    for text in ("\n".join([header, *rows]),  # no final line end
+                 "\n".join([header, *reversed(rows), ""]),  # ids out of order
+                 "\n".join([header, rows[0], "", *rows[1:], ""])):  # a blank line
+        path.write_text(text)
+        _rewrite_manifest(tmp_path)
+        back = import_csv(tmp_path)
+        export_csv(back, tmp_path)
+        assert path.read_bytes() == want
+    assert builds.calls == 4
