@@ -127,6 +127,12 @@ def _pmap(jobs, fn, items):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
+def _full_records(db: Store) -> list:
+    """The records whose f1 is fully factored: the only ones a verdict on
+    the blockers examines; each command prints how many it skipped."""
+    return [rec for rec in db.hits() if rec.f1_status == "full"]
+
+
 def _theorem_verdict(item):
     t, fact = item
     return verify_blocker_conjecture(MasterTuple(*t), fact).verdict
@@ -136,7 +142,7 @@ def _cmd_verify_theorem(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     db = _load(args.db)
-    full = [rec for rec in db.hits() if rec.f1_status == "full"]
+    full = _full_records(db)
     jobs = [(tuple(rec.tuple), db.factorization_of(rec.id)) for rec in full]
     counts = Counter({"verified": 0, "violated": 0, "undecidable_partial": 0})
     violated = []
@@ -145,7 +151,8 @@ def _cmd_verify_theorem(args) -> int:
         if verdict == "violated":
             violated.append(rec.id)
     print(f"verified={counts['verified']} violated={counts['violated']} "
-          f"undecidable_partial={counts['undecidable_partial']}")
+          f"undecidable_partial={counts['undecidable_partial']} "
+          f"skipped_not_full={len(db) - len(full)}")
     if violated:
         print("violated ids: " + " ".join(map(str, violated)))
         return 1
@@ -174,12 +181,10 @@ def _cmd_verify_consistency(args) -> int:
 
 def _cmd_verify_single_blocker(args) -> int:
     db = _load(args.db)
-    checked = holds = skipped = 0
+    full = _full_records(db)
+    checked = holds = 0
     fails = []
-    for rec in db.hits():
-        if rec.f1_status != "full":
-            skipped += 1
-            continue
+    for rec in full:
         if len(blockers(db.factorization_of(rec.id))) != 1:
             continue
         checked += 1
@@ -188,7 +193,7 @@ def _cmd_verify_single_blocker(args) -> int:
         else:
             fails.append(rec.id)
     print(f"single_blocker={checked} strictly_semiscaled={holds} "
-          f"fails={len(fails)} skipped_not_full={skipped}")
+          f"fails={len(fails)} skipped_not_full={len(db) - len(full)}")
     if fails:
         print("failing ids: " + " ".join(map(str, fails)))
         return 1
@@ -288,19 +293,18 @@ def _cmd_families_classify(args) -> int:
 def _cmd_report(args) -> int:
     db = _load(args.db)
     if args.what == "k-distribution":
+        full = _full_records(db)
         hist: Counter = Counter()
-        for rec in db.hits():
-            if rec.f1_status != "full":
-                continue
+        for rec in full:
             split = k_invariant(rec.tuple, db.factorization_of(rec.id))
             hist[str(split[2]) if split else "undefined"] += 1
         _print_table("k", hist, key=lambda k: (k == "undefined", len(k), k))
+        print(f"skipped_not_full={len(db) - len(full)}")
     elif args.what == "blockers":
-        hist = Counter(
-            len(blockers(db.factorization_of(rec.id)))
-            for rec in db.hits() if rec.f1_status == "full"
-        )
+        full = _full_records(db)
+        hist = Counter(len(blockers(db.factorization_of(rec.id))) for rec in full)
         _print_table("num_blockers", hist, key=int)
+        print(f"skipped_not_full={len(db) - len(full)}")
     else:
         hist = Counter()
         for rec in db.hits():

@@ -1,17 +1,20 @@
 """Exact rational arithmetic on the split cubics Y^2 = (X+B)(X^2-4*gamma^4).
 
 The curve object is any value carrying integer attributes B, gamma and
-the three roots e1, e2, e3; all point coordinates are Fractions, so
-every identity below is checked exactly, never numerically.
+the three roots e1, e2, e3; all point coordinates are Fractions, or the
+integers (p, r, d) of X = p/d^2 and Y = r/d^3 in the chord (`_chord`),
+so every identity below is checked exactly, never numerically.
 
 The group law (add, neg, scalar_mul, halve) assumes its inputs are on
-the curve and checks nothing.  Points are checked where they enter: in
-`mw` (seed files, seeds), `fibration.phi` and `store.validate_consistency`.
+the curve; it checks only the integral form the chord works in.  Points
+are checked where they enter: in `mw` (seed files, seeds),
+`fibration.phi` and `store.validate_consistency`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .ntkernel import is_perfect_square, is_square_rational
 
@@ -51,13 +54,66 @@ def neg(c, P: CurvePoint) -> CurvePoint:
     return CurvePoint(P.X, -P.Y)
 
 
+def _triple(P: CurvePoint) -> tuple[int, int, int] | None:
+    """P as the integers (p, r, d) with X = p/d^2 and Y = r/d^3 in lowest
+    terms, None at infinity; a point on the integral model has this form."""
+    if P.is_infinity:
+        return None
+    s, t = P.X.denominator, P.Y.denominator
+    d = t // s
+    if d * d != s or d * s != t:
+        raise AssertionError(f"point {P} not in integral form")
+    return P.X.numerator, P.Y.numerator, d
+
+
+def _point(P: tuple[int, int, int] | None) -> CurvePoint:
+    """The inverse of `_triple`."""
+    if P is None:
+        return INFINITY
+    p, r, d = P
+    s = d * d
+    return CurvePoint(Fraction(p, s), Fraction(r, s * d))
+
+
+def _chord(c, P: tuple[int, int, int], Q: tuple[int, int, int]) -> tuple[int, int, int] | None:
+    """P + Q on triples (p, r, d) with X = p/d^2 and Y = r/d^3, d != 0, the
+    sum with d > 0 and X in lowest terms; None when X(P) = X(Q), where
+    there is no chord (a doubling, or Q = -P).
+
+    With E = p2 d1^2 - p1 d2^2, F = r2 d1^3 - r1 d2^3 and D = d1 d2 E the
+    slope is F/D and the sum is (u/D^2, w/D^3).  On the integral model its
+    X is p/d^2 in lowest terms with d | D, so gcd(u, D^2) = (D/d)^2 and one
+    gcd reduces X and Y at once.  That this gcd is a square and divides w
+    the right number of times is checked, never assumed.
+    """
+    p1, r1, d1 = P
+    p2, r2, d2 = Q
+    s1, s2 = d1 * d1, d2 * d2
+    E = p2 * s1 - p1 * s2
+    if not E:
+        return None
+    t2 = s2 * d2
+    F = r2 * s1 * d1 - r1 * t2
+    D = d1 * d2 * E
+    E2, D2 = E * E, D * D
+    x1 = p1 * s2 * E2  # X(P) * D^2
+    u = F * F - c.B * D2 - x1 - p2 * s1 * E2
+    w = F * (x1 - u) - r1 * t2 * E2 * E
+    if D < 0:
+        D, w = -D, -w
+    G = gcd(u, D2)
+    g = isqrt(G)
+    g3 = G * g
+    if g * g != G or w % g3:
+        raise AssertionError(f"chord sum not in integral form on the curve with B = {c.B}")
+    return u // G, w // g3, D // g
+
+
 def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     """Chord-tangent sum of two points on the curve.
 
     The model is integral, so a point on it is X = p/d^2, Y = r/d^3 in
-    lowest terms.  The chord is summed in those integers: with
-    E = p2 d1^2 - p1 d2^2, F = r2 d1^3 - r1 d2^3 and D = d1 d2 E the slope
-    is F/D, and the sum is (u/D^2, w/D^3), reduced once at the end.
+    lowest terms, and the chord is summed in those integers (`_chord`).
     """
     if P.is_infinity:
         return Q
@@ -70,17 +126,7 @@ def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         lam = (3 * P.X * P.X + 2 * a2 * P.X + a4) / (2 * P.Y)
         X3 = lam * lam - a2 - P.X - Q.X
         return CurvePoint(X3, lam * (P.X - X3) - P.Y)
-    # s = d^2 and t = d^3 are the denominators of X and Y
-    p1, s1, r1, t1 = P.X.numerator, P.X.denominator, P.Y.numerator, P.Y.denominator
-    p2, s2, r2, t2 = Q.X.numerator, Q.X.denominator, Q.Y.numerator, Q.Y.denominator
-    E = p2 * s1 - p1 * s2
-    F = r2 * t1 - r1 * t2
-    D = (t1 // s1) * (t2 // s2) * E
-    E2, D2 = E * E, D * D
-    x1 = p1 * s2 * E2  # X(P) * D^2
-    u = F * F - c.B * D2 - x1 - p2 * s1 * E2
-    w = F * (x1 - u) - r1 * t2 * E2 * E
-    return CurvePoint(Fraction(u, D2), Fraction(w, D2 * D))
+    return _point(_chord(c, _triple(P), _triple(Q)))
 
 
 def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:

@@ -4,17 +4,17 @@ Fixing the second pair (m, n) turns the hit condition into rational
 points on s^2 = gamma^2 t^4 + B t^2 + gamma^2 with gamma = 2mn and
 B = 4*U2^2 - 2*V2^2.  The cubic model used everywhere downstream is
 Y^2 = (X + B)(X^2 - 4 gamma^4), glued to the quartic by phi and tau
-below; tau recovers t^2, so a point lifts exactly when tau lands on
-a positive rational square whose root is an admissible ratio.
+below; tau recovers t^2 and is the square of 2 gamma (X + B) / Y, so a
+point lifts exactly when that root is an admissible ratio.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .ecq import CurvePoint, on_curve
 from .master import EuclidPair, triple_from_pair
-from .ntkernel import is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -83,24 +83,45 @@ def tau(c: FibreCurve, P: CurvePoint) -> Fraction | None:
 def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
     """The admissible pair (a, b) behind a point, when one exists.
 
-    Requires tau to be a positive rational square; the root a/b (taken
-    positive, in lowest terms) must additionally satisfy a > b with
-    a - b odd.  Certification of the hit itself stays with the caller.
+    tau is the square of the root t = 2 gamma (X + B) / Y wherever Y != 0
+    (see `lift_pairs`); a point lifts when |t| = a/b in lowest terms has
+    a > b with a - b odd.  Certification of the hit itself stays with the
+    caller.  On the quartic point (t, s), t is the root itself:
+
+    >>> from brickforge.ntkernel import is_square_rational
+    >>> c, t = build_fibre(44, 9), Fraction(55, 48)
+    >>> P = phi(c, t, is_square_rational(quartic_rhs(c, t)))
+    >>> root = 2 * c.gamma * (P.X + c.B) / P.Y
+    >>> root, root ** 2 == tau(c, P), lift_point(c, P)
+    (Fraction(55, 48), True, EuclidPair(a=55, b=48))
     """
-    return lift_pairs(tau(c, P))[0]
+    if P.is_infinity:
+        return None
+    X, Y = P.X, P.Y
+    # t = 2 gamma (X + B) / Y with X = p/s and Y = r/q
+    return _lift_root(2 * c.gamma * (X.numerator + c.B * X.denominator) * Y.denominator,
+                      X.denominator * Y.numerator)[0]
 
 
-def lift_pairs(tv: Fraction | None) -> tuple[EuclidPair | None, EuclidPair | None]:
-    """The lift rule behind lift_point for a tau value already known, applied
-    to tau and to 1/tau at once: the root of 1/tau is b/a, so one square
-    test decides both, and at most one of the two lifts."""
-    if tv is None or tv.numerator <= 0:  # a Fraction's denominator is positive
+def lift_pairs(c: FibreCurve, u: int, w: int, D: int) -> tuple[EuclidPair | None, EuclidPair | None]:
+    """The lift rule of lift_point for the point X = u/D^2, Y = w/D^3 (any
+    such integers, D != 0), applied to tau and to 1/tau at once: the root of
+    1/tau is b/a, so one root decides both, and at most one of the two lifts.
+
+    On the cubic Y^2 = (X + B)(X^2 - 4 gamma^4), so tau Y^2 = 4 gamma^2 (X + B)^2
+    and tau = t^2 exactly, t = 2 gamma (X + B) / Y = 2 gamma (u + B D^2) D / w,
+    wherever Y != 0.  The three points with Y = 0 are those where tau is None
+    or 0, and lift to nothing.
+    """
+    return _lift_root(2 * c.gamma * (u + c.B * D * D) * D, w)
+
+
+def _lift_root(num: int, den: int) -> tuple[EuclidPair | None, EuclidPair | None]:
+    # the root num/den of tau, unreduced, to the lifts of tau and of 1/tau
+    if not num or not den:
         return None, None
-    # numerator and denominator are coprime, so their roots are too
-    a = is_perfect_square(tv.numerator)
-    b = None if a is None else is_perfect_square(tv.denominator)
-    if b is None:
-        return None, None
+    g = gcd(num, den)
+    a, b = abs(num // g), abs(den // g)
     if (a - b) % 2 == 0:
         return None, None
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))

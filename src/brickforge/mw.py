@@ -17,18 +17,20 @@ The `ecq` group law assumes its inputs are on the curve, so points are
 checked where they enter: seed file lines in `load_seed_file`, hit pairs
 in `fibration.phi`, and each seed and torsion point once per run at the
 top of `enumerate_and_certify`; the enumeration then runs unchecked.
-Partial sums over coefficient prefixes are shared, so each combination
-(the base) costs one addition of the integer chord law.  Each torsion
-shift of a base is then done in integers: with X = p/d^2, Y = r/d^3 and
-T integral, the shifted abscissa is u/D^2 without any gcd, and tau is
-built from u and D as one reduced Fraction.  Only one shift per coset of
-E[2] = {O, (e1,0), (e2,0), (e3,0)} is computed: translation by (e1,0)
-keeps tau and translation by (e2,0) or (e3,0) inverts it (an exact
-identity, see `_cosets`), so one square test decides the lifts of all
-four translates.  A translate that a bit-length bound cannot keep under
-the size cap, and every translate of a base at infinity or above a
-torsion point, is lifted on its own (`_lift_one`).  Each distinct lifted
-pair is certified once per run.
+The walk works on the reduced integers (p, r, d) of X = p/d^2 and
+Y = r/d^3.  Partial sums over coefficient prefixes are shared, so each
+combination (the base) costs one addition of the integer chord law
+(`ecq._chord`, one gcd), or of `ecq.add` where the chord is undefined.
+Each torsion shift of a base is then done in integers: with T integral,
+the shifted point is u/D^2, w/D^3 without any gcd, and its lift is read
+from the root 2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`,
+one gcd).  Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)}
+is computed: translation by (e1,0) keeps tau and translation by (e2,0)
+or (e3,0) inverts it (an exact identity, see `_cosets`), so one root
+decides the lifts of all four translates.  A translate that a bit-length
+bound cannot keep under the size cap, and every translate of a base at
+infinity or above a torsion point, is lifted on its own (`_lift_one`).
+Each distinct lifted pair is certified once per run.
 """
 from __future__ import annotations
 
@@ -37,7 +39,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
-from .ecq import INFINITY, CurvePoint, add, neg, on_curve, torsion_subgroup, two_torsion
+from .ecq import (
+    CurvePoint, _chord, _point, _triple, add, on_curve, torsion_subgroup, two_torsion,
+)
 from .fibration import FibreCurve, lift_pairs, lift_point, phi, quartic_rhs
 from .master import (
     EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical, triple_from_pair,
@@ -45,7 +49,7 @@ from .master import (
 from .ntkernel import is_perfect_square, is_square_rational
 
 DIGIT_CAP = 10000  # skip combination points with larger coordinates
-_CAP_BITS = int(DIGIT_CAP * 3.3220) + 8
+_CAP_BITS = DIGIT_CAP * 33220 // 10000 + 8  # log2(10) < 3.3220
 
 
 @dataclass
@@ -169,32 +173,34 @@ def _shift(c: FibreCurve, p: int, r: int, d: int, xT: int, yT: int) -> tuple[int
     return u, N * (pe2 - u) - r * e**3, D
 
 
-def _tau(c: FibreCurve, u: int, D: int) -> Fraction | None:
-    """tau at X = u/D^2 as one reduced Fraction; None at X = +-2 gamma^2."""
-    D2 = D * D
-    den = u * u - 4 * c.gamma**4 * D2 * D2
-    return Fraction(4 * c.gamma**2 * (u + c.B * D2) * D2, den) if den else None
-
-
-def _lift_one(c: FibreCurve, base: CurvePoint, shift, stats: MwStats) -> EuclidPair | None:
+def _lift_one(c: FibreCurve, base, shift, stats: MwStats) -> EuclidPair | None:
     """The lift of the translate base + T found on its own, None where there
     is none; a translate too large to try is counted in `stats`."""
     T, xT, yT = shift
-    if base.is_infinity or xT is not None and base.X == xT:
-        R = add(c, base, T)
+    if base is None or xT is not None and base[2] == 1 and base[0] == xT:
+        R = add(c, _point(base), T)
         if _too_large(R):
             stats.skipped_large += 1
             return None
         return lift_point(c, R)
-    p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
-    d = base.Y.denominator // d2
-    u, w, D = (p, r, d) if xT is None else _shift(c, p, r, d, xT, yT)
+    u, w, D = base if xT is None else _shift(c, *base, xT, yT)
     # reduction only shrinks these bit lengths, so reduce only past the bound
     if max(u.bit_length(), w.bit_length(), 3 * D.bit_length()) > _CAP_BITS and _too_large(
             CurvePoint(Fraction(u, D * D), Fraction(w, D**3))):
         stats.skipped_large += 1
         return None
-    return lift_pairs(_tau(c, u, D))[0]
+    return lift_pairs(c, u, w, D)[0]
+
+
+def _sum(c: FibreCurve, P, Q):
+    """P + Q on the triples of `ecq._chord` (None at infinity): the chord in
+    integers, and `ecq.add` where it is undefined."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    R = _chord(c, P, Q)
+    return _triple(add(c, _point(P), _point(Q))) if R is None else R
 
 
 def _cosets(c: FibreCurve, points: list[CurvePoint]):
@@ -254,15 +260,15 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     K_bits = max(abs((e - roots[i - 1]) * (e - roots[i - 2])).bit_length()
                  for i, e in enumerate(roots))
 
-    def lift_by_coset(base: CurvePoint, p: int, r: int, d: int) -> list:
-        # one tau per coset; a translate that may be too large is lifted on its own
+    def lift_by_coset(base: tuple[int, int, int]) -> list:
+        # one root of tau per coset; a translate that may be too large is lifted on its own
         shared = []
         for xT, yT in reps:
-            u, w, D = (p, r, d) if xT is None else _shift(c, p, r, d, xT, yT)
+            u, w, D = base if xT is None else _shift(c, *base, xT, yT)
             bu, bw, bD = u.bit_length(), w.bit_length(), D.bit_length()
             bv = max(bu, e_bits + 2 * bD) + 1
             twin_bits = max(e_bits + bv + 1, K_bits + 2 * bD + 1, K_bits + bw + bD, 2 * bv)
-            shared.append((lift_pairs(_tau(c, u, D)),
+            shared.append((lift_pairs(c, u, w, D),
                            max(bu, bw, 3 * bD) <= _CAP_BITS, twin_bits <= _CAP_BITS))
         out = []
         for shift, (k, inverted, twin) in zip(shifts, coset):
@@ -277,22 +283,24 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     for P in g.points:
         if not on_curve(c, P):
             raise ValueError(f"seed {P} not on fibre ({c.m},{c.n})")
-        row = {0: INFINITY}
+        P = _triple(P)
+        row = {0: None}
         for k in range(1, K + 1):
-            row[k] = add(c, row[k - 1], P)
+            row[k] = _sum(c, row[k - 1], P)
         for k in range(1, K + 1):
-            row[-k] = neg(c, row[k])
+            R = row[k]
+            row[-k] = None if R is None else (R[0], -R[1], R[2])
         multiples.append(row)
-    prefixes = {(): INFINITY}
+    prefixes = {(): None}
 
-    def partial_sum(vec: tuple[int, ...]) -> CurvePoint:
+    def partial_sum(vec: tuple[int, ...]):
         # extend the longest prefix already summed, keeping every new one
         i = len(vec)
         while vec[:i] not in prefixes:
             i -= 1
         P = prefixes[vec[:i]]
         for j in range(i, len(vec)):
-            P = prefixes[vec[:j + 1]] = add(c, P, multiples[j][vec[j]])
+            P = prefixes[vec[:j + 1]] = _sum(c, P, multiples[j][vec[j]])
         return P
 
     stats = MwStats()
@@ -300,16 +308,11 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     seen: set[MasterTuple] = set()
     certified: dict[EuclidPair, MasterTuple] = {}  # lifted pair -> canonical tuple
     for vec in _coefficient_vectors(len(g.points), K):
-        base = add(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
-        if not base.is_infinity:
-            p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
-            d = isqrt(d2)
-            if d * d != d2 or d * d2 != base.Y.denominator:
-                raise AssertionError(f"point {base} not in integral form on fibre ({c.m},{c.n})")
-        if base.is_infinity or d2 == 1 and p in torsion_xs:  # or above a torsion point
+        base = _sum(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
+        if base is None or base[2] == 1 and base[0] in torsion_xs:  # or above a torsion point
             pairs = [_lift_one(c, base, shift, stats) for shift in shifts]
         else:
-            pairs = lift_by_coset(base, p, r, d)
+            pairs = lift_by_coset(base)
         stats.candidates += len(pairs)
         for pair in pairs:
             if pair is None:

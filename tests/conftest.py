@@ -1,6 +1,7 @@
-"""Shared helpers: pseudorandom admissible tuples for property tests."""
+"""Shared helpers: pseudorandom admissible tuples and lists of fibres for property tests."""
 from math import gcd
 
+from brickforge.fibration import FibreCurve
 from brickforge.master import MasterTuple
 
 # one line per acceptance criterion, echoed after the test summary so the
@@ -27,3 +28,25 @@ def random_admissible(rng, lo=2, hi=1000) -> MasterTuple:
     a, b = random_pair(rng, lo, hi)
     m, n = random_pair(rng, lo, hi)
     return MasterTuple(a, b, m, n)
+
+
+def admissible_fibres(how_many: int) -> list[tuple[int, int]]:
+    """The first admissible (m, n) by m, then n."""
+    out = []
+    m = 2
+    while len(out) < how_many:
+        out += [(m, n) for n in range(1, m) if (m - n) % 2 and gcd(m, n) == 1]
+        m += 1
+    return out[:how_many]
+
+
+def hand_fibre(U2: int, gamma: int) -> FibreCurve:
+    """The cubic of build_fibre for any U2 and gamma, not only a pair's."""
+    B = 4 * U2 * U2 - 2 * gamma * gamma
+    g2 = gamma * gamma
+    return FibreCurve(m=0, n=0, U2=U2, V2=gamma, gamma=gamma, A=g2, B=B, C=g2,
+                      e1=-B, e2=2 * g2, e3=-2 * g2)
+
+
+# (U2, gamma) where U2 gamma, U2 (U2 + gamma) and gamma (U2 + gamma) are all squares
+EIGHT_TORSION = [(9, 16), (16, 9), (27, 48)]

@@ -4,7 +4,7 @@ import pytest
 
 from brickforge import cli, master
 from brickforge.master import MasterTuple
-from brickforge.ntkernel import factor
+from brickforge.ntkernel import Factorization, factor
 from brickforge.store import Store, export_csv, import_csv
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
@@ -194,6 +194,32 @@ def test_report_blockers_and_fibres(db, capsys):
     assert "num_blockers=4 count=1" in out
     assert cli.main(["report", "--what", "fibres"]) == 0
     assert "44 9 hits=1" in capsys.readouterr().out
+
+
+def mixed_db(db):
+    """One full, one partial and one unfactored record."""
+    store = Store()
+    full = store.insert_hit(GOLDEN, "Rathbun-Search")[0]
+    partial = store.insert_hit(SCALED_SAUNDERSON, "Saunderson-Generator")[0]
+    store.insert_hit(MasterTuple(19, 16, 6, 5), "MW-6-5")
+    store.set_factorization(full, factor(master.f1(GOLDEN)))
+    store.set_factorization(partial, Factorization(
+        factors=[(3, 2), (5, 2), (13, 2)], residual=29 * 101, status="partial"))
+    export_csv(store, db)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["verify", "theorem"], ["verified=1 violated=0 undecidable_partial=0 skipped_not_full=2"]),
+    (["verify", "single-blocker"],
+     ["single_blocker=0 strictly_semiscaled=0 fails=0 skipped_not_full=2"]),
+    (["report", "--what", "blockers"], ["num_blockers=4 count=1", "skipped_not_full=2"]),
+    (["report", "--what", "k-distribution"], ["k=undefined count=1", "skipped_not_full=2"]),
+])
+def test_verdicts_count_the_records_they_skip(db, capsys, argv, lines):
+    # only fully factored records are examined, and the rest are counted
+    mixed_db(db)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_usage_error_exit_code(db):

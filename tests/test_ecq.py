@@ -5,7 +5,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import random_pair
+from conftest import EIGHT_TORSION, admissible_fibres, hand_fibre, random_pair
 from brickforge.ecq import (
     INFINITY,
     CurvePoint,
@@ -229,28 +229,6 @@ def reference_torsion(c) -> TorsionGroup:
     return TorsionGroup((d1, d2), sorted(group, key=_point_key), lower_bound_only)
 
 
-def admissible_fibres(how_many: int) -> list[tuple[int, int]]:
-    """The first admissible (m, n) by m, then n."""
-    out = []
-    m = 2
-    while len(out) < how_many:
-        out += [(m, n) for n in range(1, m) if (m - n) % 2 and gcd(m, n) == 1]
-        m += 1
-    return out[:how_many]
-
-
-def hand_fibre(U2: int, gamma: int) -> FibreCurve:
-    """The cubic of build_fibre for any U2 and gamma, not only a pair's."""
-    B = 4 * U2 * U2 - 2 * gamma * gamma
-    g2 = gamma * gamma
-    return FibreCurve(m=0, n=0, U2=U2, V2=gamma, gamma=gamma, A=g2, B=B, C=g2,
-                      e1=-B, e2=2 * g2, e3=-2 * g2)
-
-
-# (U2, gamma) where U2 gamma, U2 (U2 + gamma) and gamma (U2 + gamma) are all squares
-EIGHT_TORSION = [(9, 16), (16, 9), (27, 48)]
-
-
 def test_closed_form_torsion_matches_search_on_fibres():
     fibres = admissible_fibres(1500)
     for m, n in fibres:
@@ -426,3 +404,72 @@ def test_integer_chord_law_matches_fraction_formula():
             assert on_curve(c, R)
             pairs += 1
     assert pairs >= 1000 and integral >= 40
+
+
+def _chord_test_points(c, rng):
+    """Torsion points, multiples of the seeds and their torsion translates."""
+    from brickforge.mw import naive_quartic_search, seeds_from_hits
+
+    group = torsion_subgroup(c)
+    tor = group.points
+    pts = list(tor)
+    for P in seeds_from_hits(c, naive_quartic_search(c, 60), group).points:
+        for k in (1, 2, -1, 3, -4):
+            Q = scalar_mul(c, k, P)
+            pts += [Q] + [add(c, Q, rng.choice(tor)) for _ in range(2)]
+    return pts
+
+
+def test_chord_helper_matches_add():
+    from brickforge.ecq import _chord, _point, _triple
+    from brickforge.mw import _sum
+
+    rng = random.Random(2027)
+    chords = negative = same_x = at_infinity = 0
+    for m, n in ((13, 2), (44, 9), (6, 5), (22, 17), (8, 3)):
+        c = build_fibre(m, n)
+        pts = _chord_test_points(c, rng)
+        pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(400)]
+        pairs += [(P, Q) for P in pts for Q in (P, neg(c, P))]
+        for P, Q in pairs:
+            R = add(c, P, Q)
+            tP, tQ = _triple(P), _triple(Q)
+            assert _sum(c, tP, tQ) == _triple(R), (m, n, P, Q)
+            if tP is None or tQ is None:
+                at_infinity += 1
+                continue
+            chord = _chord(c, tP, tQ)
+            if P.X == Q.X:  # a doubling or Q = -P: the fallback
+                assert chord is None
+                same_x += 1
+                continue
+            p, r, d = chord
+            assert d > 0 and gcd(p, d) == 1 and gcd(r, d) == 1
+            assert _point(chord) == R == _fraction_add(c, P, Q)
+            chords += 1
+            negative += Q.X < P.X  # E and D negative
+    assert chords >= 1000 and negative >= 400 and same_x >= 100 and at_infinity >= 100
+
+
+def test_chord_helper_rejects_a_non_integral_sum():
+    from brickforge.ecq import _chord, _point, _triple
+
+    with pytest.raises(AssertionError, match="not in integral form"):
+        _chord(F21, (-3, -3, 2), (1, 1, 1))
+    with pytest.raises(AssertionError, match="not in integral form"):
+        _triple(CurvePoint(Fraction(1, 2), Fraction(1)))
+    # off the curve the sum is either exact or refused, never wrong
+    raised = 0
+    for P in product(range(-3, 4), range(-3, 4), (1, 2)):
+        for Q in ((1, 1, 1), (2, 3, 1), (5, -7, 2)):
+            if P[0] * Q[2] ** 2 == Q[0] * P[2] ** 2:
+                assert _chord(F21, P, Q) is None
+                continue
+            want = _fraction_add(F21, _point(P), _point(Q))
+            try:
+                got = _chord(F21, P, Q)
+            except AssertionError:
+                raised += 1
+                continue
+            assert _point(got) == want
+    assert raised >= 20

@@ -1,11 +1,12 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_pair
-from brickforge.ecq import CurvePoint, INFINITY, scalar_mul
+from conftest import EIGHT_TORSION, admissible_fibres, hand_fibre, random_pair
+from brickforge.ecq import CurvePoint, INFINITY, _triple, add, scalar_mul, torsion_subgroup
 from brickforge.fibration import (
     build_fibre, lift_pairs, lift_point, phi, quartic_rhs, tau, tau_phi_identity,
 )
@@ -187,33 +188,69 @@ def _lift_pairs_by_root(tv):
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
 
 
+@functools.cache
+def _points_on_test_fibres():
+    """(fibre, points) on the first 100 admissible fibres and the Z/2 x Z/8
+    hand fibres: the torsion, the images of the quartic points a/b with
+    a, b <= 30, and their sums with the torsion, with each other and with
+    themselves."""
+    out = []
+    for c in ([build_fibre(m, n) for m, n in admissible_fibres(100)]
+              + [hand_fibre(U2, gamma) for U2, gamma in EIGHT_TORSION]):
+        tor = torsion_subgroup(c).points
+        seeds = []
+        for a in range(1, 31):
+            for b in range(1, 31):
+                v = (c.A * a**2 + c.B * b**2) * a**2 + c.C * b**4
+                s = math.isqrt(v)
+                if s * s == v and math.gcd(a, b) == 1:
+                    seeds.append(phi(c, Fraction(a, b), Fraction(s, b * b)))
+        points = list(tor)
+        for P in seeds:
+            points += [add(c, P, Q) for Q in tor + seeds + [P]]
+        out.append((c, points))
+    return out
+
+
+def test_tau_is_the_square_of_its_root():
+    # tau Y^2 = 4 gamma^2 (X + B)^2 on the cubic, so tau = (2 gamma (X + B) / Y)^2
+    checked = 0
+    for c, points in _points_on_test_fibres():
+        for P in points:
+            if not P.is_infinity and P.Y:
+                assert tau(c, P) == (2 * c.gamma * (P.X + c.B) / P.Y) ** 2, (c, P)
+                checked += 1
+    assert checked >= 2500
+
+
+def test_points_with_y_zero_do_not_lift():
+    found = 0
+    for c, points in _points_on_test_fibres():
+        for P in points:
+            if not P.is_infinity and not P.Y:
+                assert tau(c, P) in (None, 0)
+                assert lift_point(c, P) is None
+                assert lift_pairs(c, *_triple(P)) == (None, None)
+                found += 1
+    assert found >= 3 * 103
+
+
 def test_lift_pairs_matches_the_square_root_rule():
+    # lift_point and lift_pairs read the root 2 gamma (X + B) / Y; the old
+    # rule took the square root of tau, for tau and for 1/tau at once
     rng = random.Random(61)
-    taus = [None, Fraction(0), Fraction(1), Fraction(-1), Fraction(4), Fraction(1, 4)]
-    for _ in range(12000):
-        p, q = rng.randrange(1, 300), rng.randrange(1, 300)
-        if rng.random() < 0.7:
-            p, q = p * p, q * q  # a square, unless a common factor leaves one
-        p += rng.choice((0, 0, 0, 1, -1))  # numerators near a square
-        taus.append(Fraction(rng.choice((1, 1, 1, -1)) * p, q))
-    kinds = {"none": 0, "zero": 0, "negative": 0, "lifts": 0, "square, no lift": 0,
-             "numerator not a square": 0, "denominator not a square": 0}
-    for tv in taus:
-        want = _lift_pairs_by_root(tv)
-        assert lift_pairs(tv) == want, tv
-        if tv is None:
-            kinds["none"] += 1
-        elif tv <= 0:
-            kinds["zero" if tv == 0 else "negative"] += 1
-        elif want != (None, None):
-            kinds["lifts"] += 1
-        elif is_square_rational(tv) is not None:
-            kinds["square, no lift"] += 1
-        elif math.isqrt(tv.numerator) ** 2 != tv.numerator:
-            kinds["numerator not a square"] += 1
-        else:
-            kinds["denominator not a square"] += 1
-    assert len(taus) >= 10000
-    assert all(count >= 1 for count in kinds.values()), kinds
-    assert min(kinds["negative"], kinds["lifts"], kinds["square, no lift"],
-               kinds["numerator not a square"], kinds["denominator not a square"]) >= 100, kinds
+    kinds = {"infinity": 0, "Y = 0": 0, "lifts": 0, "inverse lifts": 0, "no lift": 0}
+    for c, points in _points_on_test_fibres():
+        for P in points:
+            want = _lift_pairs_by_root(tau(c, P))
+            assert lift_point(c, P) == want[0], (c, P)
+            if P.is_infinity:
+                kinds["infinity"] += 1
+                continue
+            # any X = u/D^2, Y = w/D^3 will do, D of either sign
+            p, r, d = _triple(P)
+            k = rng.choice((1, -1, 2, -3, 12))
+            assert lift_pairs(c, p * k * k, r * k**3, d * k) == want, (c, P, k)
+            kinds["Y = 0" if not P.Y else "lifts" if want[0] else
+                  "inverse lifts" if want[1] else "no lift"] += 1
+    assert min(kinds.values()) >= 100, kinds

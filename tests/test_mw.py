@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import admissible_fibres
 from brickforge import master, mw
 from brickforge.ecq import (
     INFINITY, CurvePoint, TorsionGroup, add, neg, scalar_mul, torsion_subgroup, two_torsion,
 )
 from brickforge.fibration import build_fibre, lift_point, tau
-from brickforge.master import MasterTuple, edges, is_master_hit, sigma_canonical
+from brickforge.master import EuclidPair, MasterTuple, edges, is_master_hit, sigma_canonical
 from brickforge.mw import (
     GeneratorSet,
     MwStats,
@@ -292,6 +293,144 @@ def test_tau_shared_across_two_torsion_on_seeds():
                     assert tau(c, add(c, R, E2)) == tau(c, add(c, R, E3)) == 1 / t
 
 
+def _tau_fraction(c, u, D):
+    """tau at X = u/D^2 as one reduced Fraction; None at X = +-2 gamma^2."""
+    D2 = D * D
+    den = u * u - 4 * c.gamma**4 * D2 * D2
+    return Fraction(4 * c.gamma**2 * (u + c.B * D2) * D2, den) if den else None
+
+
+def _lift_pairs_of_tau(tv):
+    """The lift rule as a square test on tau, for tau and for 1/tau."""
+    if tv is None or tv.numerator <= 0:
+        return None, None
+    a = is_perfect_square(tv.numerator)
+    b = None if a is None else is_perfect_square(tv.denominator)
+    if b is None or (a - b) % 2 == 0:
+        return None, None
+    return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
+
+
+def _fraction_walk(g, K, torsion):
+    """The walk on Fraction points with one reduced tau and two square tests
+    per coset, as it was before it ran on integer triples."""
+    c = g.fibre
+    stats = MwStats()
+
+    def lift_one(base, shift):
+        T, xT, yT = shift
+        if base.is_infinity or xT is not None and base.X == xT:
+            R = add(c, base, T)
+            if mw._too_large(R):
+                stats.skipped_large += 1
+                return None
+            return _lift_pairs_of_tau(tau(c, R))[0]
+        p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
+        d = base.Y.denominator // d2
+        u, w, D = (p, r, d) if xT is None else mw._shift(c, p, r, d, xT, yT)
+        if mw._too_large(CurvePoint(Fraction(u, D * D), Fraction(w, D**3))):
+            stats.skipped_large += 1
+            return None
+        return _lift_pairs_of_tau(_tau_fraction(c, u, D))[0]
+
+    shifts = [(T, None, None) if T.is_infinity else (T, T.X.numerator, T.Y.numerator)
+              for T in torsion.points]
+    torsion_xs = {xT for _, xT, _ in shifts if xT is not None}
+    reps, coset = mw._cosets(c, torsion.points)
+    reps = [shifts[i][1:] for i in reps]
+    roots = (c.e1, c.e2, c.e3)
+    e_bits = max(abs(e).bit_length() for e in roots)
+    K_bits = max(abs((e - roots[i - 1]) * (e - roots[i - 2])).bit_length()
+                 for i, e in enumerate(roots))
+    multiples = []
+    for P in g.points:
+        row = {0: INFINITY}
+        for k in range(1, K + 1):
+            row[k] = add(c, row[k - 1], P)
+            row[-k] = neg(c, row[k])
+        multiples.append(row)
+    outputs, seen = [], set()
+    for vec in _coefficient_vectors(len(g.points), K):
+        base = INFINITY
+        for i, coeff in enumerate(vec):
+            base = add(c, base, multiples[i][coeff])
+        if base.is_infinity or base.X.denominator == 1 and base.X.numerator in torsion_xs:
+            pairs = [lift_one(base, shift) for shift in shifts]
+        else:
+            p, r, d2 = base.X.numerator, base.Y.numerator, base.X.denominator
+            d = base.Y.denominator // d2
+            shared = []
+            for xT, yT in reps:
+                u, w, D = (p, r, d) if xT is None else mw._shift(c, p, r, d, xT, yT)
+                bu, bw, bD = u.bit_length(), w.bit_length(), D.bit_length()
+                bv = max(bu, e_bits + 2 * bD) + 1
+                twin_bits = max(e_bits + bv + 1, K_bits + 2 * bD + 1, K_bits + bw + bD, 2 * bv)
+                shared.append((_lift_pairs_of_tau(_tau_fraction(c, u, D)),
+                               max(bu, bw, 3 * bD) <= mw._CAP_BITS, twin_bits <= mw._CAP_BITS))
+            pairs = []
+            for shift, (k, inverted, twin) in zip(shifts, coset):
+                lifts, rep_fits, twin_fits = shared[k]
+                fits = twin_fits if twin else rep_fits
+                pairs.append(lifts[inverted] if fits else lift_one(base, shift))
+        stats.candidates += len(pairs)
+        for pair in pairs:
+            if pair is None:
+                continue
+            stats.lifted += 1
+            t = MasterTuple(pair.a, pair.b, c.m, c.n)
+            assert is_master_hit(t) is not None
+            stats.certified += 1
+            canon = sigma_canonical(t)
+            if canon not in seen:
+                seen.add(canon)
+                outputs.append(canon)
+    return outputs, stats
+
+
+def _seeded_fibres(how_many, height):
+    """The first admissible fibres with a seed at this height, with their seeds."""
+    out = []
+    for m, n in admissible_fibres(3000):
+        c = build_fibre(m, n)
+        hits = naive_quartic_search(c, height)
+        if hits:
+            tor = torsion_subgroup(c)
+            out.append((seeds_from_hits(c, hits, tor), tor))
+            if len(out) == how_many:
+                return out
+    raise AssertionError(f"fewer than {how_many} seeded fibres")
+
+
+def _assert_walks_agree(g, K, tor):
+    run = enumerate_and_certify(g, K, tor)
+    outputs, stats = _fraction_walk(g, K, tor)
+    assert run.outputs == outputs  # same tuples in the same order
+    assert run.stats == stats
+    return stats
+
+
+def test_integer_walk_matches_fraction_walk_on_seeded_fibres():
+    fibres = _seeded_fibres(110, 60)
+    certified = 0
+    for g, tor in fibres:
+        certified += _assert_walks_agree(g, 2, tor).certified
+    assert fibres[-1][0].fibre.m >= 90 and certified >= 1000
+
+
+def test_integer_walk_matches_fraction_walk_on_the_deep_fibre():
+    c = build_fibre(22, 17)
+    tor = torsion_subgroup(c)
+    g = seeds_from_hits(c, naive_quartic_search(c, 80), tor)
+    stats = _assert_walks_agree(g, 3, tor)
+    assert (stats.candidates, stats.certified) == (67224, 16770)
+
+
+def test_size_cap_in_bits():
+    # DIGIT_CAP decimal digits in bits, computed without a float, plus 8
+    assert mw._CAP_BITS == 33228
+    assert 10 ** mw.DIGIT_CAP < 2 ** (mw._CAP_BITS - 8) < 10 ** (mw.DIGIT_CAP + 1)
+
+
 @pytest.mark.parametrize("cap", [40, 80, 120])
 def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
     # at these caps the bit-length bound overshoots for some candidates that
@@ -318,3 +457,4 @@ def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
     twins_alone = sum(shift[0] in twins for shift in alone)
     bases = len(_coefficient_vectors(len(g.points), 2))
     assert len(twins) == 6 and (twins_alone < 6 * bases) == (cap > 40)
+    _assert_walks_agree(g, 2, tor)
