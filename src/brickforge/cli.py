@@ -20,7 +20,7 @@ from .families import build_tables, classify, load_tables, save_tables
 from .fibration import build_fibre
 from .master import MasterTuple
 from .mw import enumerate_and_certify, load_seed_file, naive_quartic_search, seeds_from_hits
-from .ntkernel import DEFAULT_BUDGET, factor, is_perfect_square
+from .ntkernel import DEFAULT_BUDGET, is_perfect_square
 from .store import FibreRow, Store, export_csv, import_csv, validate_consistency
 
 
@@ -212,7 +212,7 @@ def _cmd_verify_e1(args) -> int:
 
 def _factor_f1(item):
     t, budget = item
-    return factor(master.f1(MasterTuple(*t)), budget=budget)
+    return master.factor_f1(MasterTuple(*t), budget)
 
 
 def _cmd_factorize(args) -> int:

@@ -84,8 +84,19 @@ def csv_line(fields) -> str:
     return line
 
 
-def csv_bytes(header, lines) -> bytes:
-    return "\n".join([",".join(header), *lines, ""]).encode("ascii")
+_CHUNK_LINES = 4096
+
+
+def csv_chunks(header, lines) -> list[bytes]:
+    """A file's bytes, header and lines each ended by a line end, as chunks
+    of _CHUNK_LINES lines encoded at a time: the file is never held both as
+    text and as bytes."""
+    chunks = [(",".join(header) + "\n").encode("ascii")]
+    lines = iter(lines)
+    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+        batch.append("")
+        chunks.append("\n".join(batch).encode("ascii"))
+    return chunks
 
 
 def records(name: str, data: dict[str, bytes], columns, keep=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .ntkernel import is_perfect_square
+from .ntkernel import DEFAULT_BUDGET, Factorization, factor, is_perfect_square
 
 
 class EuclidPair(NamedTuple):
@@ -106,6 +106,38 @@ def f1(t: MasterTuple) -> int:
     """The space-diagonal norm (W1*U2)^2 + (U1*V2)^2.  Always odd."""
     t1, t2 = triples(t)
     return (t1.W * t2.U) ** 2 + (t1.U * t2.V) ** 2
+
+
+def f1_divisors(t: MasterTuple) -> tuple[int, ...]:
+    """Integers that share factors with f1 for free: (P, E), or (P,) when
+    the tuple is no hit.
+
+    P = W1*W2 - V1*V2 divides f1 as a polynomial: f1 = P * (W1*W2 + V1*V2).
+    A hit writes f1 as a sum of two squares in two ways, f1 = dxy^2 + z^2
+    = x^2 + dyz^2, and then f1 divides (dxy*x + z*dyz) * E with
+    E = dxy*x - z*dyz, so gcd(f1, E) is a proper divisor unless f1
+    divides one factor (Euler's factoring method).
+
+    >>> t = MasterTuple(55, 48, 44, 9)
+    >>> (U1, V1, W1), (U2, V2, W2) = triples(t)
+    >>> f1(t) == (W1 * W2 - V1 * V2) * (W1 * W2 + V1 * V2)
+    True
+    >>> e = edges(t)
+    >>> f1(t) == e.dxy ** 2 + e.z ** 2 == e.x ** 2 + e.dyz ** 2 == e.dxz ** 2 + e.y ** 2
+    True
+    """
+    t1, t2 = triples(t)
+    e = edges(t)
+    P = t1.W * t2.W - t1.V * t2.V
+    if e.dyz is None:
+        return (P,)
+    return (P, e.dxy * e.x - e.z * e.dyz)
+
+
+def factor_f1(t: MasterTuple, budget: float = DEFAULT_BUDGET) -> Factorization:
+    """f1 factored within `budget` seconds, its cofactor split along
+    f1_divisors before rho (see ntkernel.factor)."""
+    return factor(f1(t), budget, divisors=f1_divisors(t))
 
 
 def edges(t: MasterTuple) -> Brick:

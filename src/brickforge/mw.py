@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt
 
 from .ecq import (
@@ -139,15 +138,23 @@ def load_seed_file(path, c: FibreCurve, torsion=None) -> GeneratorSet:
 
 
 def _coefficient_vectors(r: int, K: int) -> list[tuple[int, ...]]:
-    # graded lex with the leading nonzero entry positive; -v would give
-    # the mirror point, whose tau is identical
-    vecs = []
-    for v in product(range(-K, K + 1), repeat=r):
-        nz = [x for x in v if x]
-        if nz and nz[0] > 0:
-            vecs.append(v)
-    vecs.sort(key=lambda v: (sum(abs(x) for x in v), v))
-    return vecs
+    # graded lex (by the sum of |entries|, then lexicographic) with the
+    # leading nonzero entry positive; -v would give the mirror point,
+    # whose tau is identical.  Built in that order with no sort, one
+    # length at a time from the last entry: signed[s] holds the vectors of
+    # sum s in lex order, lead[s] those whose leading nonzero entry is
+    # positive (and the zero vector), each made by putting x = -K..K (or
+    # 0..K) in front of the shorter vectors of sum s - |x|.
+    signed: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    lead = signed
+    for length in range(1, r + 1):
+        sums = range(length * K + 1)
+        lead = {s: [(x, *v) for x in range(K + 1)
+                    for v in (lead if x == 0 else signed).get(s - x, ())] for s in sums}
+        if length < r:
+            signed = {s: [(x, *v) for x in range(-K, K + 1)
+                          for v in signed.get(s - abs(x), ())] for s in sums}
+    return [v for s in range(1, r * K + 1) for v in lead[s]]
 
 
 def _too_large(P: CurvePoint) -> bool:

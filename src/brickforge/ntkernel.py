@@ -1,17 +1,23 @@
 """Integer utilities and the staged factorization engine.
 
-Plain Python ints throughout.  The factor() pipeline is two-stage:
+Plain Python ints throughout.  The factor() pipeline has three stages:
 trial division by primes below 10**6 (one gcd per run of 256 primes),
-then Brent's cycle-finding variant of Pollard rho with batched gcds.
-Whatever survives the time budget is returned as a composite residual
-and the result is marked partial instead of raising.
+a divisor split (the cofactor is cut by its gcds with integers the
+caller knows to share factors with it, such as the two free divisors of
+f1 in master.f1_divisors), then Brent's cycle-finding variant of Pollard
+rho with batched gcds on each piece.  Whatever survives the time budget
+is returned as a composite residual and the result is marked partial
+instead of raising.
 """
 from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 TRIAL_LIMIT = 10**6
 DEFAULT_BUDGET = 600.0  # seconds, per factored integer
@@ -180,20 +186,22 @@ class Factorization:
         return out
 
 
-_trial_primes_cache: list[int] | None = None
+_trial_primes_cache: array | None = None
 _trial_blocks_cache: list[tuple[int, int]] | None = None
 _BLOCK = 256  # trial primes per gcd
 
 
-def _trial_primes() -> list[int]:
+def _trial_primes() -> array:
+    """The primes below TRIAL_LIMIT as 4-byte machine ints: a list of int
+    objects would hold 2.5 MB more for the life of the process."""
     global _trial_primes_cache
     if _trial_primes_cache is None:
         sieve = bytearray([1]) * TRIAL_LIMIT
         sieve[0] = sieve[1] = 0
         for i in range(2, math.isqrt(TRIAL_LIMIT) + 1):
             if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _trial_primes_cache = [i for i in range(TRIAL_LIMIT) if sieve[i]]
+                sieve[i * i :: i] = bytes((TRIAL_LIMIT - 1 - i * i) // i + 1)
+        _trial_primes_cache = array("I", compress(range(TRIAL_LIMIT), sieve))
     return _trial_primes_cache
 
 
@@ -299,23 +307,48 @@ def _brent_rho(n: int, deadline: float) -> int | None:
     return None
 
 
-def factor(n: int, budget: float = DEFAULT_BUDGET) -> Factorization:
+def _split(pieces: list[int], g: int) -> list[int]:
+    """Each piece p with 1 < d = gcd(p, g) < p replaced by d and p // d."""
+    out = []
+    for p in pieces:
+        d = math.gcd(p, g)
+        out.extend((d, p // d) if 1 < d < p else (p,))
+    return out
+
+
+def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ()) -> Factorization:
     """Factor n within a wall-clock budget in seconds.
 
     Stage 1 is trial division by every prime below 10**6 (`_trial_divide`),
-    stage 2 is Brent rho with recursive splitting; all emitted primes pass
-    is_prime.  Budget exhaustion is not an error, the unsplit part
-    becomes the residual and the status degrades to "partial".
+    run once on n.  Stage 2 cuts the cofactor along `divisors`: each g in
+    turn replaces every piece p so far with d = gcd(p, g) and p // d when
+    1 < d < p.  Only gcds are used, so any integers are safe there; one
+    that shares some but not all primes of a piece saves stage 3 work.
+    Stage 3 is Brent rho with recursive splitting on each piece; all emitted
+    primes pass is_prime.  Budget exhaustion is not an error, the unsplit
+    pieces multiply into the residual and the status degrades to
+    "partial".
 
     >>> factor(2021).factors
     [(43, 1), (47, 1)]
+
+    With no time for rho, a divisor sharing one prime still splits n:
+
+    >>> n = 1000000000039 * 10000000000037
+    >>> factor(n, budget=0).status
+    'partial'
+    >>> factor(n, budget=0, divisors=[3 * 1000000000039]).factors
+    [(1000000000039, 1), (10000000000037, 1)]
     """
     if n < 1:
         raise ValueError("factor() wants n >= 1")
     deadline = time.monotonic() + budget
     counts, rem = _trial_divide(n)
+    pieces = [rem] if rem > 1 else []
+    for g in divisors:
+        pieces = _split(pieces, g)
     leftovers: list[int] = []
-    stack: list[tuple[int, int]] = [(rem, 1)] if rem > 1 else []
+    stack: list[tuple[int, int]] = [(m, 1) for m in pieces]
     while stack:
         m, mult = stack.pop()
         if m == 1:

@@ -274,15 +274,16 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     pairs.  Ordering and formatting are fixed, so equal stores export
     byte-identical trees.
 
-    Each file is built and hashed in memory, written to `<name>.tmp` and
-    moved over the old file with os.replace, manifest.txt first.  A crash
-    at the manifest leaves the old store; a crash after it leaves old files
-    that do not match the new manifest, which import_csv rejects, whether
-    or not the old store had a manifest.  A CSV is not written at all when
-    the file there is still the one this store last read or wrote (same
-    device, inode, size and mtime) and its sha256 would not change; it
-    already matches the new manifest, so the rule above still holds (nor is
-    master_hits.csv built while its sha256 is known: see the module docstring).
+    Each file is built in memory as chunks of encoded lines, hashed chunk
+    by chunk, written to `<name>.tmp` and moved over the old file with
+    os.replace, manifest.txt first.  A crash at the manifest leaves the old
+    store; a crash after it leaves old files that do not match the new
+    manifest, which import_csv rejects, whether or not the old store had a
+    manifest.  A CSV is not written at all when the file there is still the
+    one this store last read or wrote (same device, inode, size and mtime)
+    and its sha256 would not change; it already matches the new manifest,
+    so the rule above still holds (nor is master_hits.csv built while its
+    sha256 is known: see the module docstring).
     """
     _unlock_big_decimals()
     on_disk, store._on_disk = store._on_disk, {}  # a failed export leaves nothing known
@@ -294,18 +295,21 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
         if known is not None and name == "master_hits.csv" and known[0] == store._hits_digest:
             manifest.append((name, known[0]))
             continue
-        data = build(store)
-        manifest.append((name, hashlib.sha256(data).hexdigest()))
+        chunks = build(store)
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+        manifest.append((name, digest.hexdigest()))
         if known is None or known[0] != manifest[-1][1]:
-            files[name] = data
-    files = {"manifest.txt": "".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii"),
+            files[name] = chunks
+    files = {"manifest.txt": ["".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii")],
              **files}
     os.makedirs(dirpath, exist_ok=True)
     paths = [os.path.join(dirpath, name) for name in files]
     try:
-        for path, data in zip(paths, files.values()):
+        for path, chunks in zip(paths, files.values()):
             with open(path + ".tmp", "wb") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
         for path in paths:
             os.replace(path + ".tmp", path)
     except OSError as err:
@@ -318,21 +322,21 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     return manifest
 
 
-def _hits_csv(store: Store) -> bytes:
-    return csvrows.csv_bytes(csvrows.HIT_COLUMNS,
-                             (_line(store._hits[i]) for i in sorted(store._hits)))
+def _hits_csv(store: Store) -> list[bytes]:
+    return csvrows.csv_chunks(csvrows.HIT_COLUMNS,
+                              (_line(store._hits[i]) for i in sorted(store._hits)))
 
 
-def _factors_csv(store: Store) -> bytes:
+def _factors_csv(store: Store) -> list[bytes]:
     rows = sorted((row for hit_id, group in store._factors.items() if hit_id in store._hits
                    for row in group), key=lambda r: (r.hit_id, r.is_residual, r.prime))
-    return csvrows.csv_bytes(csvrows.FACTOR_COLUMNS, (
+    return csvrows.csv_chunks(csvrows.FACTOR_COLUMNS, (
         _line((r.hit_id, r.prime, r.exponent, int(r.is_residual))) for r in rows))
 
 
-def _fibres_csv(store: Store) -> bytes:
-    return csvrows.csv_bytes(csvrows.FIBRE_COLUMNS,
-                             (_line(store._fibres[key]) for key in sorted(store._fibres)))
+def _fibres_csv(store: Store) -> list[bytes]:
+    return csvrows.csv_chunks(csvrows.FIBRE_COLUMNS,
+                              (_line(store._fibres[key]) for key in sorted(store._fibres)))
 
 
 def _stat(path) -> tuple | None:

@@ -1,4 +1,6 @@
-"""Shared helpers: pseudorandom admissible tuples and lists of fibres for property tests."""
+"""Shared helpers: pseudorandom admissible tuples, lists of fibres and the
+hits of the factor-audit store for property tests."""
+import functools
 from math import gcd
 
 from brickforge.fibration import FibreCurve
@@ -50,3 +52,17 @@ def hand_fibre(U2: int, gamma: int) -> FibreCurve:
 
 # (U2, gamma) where U2 gamma, U2 (U2 + gamma) and gamma (U2 + gamma) are all squares
 EIGHT_TORSION = [(9, 16), (16, 9), (27, 48)]
+
+
+@functools.cache
+def audit_tuples() -> tuple[MasterTuple, ...]:
+    """The 346 hits of mw run (22,17) at seed height 80, K=2: the store that
+    perfbench's factor-audit factors."""
+    from brickforge.ecq import torsion_subgroup
+    from brickforge.fibration import build_fibre
+    from brickforge.mw import enumerate_and_certify, naive_quartic_search, seeds_from_hits
+
+    c = build_fibre(22, 17)
+    tor = torsion_subgroup(c)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80), tor), 2, tor)
+    return tuple(run.outputs)

@@ -30,7 +30,7 @@ from brickforge.families import (
 from brickforge.fibration import build_fibre, phi, quartic_rhs, tau, tau_phi_identity
 from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
-from brickforge.ntkernel import factor, is_square_rational, valuation
+from brickforge.ntkernel import is_square_rational, valuation
 from brickforge.store import FibreRow, Store, export_csv, import_csv, validate_consistency
 from conftest import ACCEPTANCE_LINES, random_admissible, random_pair
 
@@ -60,7 +60,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def full_fact(row, budget=600.0):
     key = tuple(row)
     if key not in _FACTS:
-        _FACTS[key] = factor(master.f1(MasterTuple(*key)), budget=budget)
+        _FACTS[key] = master.factor_f1(MasterTuple(*key), budget=budget)
     return _FACTS[key]
 
 

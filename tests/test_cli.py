@@ -4,7 +4,7 @@ import pytest
 
 from brickforge import cli, master
 from brickforge.master import MasterTuple
-from brickforge.ntkernel import Factorization, factor
+from brickforge.ntkernel import Factorization
 from brickforge.store import Store, export_csv, import_csv
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
@@ -23,7 +23,7 @@ def seeded_db(db, factored=True):
     store.insert_hit(SCALED_SAUNDERSON, "Saunderson-Generator")
     if factored:
         for rec in store.hits():
-            store.set_factorization(rec.id, factor(master.f1(rec.tuple)))
+            store.set_factorization(rec.id, master.factor_f1(rec.tuple))
     export_csv(store, db)
     return store
 
@@ -202,7 +202,7 @@ def mixed_db(db):
     full = store.insert_hit(GOLDEN, "Rathbun-Search")[0]
     partial = store.insert_hit(SCALED_SAUNDERSON, "Saunderson-Generator")[0]
     store.insert_hit(MasterTuple(19, 16, 6, 5), "MW-6-5")
-    store.set_factorization(full, factor(master.f1(GOLDEN)))
+    store.set_factorization(full, master.factor_f1(GOLDEN))
     store.set_factorization(partial, Factorization(
         factors=[(3, 2), (5, 2), (13, 2)], residual=29 * 101, status="partial"))
     export_csv(store, db)

@@ -1,8 +1,9 @@
 import random
+from math import gcd
 
 import pytest
 
-from conftest import random_admissible
+from conftest import admissible_fibres, audit_tuples, random_admissible
 from brickforge.master import (
     Brick,
     EuclidPair,
@@ -10,6 +11,7 @@ from brickforge.master import (
     canonical_expressions,
     edges,
     f1,
+    f1_divisors,
     is_admissible,
     is_master_hit,
     is_perfect_cuboid,
@@ -18,6 +20,7 @@ from brickforge.master import (
     recover_master_tuple_scaled,
     sigma_canonical,
     triple_from_pair,
+    triples,
 )
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
@@ -64,6 +67,29 @@ def test_f1_always_odd():
     rng = random.Random(10)
     for _ in range(200):
         assert f1(random_admissible(rng)) % 2 == 1
+
+
+def test_f1_factors_as_two_polynomials():
+    # the first 2,000 admissible tuples: pairs in the order of admissible_fibres
+    pairs = admissible_fibres(45)
+    tuples = [MasterTuple(a, b, m, n) for a, b in pairs for m, n in pairs][:2000]
+    assert len(tuples) == 2000
+    for t in tuples:
+        (U1, V1, W1), (U2, V2, W2) = triples(t)
+        P = W1 * W2 - V1 * V2
+        assert f1(t) == P * (W1 * W2 + V1 * V2)
+        e = edges(t)
+        assert f1_divisors(t) == ((P,) if e.dyz is None else (P, e.dxy * e.x - e.z * e.dyz))
+
+
+def test_a_hit_writes_f1_as_a_sum_of_two_squares_three_ways():
+    hits = (GOLDEN, MasterTuple(835, 88, 160, 89), *audit_tuples())
+    for t in hits:
+        e = edges(t)
+        n = f1(t)
+        assert n == e.dxy**2 + e.z**2 == e.x**2 + e.dyz**2 == e.dxz**2 + e.y**2
+        P, E = f1_divisors(t)
+        assert 1 < gcd(n, P) < n and 1 < gcd(n, E) < n
 
 
 def test_edges_golden():

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -88,6 +89,21 @@ def test_coefficient_vectors():
     assert (0, 1) in vecs and (0, -1) not in vecs
     assert (1, -1) in vecs and (-1, 1) not in vecs
     assert vecs[0] in ((0, 1), (1, 0))
+
+
+def _sorted_coefficient_vectors(r, K):
+    """Every vector of product(range(-K, K + 1), repeat=r) with its leading
+    nonzero entry positive, sorted by (sum of |entries|, vector)."""
+    vecs = [v for v in product(range(-K, K + 1), repeat=r)
+            if any(v) and next(x for x in v if x) > 0]
+    vecs.sort(key=lambda v: (sum(abs(x) for x in v), v))
+    return vecs
+
+
+def test_coefficient_vectors_match_the_sorted_construction():
+    for r in range(7):
+        for K in range(5):
+            assert _coefficient_vectors(r, K) == _sorted_coefficient_vectors(r, K), (r, K)
 
 
 def test_enumerate_recovers_seed():

@@ -5,7 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import audit_tuples
 from brickforge import ntkernel
+from brickforge.master import MasterTuple, f1, f1_divisors, factor_f1
 from brickforge.ntkernel import (
     Factorization,
     factor,
@@ -161,27 +163,14 @@ def _plain_trial_division(n):
     return counts, rem
 
 
-def _audit_f1_values():
-    # f1 of the 346 hits of mw run (22,17) at seed height 80, K=2
-    from brickforge.ecq import torsion_subgroup
-    from brickforge.fibration import build_fibre
-    from brickforge.master import f1
-    from brickforge.mw import enumerate_and_certify, naive_quartic_search, seeds_from_hits
-
-    c = build_fibre(22, 17)
-    tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80), tor), 2, tor)
-    return [f1(t) for t in run.outputs]
-
-
 def test_trial_division_by_blocks_matches_plain_loop():
     primes = ntkernel._trial_primes()
-    below = primes[-12:]
+    below = list(primes[-12:])
     above = [p for p in range(ntkernel.TRIAL_LIMIT, ntkernel.TRIAL_LIMIT + 400) if is_prime(p)][:12]
     # the first and last prime of every few runs, where a run's product starts and ends
     edges = [primes[i] for k in range(0, len(primes), 8 * ntkernel._BLOCK)
              for i in (k, min(k + ntkernel._BLOCK - 1, len(primes) - 1))]
-    audit = _audit_f1_values()
+    audit = [f1(t) for t in audit_tuples()]
     assert len(audit) == 346
     # the plain loop takes about 12 ms on each of these 90-digit values, so a
     # quarter of them, spread over the whole store, keeps the test short
@@ -223,3 +212,73 @@ def test_factorization_dataclass_defaults():
     f = Factorization()
     assert f.product() == 1
     assert f.status == "full"
+
+
+def _certified(f: Factorization, n: int) -> None:
+    """The invariants of Factorization on a result for n."""
+    assert f.product() == n
+    primes = [p for p, _ in f.factors]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and e >= 1 for p, e in f.factors)
+    assert (f.status == "full") == (f.residual == 1)
+
+
+def test_factor_with_junk_divisors_keeps_its_invariants():
+    p, q = 10000019, 100000007  # both above the trial-division bound
+    big = (2**61 - 1) * (2**89 - 1)
+    for n, budget in ((1, 1.0), (2021, 1.0), (p * q, 1.0), (p * p * q, 1.0), (p**3, 1.0),
+                      (9885295**2 + 571032**2, 1.0), (big, 0.0), (big * p * q, 0.0)):
+        junk = [0, 1, -1, n, n * n, -n, n + 1, 2 * n + 7, 10**200 + 1, 999983, -p, q * 6, p * q]
+        plain = factor(n, budget=budget)
+        for divisors in [[g] for g in junk] + [junk, junk[::-1]]:
+            f = factor(n, budget=budget, divisors=divisors)
+            _certified(f, n)
+            if f.status == "full":
+                assert f == factor(n)
+            if plain.status == "full":
+                assert f == plain
+
+
+def test_divisor_split_works_without_rho():
+    p, q, r = 1000000000039, 10000000000037, 100000000000031
+    n = p * q * r
+    assert factor(n, budget=0.0).status == "partial"
+    assert factor(n, budget=0.0, divisors=[q]).factors == [(q, 1)]
+    assert factor(n, budget=0.0, divisors=[p * 5, -r]).factors == [(p, 1), (q, 1), (r, 1)]
+    # a shared square: the pieces q^2 and r go through the perfect-power stage
+    f = factor(q * q * r, budget=0.0, divisors=[q * q])
+    assert f.factors == [(q, 2), (r, 1)] and f.residual == 1
+
+
+# the tuples of test_blockers.py
+GOLDEN_TUPLES = [MasterTuple(55, 48, 44, 9), MasterTuple(835, 88, 160, 89),
+                 MasterTuple(2, 1, 2, 1), MasterTuple(2, 1, 4, 3)]
+
+
+def test_factor_f1_matches_plain_factor_on_golden_tuples():
+    for t in GOLDEN_TUPLES:
+        f = factor_f1(t)
+        assert f.status == "full"
+        assert f == factor(f1(t))
+
+
+def test_factor_f1_full_results_match_plain_factor_on_the_audit_store():
+    # The plain engine cannot finish some of these 80-digit cofactors within
+    # seconds that the split finishes within the audit budget.  A full
+    # result is the unique factorization once its primes pass is_prime and
+    # multiply back to n; it is compared with the plain one where that one
+    # also finishes.
+    full = compared = 0
+    for t in audit_tuples()[::4]:
+        n = f1(t)
+        split = factor_f1(t, budget=0.05)
+        _certified(split, n)
+        if split.status != "full":
+            continue
+        full += 1
+        plain = factor(n, budget=0.05)
+        if plain.status == "full":
+            compared += 1
+            assert split == plain
+    assert full >= 20 and compared >= 5
+    assert all(len(f1_divisors(t)) == 2 for t in audit_tuples())

@@ -830,6 +830,27 @@ def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
         assert {name: got[name] for name in CSV_NAMES} == _csv_writer_export(ref), i
 
 
+def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
+    # three chunks of lines and a bit; the rows at the first chunk boundary
+    # are parsed at import (a leading zero), the others stay lines
+    size = 3 * csvrows._CHUNK_LINES + 5
+    edge = {csvrows._CHUNK_LINES - 1, csvrows._CHUNK_LINES, csvrows._CHUNK_LINES + 1}
+    rows = [f"{i},{i + 1},{i},{i + 3},{i + 2},{'0' if i in edge else ''}{7 * i},{11 * i},"
+            f"{13 * i},1,MW-22-17,{'Sporadic' if i % 3 else ''},none" for i in range(1, size + 1)]
+    data = "\n".join([",".join(csvrows.HIT_COLUMNS), *rows, ""]).encode("ascii")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "master_hits.csv").write_bytes(data)
+    (tmp_path / "a" / "f1_factors.csv").write_text(",".join(csvrows.FACTOR_COLUMNS) + "\n")
+    (tmp_path / "a" / "fibers.csv").write_text(",".join(csvrows.FIBRE_COLUMNS) + "\n")
+    back = import_csv(tmp_path / "a")
+    assert sum(type(r) is not str for r in back._hits.values()) == len(edge)
+    manifest = dict(export_csv(back, tmp_path / "b"))
+    got = (tmp_path / "b" / "master_hits.csv").read_bytes()
+    assert got == _reference_hits_csv(_reference_rows(data))
+    assert manifest["master_hits.csv"] == hashlib.sha256(got).hexdigest()
+    assert len(csvrows.csv_chunks(csvrows.HIT_COLUMNS, rows)) == 5  # the header and four
+
+
 @pytest.mark.parametrize("form", ["lines", "csv.reader"])
 @pytest.mark.parametrize("name,row,message", [
     ("master_hits.csv", "3,1,2", "master_hits.csv row 4: 3 fields, expected 12"),
