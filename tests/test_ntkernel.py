@@ -108,9 +108,10 @@ def test_factor_golden_f1():
 
 def test_factor_rho_semiprime():
     # both factors above the trial-division bound
-    f = factor(1000003 * 1000033)
-    assert f.factors == [(1000003, 1), (1000033, 1)]
-    assert f.status == "full"
+    for p, q in ((100003, 100019), (1000003, 1000033)):
+        f = factor(p * q)
+        assert f.factors == [(p, 1), (q, 1)]
+        assert f.status == "full"
 
 
 def test_factor_perfect_power_shortcut():
@@ -128,24 +129,88 @@ def test_factor_budget_exhaustion_degrades():
     assert f.product() == n
 
 
-def test_factor_deadline_inside_rho_advance_loop(monkeypatch):
-    # the clock counts reductions mod n, so the deadline falls at a chosen
-    # step; 57000 lies inside the 16384-step advance of the r = 2**14 round
-    steps = 0
+def _counting_clock(monkeypatch):
+    """An int subclass whose reductions `x % n` tick a clock that
+    ntkernel reads as time.monotonic(), and that clock's reading."""
+    steps = [0]
 
     class Modulus(int):
         def __rmod__(self, other):
-            nonlocal steps
-            steps += 1
+            steps[0] += 1
             return int(other) % int(self)
 
-    monkeypatch.setattr(ntkernel, "time", SimpleNamespace(monotonic=lambda: steps))
-    n = (2**61 - 1) * (2**89 - 1)
-    budget = 57000
-    f = factor(Modulus(n), budget=budget)
-    assert f.status == "partial"
-    assert f.residual == n
-    assert steps - budget <= 2 * 128  # one batch past the deadline at most
+    monkeypatch.setattr(ntkernel, "time", SimpleNamespace(monotonic=lambda: steps[0]))
+    return Modulus, lambda: steps[0]
+
+
+def test_factor_deadline_inside_rho_advance_loop(monkeypatch):
+    # the clock counts reductions mod n, so the deadline falls at a chosen
+    # step: rounds r = 1 .. 512 take 3 * 1023 reductions (r advance steps,
+    # then r steps of two reductions), so 3600 lies inside the 1024-step
+    # advance of the last round, r = 2**10
+    Modulus, clock = _counting_clock(monkeypatch)
+    n = Modulus((2**61 - 1) * (2**89 - 1))
+    assert ntkernel._brent_rho(n, math.inf) is None  # the cap, not the clock, stops it
+    assert clock() == 3 * (2 * ntkernel._RHO_CAP - 1)
+    start = clock()
+    budget = 3600
+    assert ntkernel._brent_rho(n, start + budget) is None
+    assert clock() - start - budget <= 2 * 128  # one batch past the deadline at most
+    assert clock() - start < 3 * 1023 + 1024  # stopped before the advance ended
+
+
+def test_factor_deadline_inside_ecm_stages(monkeypatch):
+    # the same clock; a first pass records where stage 2 of the first curve
+    # starts and ends, then one deadline falls inside each stage
+    Modulus, clock = _counting_clock(monkeypatch)
+    n = Modulus((2**61 - 1) * (2**89 - 1))
+    stage2 = ntkernel._ecm_stage2
+    marks = []
+
+    class Stop(Exception):
+        pass
+
+    def first_curve_only(*args):
+        marks.append(clock())
+        assert stage2(*args) is not None
+        marks.append(clock())
+        raise Stop
+
+    monkeypatch.setattr(ntkernel, "_ecm_stage2", first_curve_only)
+    with pytest.raises(Stop):
+        ntkernel._ecm(n, math.inf)
+    begin, end = marks
+    assert begin > 1000 and end - begin > 1000
+
+    def no_stage2(*args):
+        raise AssertionError("stage 1 ran past its deadline")
+
+    for budget, spy in ((begin // 2, no_stage2), ((begin + end) // 2, stage2)):
+        monkeypatch.setattr(ntkernel, "_ecm_stage2", spy)
+        start = clock()
+        assert ntkernel._ecm(n, start + budget) is None
+        assert 0 <= clock() - start - budget <= 2 * 128
+
+
+def test_ecm_splits_a_13_digit_prime_from_a_20_digit_one():
+    p, q = 1000000000039, 10**19 + 51
+    assert is_prime(q) and len(str(q)) == 20
+    assert ntkernel._ecm(p * q, math.inf) in (p, q)
+
+
+def test_ecm_suyama_denominator_sharing_a_prime_is_a_factor():
+    # sigma = 6 gives v = 4 * sigma = 24, which 3 divides
+    p = 1000000000039
+    assert ntkernel._ecm(3 * p, math.inf) == 3
+
+
+def test_factor_three_primes_near_10_to_11():
+    primes = [p for p in range(10**11, 10**11 + 200) if is_prime(p)][:3]
+    n = math.prod(primes)
+    f = factor(n)
+    assert f.status == "full"
+    assert f.factors == [(p, 1) for p in primes]
+    assert all(is_prime(p) for p, _ in f.factors)
 
 
 def _plain_trial_division(n):
@@ -172,7 +237,7 @@ def test_trial_division_by_blocks_matches_plain_loop():
              for i in (k, min(k + ntkernel._BLOCK - 1, len(primes) - 1))]
     audit = [f1(t) for t in audit_tuples()]
     assert len(audit) == 346
-    # the plain loop takes about 12 ms on each of these 90-digit values, so a
+    # the plain loop takes about 2 ms on each of these 90-digit values, so a
     # quarter of them, spread over the whole store, keeps the test short
     inputs = audit[::4]
     inputs += list(range(1, 200))
