@@ -55,9 +55,7 @@ def _parser(command=None) -> argparse.ArgumentParser:
 def _add_verify(sub, db) -> None:
     verify = sub.add_parser("verify", help="run store-wide checks")
     vsub = verify.add_subparsers(dest="check", required=True)
-    p = vsub.add_parser("theorem", parents=[db])
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_verify_theorem)
+    vsub.add_parser("theorem", parents=[db]).set_defaults(func=_cmd_verify_theorem)
     vsub.add_parser("perfect", parents=[db]).set_defaults(func=_cmd_verify_perfect)
     vsub.add_parser("consistency", parents=[db]).set_defaults(func=_cmd_verify_consistency)
     vsub.add_parser("single-blocker", parents=[db]).set_defaults(func=_cmd_verify_single_blocker)
@@ -133,20 +131,13 @@ def _full_records(db: Store) -> list:
     return [rec for rec in db.hits() if rec.f1_status == "full"]
 
 
-def _theorem_verdict(item):
-    t, fact = item
-    return verify_blocker_conjecture(MasterTuple(*t), fact).verdict
-
-
 def _cmd_verify_theorem(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     db = _load(args.db)
     full = _full_records(db)
-    jobs = [(tuple(rec.tuple), db.factorization_of(rec.id)) for rec in full]
     counts = Counter({"verified": 0, "violated": 0, "undecidable_partial": 0})
     violated = []
-    for rec, verdict in zip(full, _pmap(args.jobs, _theorem_verdict, jobs)):
+    for rec in full:
+        verdict = verify_blocker_conjecture(rec.tuple, db.factorization_of(rec.id)).verdict
         counts[verdict] += 1
         if verdict == "violated":
             violated.append(rec.id)
@@ -322,3 +313,7 @@ def _cmd_report(args) -> int:
 def _print_table(label, hist: Counter, key) -> None:
     for value in sorted(hist, key=key):
         print(f"{label}={value} count={hist[value]}")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,16 +4,15 @@ Plain Python ints throughout.  The factor() pipeline has three stages:
 trial division by primes below 10**5 (one gcd per run of 256 primes),
 a divisor split (the cofactor is cut by its gcds with integers the
 caller knows to share factors with it, such as the two free divisors of
-f1 in master.f1_divisors), then on each piece Brent's variant of Pollard
-rho for about 2**12 steps, followed by the elliptic curve method (ECM,
-Lenstra; Montgomery curves and stage 2 after Montgomery 1987) curve
-after curve until the deadline.  Rho keeps small factors cheap; ECM
-finds the factors of 10-13 digits that rho would need 0.05-1 s for.
-Whatever survives the time budget is returned as a composite residual
-and the result is marked partial instead of raising.
+f1 in master.f1_divisors), then on each piece the elliptic curve method
+(ECM, Lenstra; Montgomery curves and stage 2 after Montgomery 1987),
+curve after curve until the deadline.  Whatever survives the time
+budget is returned as a composite residual and the result is marked
+partial instead of raising.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from array import array
@@ -23,9 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
-TRIAL_LIMIT = 10**5  # rho and ECM find the primes above it (see factor)
+TRIAL_LIMIT = 10**5  # ECM finds the primes above it (see factor)
 DEFAULT_BUDGET = 600.0  # seconds, per factored integer
-_RHO_CAP = 1 << 10  # longest Brent round: about 2**12 steps in all
 _ECM_B1 = 200
 _ECM_B2 = 20_000
 _ECM_D = 210  # giant step of stage 2, 2*3*5*7
@@ -194,34 +192,27 @@ class Factorization:
         return out
 
 
-_trial_primes_cache: array | None = None
-_trial_blocks_cache: list[tuple[int, int]] | None = None
 _BLOCK = 256  # trial primes per gcd
 
 
+@functools.cache
 def _trial_primes() -> array:
     """The primes below TRIAL_LIMIT as 4-byte machine ints, also the primes
     of ECM's stage 2: a list of int objects would hold nine times the
     memory for the life of the process."""
-    global _trial_primes_cache
-    if _trial_primes_cache is None:
-        sieve = bytearray([1]) * TRIAL_LIMIT
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(TRIAL_LIMIT) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytes((TRIAL_LIMIT - 1 - i * i) // i + 1)
-        _trial_primes_cache = array("I", compress(range(TRIAL_LIMIT), sieve))
-    return _trial_primes_cache
+    sieve = bytearray([1]) * TRIAL_LIMIT
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(TRIAL_LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes((TRIAL_LIMIT - 1 - i * i) // i + 1)
+    return array("I", compress(range(TRIAL_LIMIT), sieve))
 
 
+@functools.cache
 def _trial_blocks() -> list[tuple[int, int]]:
     """The product of each run of _BLOCK trial primes, with the index of its first prime."""
-    global _trial_blocks_cache
-    if _trial_blocks_cache is None:
-        primes = _trial_primes()
-        _trial_blocks_cache = [(math.prod(primes[i:i + _BLOCK]), i)
-                               for i in range(0, len(primes), _BLOCK)]
-    return _trial_blocks_cache
+    primes = _trial_primes()
+    return [(math.prod(primes[i:i + _BLOCK]), i) for i in range(0, len(primes), _BLOCK)]
 
 
 def _trial_divide(n: int) -> tuple[dict[int, int], int]:
@@ -273,81 +264,30 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _brent_rho(n: int, deadline: float) -> int | None:
-    """A nontrivial factor of composite odd n, or None when the deadline
-    passes or a round would be longer than _RHO_CAP steps.
-
-    Brent's cycle finder with products of differences accumulated so a
-    gcd is only taken once per batch; the polynomial constant is bumped
-    whenever a run collapses to the trivial factor.
-    """
-    c = 1
-    while time.monotonic() < deadline:
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        batch = 128
-        while g == 1:
-            if r > _RHO_CAP:
-                return None
-            x = y
-            for j in range(0, r, batch):
-                for _ in range(min(batch, r - j)):
-                    y = (y * y + c) % n
-                if time.monotonic() >= deadline:
-                    return None
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += batch
-                if g == 1 and time.monotonic() >= deadline:
-                    return None
-            r *= 2
-        if g == n:
-            # batch overshot; replay one step at a time from the saved point
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1
-    return None
-
-
-_ecm_tables_cache: tuple[tuple[str, ...], tuple[tuple[int, ...], ...]] | None = None
-
-
+@functools.cache
 def _ecm_tables() -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
     """The bits of k = prod p**floor(log_p B1) after the leading one, in runs
     of 16, and for each giant step i = 1, 2, ... the baby steps j < D/2 with
     i*D +- j a prime in (B1, B2], each as j // 2 (one j serves both signs,
     as x(jQ) = x(-jQ))."""
-    global _ecm_tables_cache
-    if _ecm_tables_cache is None:
-        primes = _trial_primes()
-        lo, hi = bisect_right(primes, _ECM_B1), bisect_right(primes, _ECM_B2)
-        k = 1
-        for p in primes[:lo]:
-            q = p
-            while q * p <= _ECM_B1:
-                q *= p
-            k *= q
-        bits = bin(k)[3:]
-        # B1 >= D/2, so every prime in (B1, B2] is i*D +- j with i >= 1
-        giants: list[set[int]] = [set() for _ in range((_ECM_B2 + _ECM_D // 2) // _ECM_D)]
-        for q in primes[lo:hi]:
-            i, j = divmod(q, _ECM_D)
-            if j > _ECM_D // 2:
-                i, j = i + 1, _ECM_D - j
-            giants[i - 1].add(j // 2)
-        _ecm_tables_cache = (tuple(bits[i:i + 16] for i in range(0, len(bits), 16)),
-                             tuple(tuple(sorted(g)) for g in giants))
-    return _ecm_tables_cache
+    primes = _trial_primes()
+    lo, hi = bisect_right(primes, _ECM_B1), bisect_right(primes, _ECM_B2)
+    k = 1
+    for p in primes[:lo]:
+        q = p
+        while q * p <= _ECM_B1:
+            q *= p
+        k *= q
+    bits = bin(k)[3:]
+    # B1 >= D/2, so every prime in (B1, B2] is i*D +- j with i >= 1
+    giants: list[set[int]] = [set() for _ in range((_ECM_B2 + _ECM_D // 2) // _ECM_D)]
+    for q in primes[lo:hi]:
+        i, j = divmod(q, _ECM_D)
+        if j > _ECM_D // 2:
+            i, j = i + 1, _ECM_D - j
+        giants[i - 1].add(j // 2)
+    return (tuple(bits[i:i + 16] for i in range(0, len(bits), 16)),
+            tuple(tuple(sorted(g)) for g in giants))
 
 
 def _xdbl(n: int, x: int, z: int, a24: int) -> tuple[int, int]:
@@ -464,33 +404,30 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
     d = gcd(p, g) and p // d when 1 < d < p.  Only gcds are used, so any
     integers are safe there; one that shares some but not all primes of a
     piece saves stage 3 work.  Stage 3 splits each composite piece that is
-    not a perfect power, recursively: Brent rho up to its round of 2**10
-    steps (`_brent_rho`), then ECM until the deadline (`_ecm`), with
-    B1 = 200, B2 = 20,000 and giant step D = 210.  All emitted primes pass
-    is_prime.  Budget exhaustion is not an error, the unsplit pieces
+    not a perfect power, recursively, by ECM until the deadline (`_ecm`),
+    with B1 = 200, B2 = 20,000 and giant step D = 210.  All emitted primes
+    pass is_prime.  Budget exhaustion is not an error, the unsplit pieces
     multiply into the residual and the status degrades to "partial".
 
     The constants balance one another at the cost of a modular operation
-    in Python.  Capped rho finds the primes up to about 10**6 within
-    about 2**12 steps, the cost of one ECM curve (about 3 ms on a
-    150-bit piece), so trial division stops at 10**5: above that a prime
-    is cheaper to find in the pieces that hold it than to divide out of
-    every n.  With B1 = 200 and B2 = 100 B1, one curve finds a prime of
-    10-11 digits about one time in ten and one of 13 digits about one time
-    in a hundred, and a 0.05 s budget runs about fifteen curves; bounds
-    from 150 to 300 for B1 gave the same number of full results on the
-    factor-audit store.
+    in Python.  One ECM curve costs about 3 ms on a 150-bit piece and
+    finds a prime below 10**6 within a curve or two, so trial division
+    stops at 10**5: above that a prime is cheaper to find in the pieces
+    that hold it than to divide out of every n.  With B1 = 200 and
+    B2 = 100 B1, one curve finds a prime of 10-11 digits about one time in
+    ten and one of 13 digits about one time in a hundred, and a 0.05 s
+    budget runs about fifteen curves; bounds from 150 to 300 for B1 gave
+    the same number of full results on the factor-audit store.
 
     >>> factor(2021).factors
     [(43, 1), (47, 1)]
 
-    ECM splits two primes of 13 and 14 digits, which rho would need about
-    10**6 steps for:
+    ECM splits two primes of 13 and 14 digits:
 
     >>> factor(1000000000039 * 10000000000037).factors
     [(1000000000039, 1), (10000000000037, 1)]
 
-    With no time for rho or ECM, a divisor sharing one prime still splits n:
+    With no time for ECM, a divisor sharing one prime still splits n:
 
     >>> n = 1000000000039 * 10000000000037
     >>> factor(n, budget=0).status
@@ -518,9 +455,7 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
         if pw is not None:
             stack.append((pw[0], mult * pw[1]))
             continue
-        d = None
-        if time.monotonic() < deadline:
-            d = _brent_rho(m, deadline) or _ecm(m, deadline)
+        d = _ecm(m, deadline)
         if d is None:
             leftovers.append(m**mult)
             continue

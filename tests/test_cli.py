@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,8 +111,6 @@ def test_factorize_parallel_matches_serial(db, tmp_path_factory, monkeypatch, ca
     (["factorize", "--budget", "inf"], "--budget must be a finite number above 0"),
     (["factorize", "--jobs", "0"], "--jobs must be at least 1"),
     (["factorize", "--jobs", "-4"], "--jobs must be at least 1"),
-    (["verify", "theorem", "--jobs", "0"], "--jobs must be at least 1"),
-    (["verify", "theorem", "--jobs", "-4"], "--jobs must be at least 1"),
 ], ids=" ".join)
 def test_bad_budget_or_jobs_is_operational_error(db, capsys, argv, message):
     seeded_db(db, factored=False)
@@ -226,6 +227,32 @@ def test_usage_error_exit_code(db):
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", "--what", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_verify_theorem_has_no_jobs_option(db, capsys):
+    seeded_db(db)
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "theorem", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
+
+
+def test_module_entry_point_runs_main(db, tmp_path):
+    seeded_db(db)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "brickforge.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    missing = run("verify", "theorem", "--db", str(tmp_path / "missing"))
+    assert missing.returncode == 2 and "does not exist" in missing.stderr
+    perfect = run("verify", "perfect", "--db", str(db))
+    assert perfect.returncode == 0 and "records=2 perfect_cuboids=0" in perfect.stdout
 
 
 def test_corrupted_store_is_operational_error(db, capsys):

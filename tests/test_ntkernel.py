@@ -106,9 +106,10 @@ def test_factor_golden_f1():
     assert f.factors == [(7, 2), (13, 3), (61, 1), (1597, 1), (9349, 1)]
 
 
-def test_factor_rho_semiprime():
-    # both factors above the trial-division bound
-    for p, q in ((100003, 100019), (1000003, 1000033)):
+def test_factor_ecm_splits_primes_just_above_the_trial_bound():
+    # both factors above the trial-division bound; the last pairs a prime
+    # just above it with a large one
+    for p, q in ((100003, 100019), (1000003, 1000033), (100003, 2**89 - 1)):
         f = factor(p * q)
         assert f.factors == [(p, 1), (q, 1)]
         assert f.status == "full"
@@ -143,25 +144,10 @@ def _counting_clock(monkeypatch):
     return Modulus, lambda: steps[0]
 
 
-def test_factor_deadline_inside_rho_advance_loop(monkeypatch):
-    # the clock counts reductions mod n, so the deadline falls at a chosen
-    # step: rounds r = 1 .. 512 take 3 * 1023 reductions (r advance steps,
-    # then r steps of two reductions), so 3600 lies inside the 1024-step
-    # advance of the last round, r = 2**10
-    Modulus, clock = _counting_clock(monkeypatch)
-    n = Modulus((2**61 - 1) * (2**89 - 1))
-    assert ntkernel._brent_rho(n, math.inf) is None  # the cap, not the clock, stops it
-    assert clock() == 3 * (2 * ntkernel._RHO_CAP - 1)
-    start = clock()
-    budget = 3600
-    assert ntkernel._brent_rho(n, start + budget) is None
-    assert clock() - start - budget <= 2 * 128  # one batch past the deadline at most
-    assert clock() - start < 3 * 1023 + 1024  # stopped before the advance ended
-
-
 def test_factor_deadline_inside_ecm_stages(monkeypatch):
-    # the same clock; a first pass records where stage 2 of the first curve
-    # starts and ends, then one deadline falls inside each stage
+    # the clock counts reductions mod n, so a deadline falls at a chosen
+    # step; a first pass records where stage 2 of the first curve starts
+    # and ends, then one deadline falls inside each stage
     Modulus, clock = _counting_clock(monkeypatch)
     n = Modulus((2**61 - 1) * (2**89 - 1))
     stage2 = ntkernel._ecm_stage2
@@ -304,7 +290,7 @@ def test_factor_with_junk_divisors_keeps_its_invariants():
                 assert f == plain
 
 
-def test_divisor_split_works_without_rho():
+def test_divisor_split_works_with_no_time_for_ecm():
     p, q, r = 1000000000039, 10000000000037, 100000000000031
     n = p * q * r
     assert factor(n, budget=0.0).status == "partial"
