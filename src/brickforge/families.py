@@ -163,6 +163,8 @@ def load_tables(dirpath):
         if not name.endswith(".txt"):
             continue
         tag = name[:-4]
+        if tag not in FAMILY_TAGS:
+            raise ValueError(f"{os.path.join(dirpath, name)}: {tag!r} is not a family tag")
         with open(os.path.join(dirpath, name), encoding="ascii") as fh:
             tables[tag] = {
                 tuple(int(tok) for tok in line.split()) for line in fh if line.strip()

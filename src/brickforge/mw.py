@@ -27,9 +27,10 @@ from the root 2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`,
 one gcd).  Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)}
 is computed: translation by (e1,0) keeps tau and translation by (e2,0)
 or (e3,0) inverts it (an exact identity, see `_cosets`), so one root
-decides the lifts of all four translates.  A translate that a bit-length
-bound cannot keep under the size cap, and every translate of a base at
-infinity or above a torsion point, is lifted on its own (`_lift_one`).
+decides the lifts of all four translates.  A base at infinity or above a
+torsion point, where the shift is undefined, lifts each translate from
+the group law (`fibration.lift_point`).  A base past the size cap is
+skipped with all of its translates.
 Each distinct lifted pair is certified once per run.
 """
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .master import (
 )
 from .ntkernel import is_perfect_square, is_square_rational
 
-DIGIT_CAP = 10000  # skip combination points with larger coordinates
+DIGIT_CAP = 10000  # skip combination points with larger coordinates and their translates
 _CAP_BITS = DIGIT_CAP * 33220 // 10000 + 8  # log2(10) < 3.3220
 
 
@@ -120,16 +121,20 @@ def load_seed_file(path, c: FibreCurve, torsion=None) -> GeneratorSet:
             tokens = line.split("#")[0].split()
             if not tokens:
                 continue
+            if len(tokens) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two fields")
+            try:
+                values = [Fraction(tok) for tok in (tokens[1:] if tokens[0] == "t" else tokens)]
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{path}:{lineno}: expected fractions a/b with b != 0") from None
             if tokens[0] == "t":
-                t = Fraction(tokens[1])
+                t = values[0]
                 s = is_square_rational(quartic_rhs(c, t))
                 if s is None:
                     raise ValueError(f"{path}:{lineno}: t = {t} is not on a hit")
                 P = phi(c, t, s)
             else:
-                if len(tokens) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected two fields")
-                P = CurvePoint(Fraction(tokens[0]), Fraction(tokens[1]))
+                P = CurvePoint(*values)
                 if not on_curve(c, P):
                     raise ValueError(f"{path}:{lineno}: point not on fibre ({c.m},{c.n})")
             if P not in torsion_set and P not in points:
@@ -157,17 +162,6 @@ def _coefficient_vectors(r: int, K: int) -> list[tuple[int, ...]]:
     return [v for s in range(1, r * K + 1) for v in lead[s]]
 
 
-def _too_large(P: CurvePoint) -> bool:
-    if P.is_infinity:
-        return False
-    return max(
-        P.X.numerator.bit_length(),
-        P.X.denominator.bit_length(),
-        P.Y.numerator.bit_length(),
-        P.Y.denominator.bit_length(),
-    ) > _CAP_BITS
-
-
 def _shift(c: FibreCurve, p: int, r: int, d: int, xT: int, yT: int) -> tuple[int, int, int]:
     """base + T for integral T off the vertical line of base = (p/d^2, r/d^3):
     (u, w, D) with X = u/D^2 and Y = w/D^3, unreduced."""
@@ -178,25 +172,6 @@ def _shift(c: FibreCurve, p: int, r: int, d: int, xT: int, yT: int) -> tuple[int
     pe2 = p * e * e
     u = N * N - (c.B + xT) * D * D - pe2
     return u, N * (pe2 - u) - r * e**3, D
-
-
-def _lift_one(c: FibreCurve, base, shift, stats: MwStats) -> EuclidPair | None:
-    """The lift of the translate base + T found on its own, None where there
-    is none; a translate too large to try is counted in `stats`."""
-    T, xT, yT = shift
-    if base is None or xT is not None and base[2] == 1 and base[0] == xT:
-        R = add(c, _point(base), T)
-        if _too_large(R):
-            stats.skipped_large += 1
-            return None
-        return lift_point(c, R)
-    u, w, D = base if xT is None else _shift(c, *base, xT, yT)
-    # reduction only shrinks these bit lengths, so reduce only past the bound
-    if max(u.bit_length(), w.bit_length(), 3 * D.bit_length()) > _CAP_BITS and _too_large(
-            CurvePoint(Fraction(u, D * D), Fraction(w, D**3))):
-        stats.skipped_large += 1
-        return None
-    return lift_pairs(c, u, w, D)[0]
 
 
 def _sum(c: FibreCurve, P, Q):
@@ -214,8 +189,8 @@ def _cosets(c: FibreCurve, points: list[CurvePoint]):
     """The torsion points grouped into cosets of E[2] = {O, (e1,0), (e2,0), (e3,0)}.
 
     Returns the index of each coset's representative and, per point, the
-    number of its coset, whether the point is the representative plus
-    (e2,0) or (e3,0), and whether it is a twin (not the representative).
+    pair (coset, inverted): the number of its coset, and whether the point
+    is the representative plus (e2,0) or (e3,0).
     Translation by (e, 0) sends X to e + K/(X - e), K = (e - e')(e - e'').
     With tau = 4 gamma^2 (X + B) / ((X - 2 gamma^2)(X + 2 gamma^2)), (e1,0)
     gives X' + B = (B^2 - 4 gamma^4)/(X + B), so tau is kept, and (e2,0)
@@ -231,11 +206,11 @@ def _cosets(c: FibreCurve, points: list[CurvePoint]):
     for i, T in enumerate(points):
         if coset[i] is not None:
             continue
-        coset[i] = (len(reps), False, False)
+        coset[i] = (len(reps), False)
         for E, inverted in ((E1, False), (E2, True), (E3, True)):
             j = index.get(add(c, T, E))
             if j is not None:
-                coset[j] = (len(reps), inverted, True)
+                coset[j] = (len(reps), inverted)
         reps.append(i)
     return reps, coset
 
@@ -250,42 +225,15 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
         if not on_curve(c, T):
             raise ValueError(f"torsion point {T} not on fibre ({c.m},{c.n})")
         if T.is_infinity:
-            shifts.append((T, None, None))
+            shifts.append((None, None))
         elif T.X.denominator != 1 or T.Y.denominator != 1:
             # Nagell-Lutz on this integral model
             raise AssertionError(f"torsion point {T} not integral on fibre ({c.m},{c.n})")
         else:
-            shifts.append((T, T.X.numerator, T.Y.numerator))
-    torsion_xs = {xT for _, xT, _ in shifts if xT is not None}
+            shifts.append((T.X.numerator, T.Y.numerator))
+    torsion_xs = {xT for xT, _ in shifts if xT is not None}
     reps, coset = _cosets(c, torsion.points)
-    reps = [shifts[i][1:] for i in reps]
-    # translating X = u/D^2 by (e, 0) gives X' = (e v + K D^2)/v and
-    # Y' = -K w D / v^2 with v = u - e D^2, K = (e - e')(e - e''); these
-    # bound the bit lengths of the twins of each coset representative
-    roots = (c.e1, c.e2, c.e3)
-    e_bits = max(abs(e).bit_length() for e in roots)
-    K_bits = max(abs((e - roots[i - 1]) * (e - roots[i - 2])).bit_length()
-                 for i, e in enumerate(roots))
-
-    def lift_by_coset(base: tuple[int, int, int]) -> list:
-        # one root of tau per coset; a translate that may be too large is lifted on its own
-        shared = []
-        for xT, yT in reps:
-            u, w, D = base if xT is None else _shift(c, *base, xT, yT)
-            bu, bw, bD = u.bit_length(), w.bit_length(), D.bit_length()
-            bv = max(bu, e_bits + 2 * bD) + 1
-            twin_bits = max(e_bits + bv + 1, K_bits + 2 * bD + 1, K_bits + bw + bD, 2 * bv)
-            shared.append((lift_pairs(c, u, w, D),
-                           max(bu, bw, 3 * bD) <= _CAP_BITS, twin_bits <= _CAP_BITS))
-        out = []
-        for shift, (k, inverted, twin) in zip(shifts, coset):
-            lifts, rep_fits, twin_fits = shared[k]
-            if twin_fits if twin else rep_fits:
-                out.append(lifts[inverted])
-            else:
-                out.append(_lift_one(c, base, shift, stats))
-        return out
-
+    reps = [shifts[i] for i in reps]
     multiples = []
     for P in g.points:
         if not on_curve(c, P):
@@ -316,11 +264,20 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     certified: dict[EuclidPair, MasterTuple] = {}  # lifted pair -> canonical tuple
     for vec in _coefficient_vectors(len(g.points), K):
         base = _sum(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
-        if base is None or base[2] == 1 and base[0] in torsion_xs:  # or above a torsion point
-            pairs = [_lift_one(c, base, shift, stats) for shift in shifts]
+        stats.candidates += len(shifts)
+        # the bit lengths of the reduced X = p/d^2 and Y = r/d^3
+        if base is not None and max(base[0].bit_length(), base[1].bit_length(),
+                                    (base[2] ** 3).bit_length()) > _CAP_BITS:
+            stats.skipped_large += len(shifts)
+            continue
+        if base is None or base[2] == 1 and base[0] in torsion_xs:  # no shift is defined
+            P = _point(base)
+            pairs = [lift_point(c, add(c, P, T)) for T in torsion.points]
         else:
-            pairs = lift_by_coset(base)
-        stats.candidates += len(pairs)
+            # one root of tau per coset
+            roots = [lift_pairs(c, *(base if xT is None else _shift(c, *base, xT, yT)))
+                     for xT, yT in reps]
+            pairs = [roots[k][inverted] for k, inverted in coset]
         for pair in pairs:
             if pair is None:
                 continue

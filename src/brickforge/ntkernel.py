@@ -28,7 +28,6 @@ _ECM_B1 = 200
 _ECM_B2 = 20_000
 _ECM_D = 210  # giant step of stage 2, 2*3*5*7
 
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -154,8 +153,12 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below 2**64 (fixed Miller-Rabin bases); Baillie-PSW
-    probable-prime answer above that, which has no known counterexample."""
+    """Baillie-PSW: Miller-Rabin to base 2, then the strong Lucas test.
+
+    Deterministic below 2**64: Gilchrist (2009) ran the strong Lucas test
+    on Feitsma's complete list of base-2 strong pseudoprimes below 2**64,
+    and none passes it.  Above 2**64 a probable-prime answer, with no
+    known counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -163,8 +166,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < 2**64:
-        return not any(_mr_composite(n, a) for a in _MR_BASES_64)
     return not _mr_composite(n, 2) and _strong_lucas_prp(n)
 
 

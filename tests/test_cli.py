@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from brickforge import cli, master
+from brickforge.families import primitive_sorted
 from brickforge.master import MasterTuple
 from brickforge.ntkernel import Factorization
 from brickforge.store import Store, export_csv, import_csv
@@ -152,6 +153,17 @@ def test_mw_run_rejects_bad_pair_and_bad_K(db, capsys):
                      "--seed-height", "20", "--K", "0"]) == 2
 
 
+def test_mw_run_bad_seed_file_is_operational_error(db, tmp_path_factory, capsys):
+    seeded_db(db)
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
+    seeds = tmp_path_factory.mktemp("seeds") / "seeds.txt"
+    seeds.write_text("1/0 3\n")
+    assert cli.main(["mw", "run", "--m", "44", "--n", "9",
+                     "--seeds", str(seeds), "--K", "1"]) == 2
+    assert "seeds.txt:1" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
+
+
 def test_mw_run_empty_fibre(db, capsys):
     assert cli.main(["mw", "run", "--m", "2", "--n", "1",
                      "--seed-height", "20", "--K", "2"]) == 0
@@ -177,6 +189,19 @@ def test_families_build_and_classify(db, capsys):
 def test_families_classify_without_tables(db):
     seeded_db(db)
     assert cli.main(["families", "classify"]) == 2
+
+
+def test_families_classify_rejects_unknown_table(db, capsys):
+    seeded_db(db)
+    assert cli.main(["families", "build", "--saunderson-max", "50",
+                     "--lenhart-max", "13"]) == 0
+    rec = import_csv(db).find(GOLDEN)
+    brick = primitive_sorted(rec.x, rec.y, rec.z)
+    (db / "families" / "notes;x.txt").write_text(f"{brick[0]} {brick[1]} {brick[2]}\n")
+    before = {path.name: path.read_bytes() for path in db.iterdir() if path.is_file()}
+    assert cli.main(["families", "classify"]) == 2
+    assert "'notes;x' is not a family tag" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in db.iterdir() if path.is_file()} == before
 
 
 def test_report_k_distribution(db, capsys):

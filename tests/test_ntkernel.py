@@ -61,6 +61,7 @@ def test_is_prime_small():
     assert not is_prime(5329)  # 73**2
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2,...,23
 
 
 def test_is_prime_large():
@@ -69,8 +70,9 @@ def test_is_prime_large():
     assert is_prime(1167800789401)
     assert is_prime(17337223625401)
     assert is_prime(8006882310769)
-    assert is_prime(2**89 - 1)  # above 2**64, Baillie-PSW path
+    assert is_prime(2**89 - 1)  # above 2**64
     assert not is_prime((2**61 - 1) ** 2)
+    assert not is_prime(318665857834031151167461)  # strong pseudoprime to bases 2,...,37
 
 
 def test_is_prime_matches_sieve():
