@@ -165,8 +165,16 @@ def load_tables(dirpath):
         tag = name[:-4]
         if tag not in FAMILY_TAGS:
             raise ValueError(f"{os.path.join(dirpath, name)}: {tag!r} is not a family tag")
-        with open(os.path.join(dirpath, name), encoding="ascii") as fh:
-            tables[tag] = {
-                tuple(int(tok) for tok in line.split()) for line in fh if line.strip()
-            }
+        path = os.path.join(dirpath, name)
+        table = tables[tag] = set()
+        with open(path, encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                try:
+                    x, y, z = map(int, tokens)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected three integers") from None
+                table.add((x, y, z))
     return tables

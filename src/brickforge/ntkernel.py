@@ -306,11 +306,11 @@ def _xadd(n: int, xp: int, zp: int, xq: int, zq: int, xd: int, zd: int) -> tuple
     return zd * (u + w) ** 2 % n, xd * (u - w) ** 2 % n
 
 
-def _ecm_stage2(n: int, x: int, z: int, a24: int, deadline: float) -> int | None:
+def _ecm_stage2(n: int, x: int, z: int, a24: int, deadline: float) -> list[int] | None:
     """The product of X_G*Z_j - X_j*Z_G over the baby steps jQ and giant
-    steps G = iDQ with i*D +- j a prime in (B1, B2], for Q = (x:z); a prime
-    p of n divides it when the order of Q mod p is such a prime.  None when
-    the deadline passes."""
+    steps G = iDQ with i*D +- j a prime in (B1, B2], for Q = (x:z), as it
+    stands after each giant step; a prime p of n divides the last when the
+    order of Q mod p is such a prime.  None when the deadline passes."""
     giants = _ecm_tables()[1]
     x2, z2 = _xdbl(n, x, z, a24)
     odd = [(x, z), _xadd(n, x2, z2, x, z, x, z)]  # (2i + 1) Q
@@ -321,15 +321,16 @@ def _ecm_stage2(n: int, x: int, z: int, a24: int, deadline: float) -> int | None
         odd.append(_xadd(n, xb, zb, x2, z2, xa, za))
     xr, zr = _xdbl(n, *odd[-1], a24)  # D Q = 2 (D/2) Q
     xg, zg, xh, zh = xr, zr, *_xdbl(n, xr, zr, a24)  # iDQ and (i + 1)DQ, i = 1
-    acc = 1
+    acc, products = 1, []
     for i, near in enumerate(giants):
         if i % 4 == 0 and time.monotonic() >= deadline:
             return None
         for b in near:
             xj, zj = odd[b]
             acc = acc * (xg * zj - xj * zg) % n
+        products.append(acc)
         xg, zg, xh, zh = xh, zh, *_xadd(n, xh, zh, xr, zr, xg, zg)
-    return acc
+    return products
 
 
 def _ecm(n: int, deadline: float) -> int | None:
@@ -338,8 +339,11 @@ def _ecm(n: int, deadline: float) -> int | None:
 
     One curve per sigma = 6, 7, 8, ...: Suyama's parametrisation of a
     Montgomery curve, whose group order is divisible by 12; stage 1 is an
-    x:z Montgomery ladder for kP, stage 2 is `_ecm_stage2`.  A gcd equal
-    to n moves on to the next sigma.
+    x:z Montgomery ladder for kP, stage 2 is `_ecm_stage2`.  When the
+    stage-2 product holds every prime of n, the product after the first
+    giant step that shares a factor with n separates primes caught at
+    different giant steps.  Any other gcd equal to n moves on to the next
+    sigma.
     """
     chunks = _ecm_tables()[0]
     sigma = 5
@@ -378,10 +382,12 @@ def _ecm(n: int, deadline: float) -> int | None:
                 return None
         g = math.gcd(z, n)
         if g == 1:
-            acc = _ecm_stage2(n, x, z, a24, deadline)
-            if acc is None:
+            products = _ecm_stage2(n, x, z, a24, deadline)
+            if products is None:
                 return None
-            g = math.gcd(acc, n)
+            g = math.gcd(products[-1], n)
+            if g == n:  # every prime caught: the first giant step that catches one
+                g = next(h for h in (math.gcd(acc, n) for acc in products) if h > 1)
         if 1 < g < n:
             return g
     return None

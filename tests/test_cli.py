@@ -204,6 +204,20 @@ def test_families_classify_rejects_unknown_table(db, capsys):
     assert {path.name: path.read_bytes() for path in db.iterdir() if path.is_file()} == before
 
 
+
+@pytest.mark.parametrize("line", ["1 2", "44 117 240 7", "44 117 x"])
+def test_families_classify_rejects_a_malformed_table_line(db, capsys, line):
+    seeded_db(db)
+    assert cli.main(["families", "build", "--saunderson-max", "50",
+                     "--lenhart-max", "13"]) == 0
+    table = db / "families" / "Saunderson.txt"
+    table.write_text(table.read_text() + f"{line}\n")
+    lineno = table.read_text().count("\n")
+    before = {path.name: path.read_bytes() for path in db.iterdir() if path.is_file()}
+    assert cli.main(["families", "classify"]) == 2
+    assert f"Saunderson.txt:{lineno}: expected three integers" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in db.iterdir() if path.is_file()} == before
+
 def test_report_k_distribution(db, capsys):
     seeded_db(db)
     assert cli.main(["report", "--what", "k-distribution"]) == 0

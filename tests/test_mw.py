@@ -1,12 +1,14 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
 from conftest import admissible_fibres
-from brickforge import master, mw
+from brickforge import ecq, master, mw
 from brickforge.ecq import (
     INFINITY, CurvePoint, TorsionGroup, add, neg, scalar_mul, torsion_subgroup, two_torsion,
 )
@@ -442,3 +444,138 @@ def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
     assert 0 < stats.skipped_large < stats.candidates
     assert stats.skipped_large % len(tor.points) == 0
     _assert_walks_agree(g, 2, tor)
+
+
+@pytest.mark.parametrize("cap", [40, 80, 120, 200])
+def test_skipped_large_matches_reference_with_dependent_seeds(monkeypatch, cap):
+    # the (22,17) seeds are dependent, so later vectors reuse the result of
+    # an earlier one of the same point; the cap is tested per point, so a
+    # point must not be merged with its torsion translates or its negative
+    monkeypatch.setattr(mw, "_CAP_BITS", cap)
+    c = build_fibre(22, 17)
+    tor = torsion_subgroup(c)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    stats = _assert_matches_reference(g, 2, tor)
+    assert 0 < stats.skipped_large < stats.candidates
+
+
+def _random_relations(rng, r, how_many):
+    return [tuple(rng.randint(-6, 6) * rng.randint(1, 3) for _ in range(r))
+            for _ in range(how_many)]
+
+
+def _echelon(relations):
+    basis = []
+    for w in relations:
+        mw._add_relation(basis, w)
+    return basis
+
+
+def test_relation_basis_is_echelon_and_reduction_canonical():
+    rng = random.Random(13)
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        relations = _random_relations(rng, r, rng.randint(1, 4))
+        basis = _echelon(relations)
+        pivots = [p for p, _ in basis]
+        assert pivots == sorted(set(pivots))
+        for p, row in basis:
+            assert row[p] > 0 and not any(row[:p])
+        for w in relations:
+            assert mw._reduce(basis, w) == (0,) * r
+            assert mw._add_relation(list(basis), w) is False
+        for _ in range(5):
+            v = tuple(rng.randint(-9, 9) for _ in range(r))
+            key = mw._reduce(basis, v)
+            assert mw._reduce(basis, key) == key
+            assert all(0 <= key[p] < row[p] for p, row in basis)
+            moved = list(v)
+            for w in relations:
+                k = rng.randint(-5, 5)
+                moved = [x + k * y for x, y in zip(moved, w)]
+            assert mw._reduce(basis, tuple(moved)) == key
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_relation_basis_spans_exactly_the_relations():
+    # the basis holds every relation; its index in Z^3 equals the gcd of
+    # the 3x3 minors of the relations, so it holds nothing more
+    rng = random.Random(17)
+    tested = 0
+    for _ in range(200):
+        relations = _random_relations(rng, 3, rng.randint(3, 5))
+        index = 0
+        for rows in combinations(relations, 3):
+            index = gcd(index, _det3(rows))
+        if index == 0:
+            continue
+        basis = _echelon(relations)
+        assert [p for p, _ in basis] == [0, 1, 2]
+        assert basis[0][1][0] * basis[1][1][1] * basis[2][1][2] == index
+        tested += 1
+    assert tested > 150
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (6, 5)])
+def test_listed_point_of_infinite_order_gives_no_relation(monkeypatch, m, n):
+    # an integral seed put in a hand-built torsion list: the base that lands
+    # on it takes the group-law path, and as it is not torsion no relation
+    # is recorded from it
+    c = build_fibre(m, n)
+    tor = torsion_subgroup(c)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    P = next(P for P in g.points if P.X.denominator == 1)
+    recorded = []
+    add_relation = mw._add_relation
+
+    def recording(basis, w):
+        recorded.append(w)
+        return add_relation(basis, w)
+
+    monkeypatch.setattr(mw, "_add_relation", recording)
+    enumerate_and_certify(g, 2, tor)
+    plain = list(recorded)
+    recorded.clear()
+    _assert_matches_reference(g, 2, TorsionGroup(tor.structure, tor.points + [P]))
+    assert recorded == plain
+
+
+def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
+    # bench fibre (22,17), H=80, K=3: 8,403 coefficient vectors land on 2,312
+    # points; counts and outputs keep their box meaning
+    calls = {"lift_pairs": 0, "_chord": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(mw, "lift_pairs")
+    counting(mw, "_chord")
+    counting(ecq, "_chord")
+    c = build_fibre(22, 17)
+    tor = torsion_subgroup(c)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80), tor), 3, tor)
+    assert (run.stats.candidates, run.stats.certified, len(run.outputs)) == (67224, 16770, 1059)
+    assert calls["lift_pairs"] <= 5000  # 16,770 with every vector walked
+    assert calls["_chord"] <= 3000  # 8,386 with every vector walked
+
+
+def test_deep_walk_at_height_150_and_K_4():
+    # pinned to the outputs of the walk that summed every vector
+    c = build_fibre(22, 17)
+    tor = torsion_subgroup(c)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 150), tor), 4, tor)
+    assert run.stats == MwStats(candidates=2125760, lifted=531072, certified=531072,
+                                skipped_large=0)
+    text = "".join(f"{t.a},{t.b},{t.m},{t.n}\n" for t in run.outputs)
+    assert len(run.outputs) == 4600
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "596f13778799e6a4084e7a16b78d0ead977ecb2446193e8fb470b68f75f7cea1")

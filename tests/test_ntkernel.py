@@ -192,6 +192,29 @@ def test_ecm_suyama_denominator_sharing_a_prime_is_a_factor():
     assert ntkernel._ecm(3 * p, math.inf) == 3
 
 
+
+def test_ecm_separates_two_primes_caught_in_one_stage2_product(monkeypatch):
+    # the sigma = 6 curve misses both primes in stage 1 and catches both in
+    # stage 2, 1000037 at giant step 15 and 1000033 at step 22, so the whole
+    # product is 0 mod n; the product after step 15 separates them on that
+    # same curve
+    p, q = 1000037, 1000033
+    n = p * q
+    calls = []
+    stage2 = ntkernel._ecm_stage2
+
+    def recording(*args):
+        calls.append(args)
+        return stage2(*args)
+
+    monkeypatch.setattr(ntkernel, "_ecm_stage2", recording)
+    assert ntkernel._ecm(n, math.inf) == p
+    assert len(calls) == 1
+    products = stage2(*calls[0])
+    assert math.gcd(products[-1], n) == n
+    assert [math.gcd(acc, n) for acc in products[13:22]] == [1, p, p, p, p, p, p, p, n]
+
+
 def test_factor_three_primes_near_10_to_11():
     primes = [p for p in range(10**11, 10**11 + 200) if is_prime(p)][:3]
     n = math.prod(primes)
