@@ -7,6 +7,7 @@ unreadable store, malformed input).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,8 +26,9 @@ from .store import FibreRow, Store, export_csv, import_csv, validate_consistency
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
+    if args.db is None:
+        args.db = os.environ.get("BRICKFORGE_DB")
     if args.db is None:
         print("error: no store directory (pass --db or set BRICKFORGE_DB)", file=sys.stderr)
         return 2
@@ -37,22 +39,16 @@ def main(argv=None) -> int:
         return 2
 
 
-def _parser(command=None) -> argparse.ArgumentParser:
-    """The parser of one command, or of every command when `command` names
-    none (help, a typo, no argument), so usage and errors read the same."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, and `main` reads $BRICKFORGE_DB at each call."""
     db = argparse.ArgumentParser(add_help=False)
-    db.add_argument("--db", default=os.environ.get("BRICKFORGE_DB"),
-                    help="store directory (default: $BRICKFORGE_DB)")
+    db.add_argument("--db", help="store directory (default: $BRICKFORGE_DB)")
 
     top = argparse.ArgumentParser(prog="brickforge")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, add in _COMMANDS.items():
-        if command == name or command not in _COMMANDS:
-            add(sub, db)
-    return top
 
-
-def _add_verify(sub, db) -> None:
     verify = sub.add_parser("verify", help="run store-wide checks")
     vsub = verify.add_subparsers(dest="check", required=True)
     vsub.add_parser("theorem", parents=[db]).set_defaults(func=_cmd_verify_theorem)
@@ -61,15 +57,11 @@ def _add_verify(sub, db) -> None:
     vsub.add_parser("single-blocker", parents=[db]).set_defaults(func=_cmd_verify_single_blocker)
     vsub.add_parser("e1", parents=[db]).set_defaults(func=_cmd_verify_e1)
 
-
-def _add_factorize(sub, db) -> None:
     p = sub.add_parser("factorize", parents=[db], help="factor f1 of unfinished records")
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_factorize)
 
-
-def _add_mw(sub, db) -> None:
     mw = sub.add_parser("mw", help="fibre-by-fibre generation")
     msub = mw.add_subparsers(dest="action", required=True)
     p = msub.add_parser("run", parents=[db])
@@ -81,8 +73,6 @@ def _add_mw(sub, db) -> None:
     seeds.add_argument("--seeds", metavar="FILE")
     p.set_defaults(func=_cmd_mw_run)
 
-
-def _add_families(sub, db) -> None:
     fam = sub.add_parser("families", help="closed-form family tables")
     fsub = fam.add_subparsers(dest="action", required=True)
     p = fsub.add_parser("build", parents=[db])
@@ -92,16 +82,11 @@ def _add_families(sub, db) -> None:
     p.set_defaults(func=_cmd_families_build)
     fsub.add_parser("classify", parents=[db]).set_defaults(func=_cmd_families_classify)
 
-
-def _add_report(sub, db) -> None:
     p = sub.add_parser("report", parents=[db], help="text reports over the store")
     p.add_argument("--what", required=True,
                    choices=("k-distribution", "blockers", "fibres"))
     p.set_defaults(func=_cmd_report)
-
-
-_COMMANDS = {"verify": _add_verify, "factorize": _add_factorize, "mw": _add_mw,
-             "families": _add_families, "report": _add_report}
+    return top
 
 
 def _require_store_dir(dirpath) -> None:
@@ -239,7 +224,7 @@ def _cmd_mw_run(args) -> int:
         gens = load_seed_file(args.seeds, c, torsion=torsion)
     else:
         pairs = naive_quartic_search(c, args.seed_height)
-        gens = seeds_from_hits(c, pairs, torsion=torsion)
+        gens = seeds_from_hits(c, pairs)
     run = enumerate_and_certify(gens, args.K, torsion)
     inserted = 0
     for t in run.outputs:

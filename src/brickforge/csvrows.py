@@ -69,6 +69,8 @@ def parse_points(text: str) -> tuple:
         xs, ys = chunk.split(":")
         xn, xd = xs.split("/")
         yn, yd = ys.split("/")
+        if int(xd) == 0 or int(yd) == 0:
+            raise ValueError(f"point {chunk} has a zero denominator")
         points.append(CurvePoint(Fraction(int(xn), int(xd)), Fraction(int(yn), int(yd))))
     return tuple(points)
 
@@ -99,10 +101,11 @@ def csv_chunks(header, lines) -> list[bytes]:
     return chunks
 
 
-def records(name: str, data: dict[str, bytes], columns, keep=None):
+def records(name: str, data: dict[str, bytes], columns, parse, keep=None):
     """Each row of one file: what `keep` returns for its fields joined by
     commas (tried when the header is exactly `columns`), unless None, else
-    its named columns.  A file with no quote and no carriage return is split
+    `parse` of its named columns, a ValueError from it raised again naming
+    the file and row.  A file with no quote and no carriage return is split
     on line ends, as csv.reader would split it; any other goes through it."""
     if b'"' in data[name] or b"\r" in data[name]:
         # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
@@ -132,4 +135,8 @@ def records(name: str, data: dict[str, bytes], columns, keep=None):
                 continue
             raise ValueError(f"{name} row {number}: {len(row)} fields, "
                              f"expected {len(header)}")
-        yield pick(row)
+        try:
+            parsed = parse(pick(row))
+        except ValueError as err:
+            raise ValueError(f"{name} row {number}: {err}") from None
+        yield parsed

@@ -8,7 +8,8 @@ so every identity below is checked exactly, never numerically.
 The group law (add, neg, scalar_mul, halve) assumes its inputs are on
 the curve; it checks only the integral form the chord works in.  Points
 are checked where they enter: in `mw` (seed files, seeds),
-`fibration.phi` and `store.validate_consistency`.
+`fibration.phi` and `store.validate_consistency`.  The torsion of every
+fibre is Z/2 x Z/4, none of it lifts to a hit (`torsion_subgroup`).
 """
 from __future__ import annotations
 
@@ -184,25 +185,6 @@ def halve(c, P: CurvePoint) -> list[CurvePoint]:
     return out
 
 
-def _closure(c, pts, base=frozenset()) -> set[CurvePoint]:
-    """The group generated by `pts` and `base`, which must already be a
-    group (or empty).  Semi-naive: each round forms only the sums that
-    involve a point added in the round before."""
-    group = set(base) | {INFINITY}
-    fresh = [P for P in dict.fromkeys(pts) if P not in group]
-    while fresh:
-        older = [P for P in group if not P.is_infinity]
-        group.update(fresh)
-        new = []
-        for i, P in enumerate(fresh):
-            for Q in older + fresh[i:]:
-                R = add(c, P, Q)
-                if R not in group and R not in new:
-                    new.append(R)
-        fresh = new
-    return group
-
-
 @dataclass
 class TorsionGroup:
     structure: tuple[int, int]  # (d1, d2) meaning Z/d1 + Z/d2
@@ -213,37 +195,38 @@ class TorsionGroup:
 
 
 def torsion_subgroup(c) -> TorsionGroup:
-    """Torsion as (d1, d2) plus the full point list, in closed form.
+    """The torsion of a fibre, Z/2 x Z/4: O, then its other seven points by
+    (X, Y).
 
     On every fibre e2 - e1 = (2 U2)^2 = r1^2 and e2 - e3 = (2 gamma)^2 = r3^2,
     so (e2, 0) halves to X = e2 + s r1 r3, Y = +-r1 r3 (r1 + s r3), s = +-1:
     with the 2-torsion, Z/2 x Z/4.  By Mazur's theorem the torsion is that
     or Z/2 x Z/8 (no Z/4 x Z/4 or Z/2 x Z/12 over Q), the latter exactly
-    when one of those points halves: when each X - e_i is a square.
+    when a point of order 4 halves, so when each X - e_i is a square.  For
+    s = -1, X - e2 < 0; for s = 1, X - e2 = r1 r3 = 4 U2 gamma.  U2 and gamma
+    are the coprime legs of U2^2 + gamma^2 = W2^2, so a square would make
+    both squares with x^4 + y^4 = W2^2, which Fermat's right-triangle
+    theorem rules out.  A cubic where that point halves raises ValueError.
+    So every torsion point is O, one with Y = 0 or phi(+-1, +-2 U2), and
+    none lifts (|t| = 1 gives a = b): no admissible hit a/b maps to one.
+
+    >>> from brickforge.fibration import build_fibre
+    >>> c = build_fibre(2, 1)
+    >>> tor = torsion_subgroup(c)
+    >>> tor.structure, len(tor.points), 4 * c.U2 * c.gamma, is_perfect_square(48)
+    ((2, 4), 8, 48, None)
     """
     r1 = is_perfect_square(c.e2 - c.e1)
     r3 = is_perfect_square(c.e2 - c.e3)
     if r1 is None or r3 is None or r1 * r3 * (r1 - r3) == 0:
         raise ValueError(f"e2 - e1 = {c.e2 - c.e1} and e2 - e3 = {c.e2 - c.e3} "
                          "are not distinct non-zero squares")
-    group = {INFINITY, *two_torsion(c)}
-    eighth = []
+    X = c.e2 + r1 * r3
+    if all(is_perfect_square(X - e) is not None for e in (c.e1, c.e2, c.e3)):
+        raise ValueError(f"the point of order 4 at X = {X} halves: torsion Z/2 x Z/8 "
+                         "is not that of a fibre")
+    group = two_torsion(c)
     for s in (1, -1):
-        X, Y = c.e2 + s * r1 * r3, r1 * r3 * (r1 + s * r3)
-        P = CurvePoint(Fraction(X), Fraction(Y))
-        group.update((P, CurvePoint(P.X, Fraction(-Y))))
-        if all(is_perfect_square(X - e) is not None for e in (c.e1, c.e2, c.e3)):
-            eighth = halve(c, P)
-    structure = (2, 4)
-    if eighth:
-        group = _closure(c, eighth[:1], group)
-        structure = (2, 8)
-    if len(group) != 2 * structure[1]:
-        raise AssertionError(f"torsion {structure} with {len(group)} points")
-    return TorsionGroup(structure, sorted(group, key=_point_key))
-
-
-def _point_key(P: CurvePoint):
-    if P.is_infinity:
-        return (0, Fraction(0), Fraction(0))
-    return (1, P.X, P.Y)
+        X, Y = Fraction(c.e2 + s * r1 * r3), Fraction(r1 * r3 * (r1 + s * r3))
+        group += [CurvePoint(X, Y), CurvePoint(X, -Y)]
+    return TorsionGroup((2, 4), [INFINITY, *sorted(group, key=lambda P: (P.X, P.Y))])

@@ -15,8 +15,9 @@ pair it finds is checked again by `seeds_from_hits` (`master_norm`) and
 
 The `ecq` group law assumes its inputs are on the curve, so points are
 checked where they enter: seed file lines in `load_seed_file`, hit pairs
-in `fibration.phi`, and each seed and torsion point once per run at the
-top of `enumerate_and_certify`; the enumeration then runs unchecked.
+in `fibration.phi`, and once per run at the top of `enumerate_and_certify`
+each seed (on the curve) and each listed torsion point (a point of
+`ecq.torsion_subgroup`); the enumeration then runs unchecked.
 The walk works on the reduced integers (p, r, d) of X = p/d^2 and
 Y = r/d^3.  Partial sums over coefficient prefixes are shared, so each
 combination (the base) costs one addition of the integer chord law
@@ -28,39 +29,38 @@ one gcd).  Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)}
 is computed: translation by (e1,0) keeps tau and translation by (e2,0)
 or (e3,0) inverts it (an exact identity, see `_cosets`), so one root
 decides the lifts of all four translates.  A base at infinity or above a
-torsion point, where the shift is undefined, lifts each translate from
-the group law (`fibration.lift_point`).  A base past the size cap is
-skipped with all of its translates.
+listed torsion point, where the shift is undefined, is itself torsion, so
+none of its translates lifts (`ecq.torsion_subgroup`).  A base past the
+size cap is skipped with all of its translates.
 Each distinct lifted pair is certified once per run.
 
 The seeds are dependent, so many coefficient vectors land on one point
 (8,403 vectors on 2,312 points on (22,17) at H=80, K=3).  The walk keeps
 the integer relations it proves itself: a base at infinity gives its
-vector w, and a base on a listed torsion point P gives k w, where k is
-the order of P, found with the group law up to the exponent of the group
-(a hand-built list need not be torsion).  They form an echelon basis
-(`_add_relation`, Euclid's algorithm at the pivots as for the Hermite
-normal form), and a vector's key is its reduction by it (`_reduce`),
-so equal keys are equal points.  The first vector of a key is summed,
-lifted and certified as above; a later one adds its stored number of
-lifts, or of skipped translates, to the counts and appends nothing.
-So `candidates`, `lifted`, `certified` and `skipped_large` count the
-vectors of the box times the torsion points, not the work done, and
-the outputs keep their order.  Points are not merged up to a torsion
-translate or a sign, because the size cap is tested per point.
-Nothing of this is built before the first relation.
+vector w, and a base on a listed torsion point gives k w, where k is its
+order in Z/2 x Z/4, read from its triple: 2 where Y = 0, else 4.  They
+form an echelon basis (`_add_relation`, Euclid's algorithm at the pivots
+as for the Hermite normal form), and a vector's key is its reduction by
+it (`_reduce`), so equal keys are equal points.  The first vector of a
+key is summed, lifted and certified as above; a later one adds its
+stored number of lifts, or of skipped translates, to the counts and
+appends nothing.  So `candidates`, `lifted`, `certified` and
+`skipped_large` count the vectors of the box times the torsion points,
+not the work done, and the outputs keep their order.  Points are not
+merged up to a torsion translate or a sign, because the size cap is
+tested per point.  Nothing of this is built before the first relation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import itemgetter, sub
 
 from .ecq import (
     CurvePoint, _chord, _point, _triple, add, on_curve, torsion_subgroup, two_torsion,
 )
-from .fibration import FibreCurve, lift_pairs, lift_point, phi, quartic_rhs
+from .fibration import FibreCurve, lift_pairs, phi, quartic_rhs
 from .master import (
     EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical, triple_from_pair,
 )
@@ -110,21 +110,17 @@ def naive_quartic_search(c: FibreCurve, height_bound: int) -> list[EuclidPair]:
     return out
 
 
-def seeds_from_hits(c: FibreCurve, hits, torsion=None) -> GeneratorSet:
-    """Map hit pairs onto the cubic and drop anything of finite order."""
-    if torsion is None:
-        torsion = torsion_subgroup(c)
-    torsion_set = set(torsion.points)
+def seeds_from_hits(c: FibreCurve, hits) -> GeneratorSet:
+    """Map hit pairs onto the cubic, each distinct point once; no hit maps
+    to a torsion point (`ecq.torsion_subgroup`)."""
     points: list[CurvePoint] = []
-    for pair in hits:
-        a, b = pair
+    for a, b in hits:
         q = is_perfect_square(master_norm(MasterTuple(a, b, c.m, c.n)))
         if q is None:
             raise ValueError(f"({a},{b}) is not a hit on fibre ({c.m},{c.n})")
         P = phi(c, Fraction(a, b), Fraction(q, b * b))
-        if P in torsion_set or P in points:
-            continue
-        points.append(P)
+        if P not in points:
+            points.append(P)
     return GeneratorSet(c, points)
 
 
@@ -280,17 +276,12 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     if K < 1:
         raise ValueError("K must be at least 1")
     c = g.fibre
+    members = set(torsion_subgroup(c).points)
     shifts = []
     for T in torsion.points:
-        if not on_curve(c, T):
-            raise ValueError(f"torsion point {T} not on fibre ({c.m},{c.n})")
-        if T.is_infinity:
-            shifts.append((None, None))
-        elif T.X.denominator != 1 or T.Y.denominator != 1:
-            # Nagell-Lutz on this integral model
-            raise AssertionError(f"torsion point {T} not integral on fibre ({c.m},{c.n})")
-        else:
-            shifts.append((T.X.numerator, T.Y.numerator))
+        if T not in members:
+            raise ValueError(f"listed point {T} is not torsion on fibre ({c.m},{c.n})")
+        shifts.append((None, None) if T.is_infinity else (T.X.numerator, T.Y.numerator))
     torsion_xs = {xT for xT, _ in shifts if xT is not None}
     reps, coset = _cosets(c, torsion.points)
     reps = [shifts[i] for i in reps]
@@ -318,7 +309,6 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             P = prefixes[vec[:j + 1]] = _sum(c, P, multiples[j][vec[j]])
         return P
 
-    exponent = lcm(*torsion.structure)
     relations: list = []  # echelon basis of the proven relations, see `_reduce`
     known: dict[tuple[int, ...], int] = {}  # key -> pairs lifted, or -1 past the cap
     pivots = corrections = None
@@ -352,17 +342,12 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
                 known[key] = -1
             continue
         relation = None
-        if base is None or base[2] == 1 and base[0] in torsion_xs:  # no shift is defined
-            P = _point(base)
-            pairs = [lift_point(c, add(c, P, T)) for T in torsion.points]
-            if base is None:
-                relation = vec
-            else:  # k P = O for the order k of P; a listed point need not be torsion
-                Q, k = P, 1
-                while not Q.is_infinity and k < exponent:
-                    Q, k = add(c, Q, P), k + 1
-                if Q.is_infinity:
-                    relation = tuple(k * x for x in vec)
+        if base is None or base[2] == 1 and base[0] in torsion_xs:
+            # no shift is defined, and the base is torsion: nothing lifts,
+            # and its order is 1 at infinity, 2 where Y = 0, else 4
+            k = 1 if base is None else 2 if base[1] == 0 else 4
+            relation = tuple(k * x for x in vec)
+            pairs = ()
         else:
             # one root of tau per coset
             roots = [lift_pairs(c, *(base if xT is None else _shift(c, *base, xT, yT)))

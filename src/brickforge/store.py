@@ -230,7 +230,7 @@ def validate_consistency(store: Store) -> list[str]:
         if not ok:
             bad.append(f"fibre ({row.m},{row.n}): inadmissible ({reason})")
             continue
-        if not (1 <= row.torsion_d1 <= row.torsion_d2 and row.torsion_d2 % row.torsion_d1 == 0):
+        if (row.torsion_d1, row.torsion_d2) != (2, 4):  # see ecq.torsion_subgroup
             bad.append(f"fibre ({row.m},{row.n}): bad torsion ({row.torsion_d1},{row.torsion_d2})")
         c = build_fibre(row.m, row.n)
         for pt in row.generators:
@@ -373,8 +373,9 @@ def import_csv(dirpath) -> Store:
     fibre or a factor row whose hit id names no hit is rejected.  A damaged
     or inconsistent file raises ValueError naming it; a missing one raises
     OSError.  A row export would write back as it is stays its line (see
-    csvrows); any other row is parsed here, so a field that is no integer
-    is refused here.
+    csvrows); any other row is parsed here, so a field that is no integer,
+    a zero denominator or a factor row with a prime below 2, an exponent
+    below 1 or is_residual outside {0, 1} is refused here, naming the row.
     """
     _unlock_big_decimals()
     data, stats = {}, {}
@@ -389,9 +390,9 @@ def import_csv(dirpath) -> Store:
             and raw.endswith(b"\n") and not any(s in raw for s in (b"\n\n", b'"', b"\r")))
     del raw
     store = Store()
-    for row in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, csvrows.kept_hit):
-        if type(row) is tuple:
-            row = _hit_record(row)
+    for row in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record,
+                               csvrows.kept_hit):
+        if type(row) is HitRecord:
             hit_id, key, tidy = row.id, csvrows.tuple_key(row.tuple), False
         else:
             hit_id, key, row = int(row[1]), row[2], row[0]
@@ -404,17 +405,15 @@ def import_csv(dirpath) -> Store:
         store._by_tuple[key] = hit_id
         tidy = tidy and hit_id >= store._next_id
         store._next_id = max(store._next_id, hit_id + 1)
-    for hit_id, prime, exponent, is_residual in csvrows.records("f1_factors.csv", data,
-                                                                csvrows.FACTOR_COLUMNS):
-        frow = FactorRow(int(hit_id), int(prime), int(exponent), bool(int(is_residual)))
+    for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS, _factor_row):
         if frow.hit_id not in store._hits:
             # export writes factor rows per hit, so this row would be dropped
             raise ValueError(f"f1_factors.csv: factor row for hit id {frow.hit_id}, "
                              "which names no hit")
         store._factors.setdefault(frow.hit_id, []).append(frow)
-    for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, csvrows.kept_fibre):
-        if type(row) is tuple:
-            row = _fibre_row(row)
+    for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row,
+                               csvrows.kept_fibre):
+        if type(row) is FibreRow:
             key = (row.m, row.n)
         else:
             row, key = row[0], (int(row[1]), int(row[2]))
@@ -436,6 +435,16 @@ def _hit_record(fields) -> HitRecord:
         family_tags=set(filter(None, tags.split(";"))),
         f1_status=status,
     )
+
+
+def _factor_row(fields) -> FactorRow:
+    """The one parse of an f1_factors.csv row, its fields in FACTOR_COLUMNS
+    order; a row no factorization can hold is refused."""
+    hit_id, prime, exponent, is_residual = map(int, fields)
+    if prime < 2 or exponent < 1 or is_residual not in (0, 1):
+        raise ValueError(f"prime {prime}, exponent {exponent}, is_residual {is_residual}; "
+                         "a factor row needs prime >= 2, exponent >= 1, is_residual 0 or 1")
+    return FactorRow(hit_id, prime, exponent, bool(is_residual))
 
 
 def _fibre_row(fields) -> FibreRow:

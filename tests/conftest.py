@@ -64,5 +64,5 @@ def audit_tuples() -> tuple[MasterTuple, ...]:
 
     c = build_fibre(22, 17)
     tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80), tor), 2, tor)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80)), 2, tor)
     return tuple(run.outputs)

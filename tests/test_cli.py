@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import subprocess
@@ -311,6 +312,32 @@ def test_orphan_factor_row_is_operational_error(db, capsys):
     assert "hit id 9, which names no hit" in capsys.readouterr().err
 
 
+def test_zero_denominator_in_a_fibre_row_is_operational_error(db, capsys):
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / "fibers.csv"
+    path.write_text(path.read_text() + "4,1,2,4,,1/0:1/1\n")
+    for argv in (["verify", "consistency"], ["report", "--what", "fibres"],
+                 ["mw", "run", "--m", "2", "--n", "1", "--seed-height", "20", "--K", "1"]):
+        assert cli.main(argv) == 2
+        assert ("fibers.csv row 2: point 1/0:1/1 has a zero denominator"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("row", ["1,0,1,0", "1,1,1,0", "1,-7,1,0", "1,7,0,0", "1,7,-1,0",
+                                 "1,7,1,2", "1,7,1,-1"])
+def test_impossible_factor_row_is_operational_error(db, capsys, row):
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / "f1_factors.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, row, ""]))
+    for argv in (["verify", "theorem"], ["report", "--what", "blockers"],
+                 ["verify", "consistency"]):
+        assert cli.main(argv) == 2
+        assert f"f1_factors.csv row {len(lines) + 1}: prime " in capsys.readouterr().err
+
+
 # mw run (22,17) H=80 K=2, then these fibres at H=60 K=2: inserts, fibres without
 # seeds, a rerun that inserts nothing and a rerun of the first fibre
 GUARD_FIBRES = ((4, 3), (6, 5), (8, 3), (2, 1), (13, 2), (16, 5), (7, 2), (18, 7), (21, 8),
@@ -339,14 +366,6 @@ def test_fibre_sweep_output_is_byte_stable(db, capsys):
             for name in GUARD_FILES_SHA256} == GUARD_FILES_SHA256
 
 
-def _count_builds(monkeypatch) -> list[str]:
-    built = []
-    for name, add in list(cli._COMMANDS.items()):
-        monkeypatch.setitem(cli._COMMANDS, name,
-                            lambda sub, parent, name=name, add=add: built.append(name) or add(sub, parent))
-    return built
-
-
 HELP_AND_USAGE = [[], ["--help"], ["nope"], ["verif"], ["--db", "x", "mw"], ["mw"],
                   ["mw", "--help"], ["mw", "run", "--help"], ["mw", "run"], ["mw", "rn"],
                   ["verify", "--help"], ["verify", "theorem", "--help"], ["verify", "bogus"],
@@ -356,26 +375,31 @@ HELP_AND_USAGE = [[], ["--help"], ["nope"], ["verif"], ["--db", "x", "mw"], ["mw
 
 @pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
 def test_one_command_parser_prints_what_the_full_parser_prints(db, monkeypatch, capsys, argv):
-    def printed(parser):
+    # main's parser, built once and reused by every call, prints what a
+    # parser built afresh prints
+    def printed(parse):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
+            parse(argv)
         return exc.value.code, capsys.readouterr()
 
     monkeypatch.setenv("COLUMNS", "80")
-    full = printed(cli._parser())
-    built = _count_builds(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert (exc.value.code, capsys.readouterr()) == full
-    if argv and argv[0] in cli._COMMANDS:
-        assert built == [argv[0]]
-    else:
-        assert built == list(cli._COMMANDS)
+    assert printed(cli.main) == printed(cli._parser.__wrapped__().parse_args)
 
 
-def test_main_builds_only_the_chosen_command(db, monkeypatch):
-    built = _count_builds(monkeypatch)
-    assert cli.main(["mw", "run", "--m", "2", "--n", "1", "--seed-height", "20", "--K", "2"]) == 0
-    assert cli.main(["report", "--what", "fibres"]) == 0
+def test_main_builds_the_parser_once(db, tmp_path, monkeypatch, capsys):
+    built = []
+    build = cli._parser.__wrapped__
+    monkeypatch.setattr(cli, "_parser", functools.cache(lambda: built.append(1) or build()))
+    seeded_db(db)
+    for _ in range(5):
+        assert cli.main(["mw", "run", "--m", "2", "--n", "1", "--seed-height", "20", "--K", "2"]) == 0
+        assert cli.main(["report", "--what", "fibres"]) == 0
+        assert cli.main(["verify", "consistency"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "records=2 violations=0"
+    # the store directory is read from the environment at each call
+    other = tmp_path / "other"
+    other.mkdir()
+    monkeypatch.setenv("BRICKFORGE_DB", str(other))
     assert cli.main(["verify", "consistency"]) == 0
-    assert built == ["mw", "report", "verify"]
+    assert capsys.readouterr().out == "records=0 violations=0\n"
+    assert built == [1]

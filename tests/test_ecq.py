@@ -19,8 +19,8 @@ from brickforge.ecq import (
     torsion_subgroup,
     two_torsion,
 )
-from brickforge.fibration import FibreCurve, build_fibre
-from brickforge.ntkernel import factor, is_prime, is_square_rational
+from brickforge.fibration import FibreCurve, build_fibre, quartic_rhs
+from brickforge.ntkernel import factor, is_perfect_square, is_prime, is_square_rational
 
 F21 = build_fibre(2, 1)
 F449 = build_fibre(44, 9)
@@ -190,18 +190,26 @@ def _point_key(P: CurvePoint):
     return (1, P.X, P.Y)
 
 
+def _all_pairs_closure(c, pts):
+    # every pass re-adds all pairs until nothing new appears
+    pts = set(pts) | {INFINITY}
+    while True:
+        fresh = {add(c, P, Q) for P in pts for Q in pts} - pts
+        if not fresh:
+            return pts
+        pts |= fresh
+
+
 def reference_torsion(c) -> TorsionGroup:
     """The search: an order bound from point counts at the five smallest good
     odd primes, growth from the two-torsion by repeated halving, a
     division-polynomial check for order three when the bound asks for it,
     and the structure from the largest element order."""
-    from brickforge.ecq import _closure
-
     bound = 0
     for p in _good_odd_primes(c, 5):
         bound = gcd(bound, count_points_mod_p(c, p))
     cap = min(bound, MAZUR_CAP)
-    group = _closure(c, two_torsion(c))
+    group = _all_pairs_closure(c, two_torsion(c))
     lower_bound_only = False
     grew = True
     while grew:
@@ -213,7 +221,7 @@ def reference_torsion(c) -> TorsionGroup:
                 continue
             fresh = [Q for Q in halve(c, P) if Q not in group]
             if fresh:
-                group = _closure(c, fresh, group)
+                group = _all_pairs_closure(c, group | set(fresh))
                 grew = True
                 break
     if bound % 3 == 0 and len(group) * 3 <= cap:
@@ -221,7 +229,7 @@ def reference_torsion(c) -> TorsionGroup:
         if not complete:
             lower_bound_only = True
         elif pts3:
-            group = _closure(c, pts3, group)
+            group = _all_pairs_closure(c, group | set(pts3))
     order = len(group)
     d2 = max(_element_order(c, P) for P in group)
     d1 = order // d2
@@ -240,14 +248,15 @@ def test_closed_form_torsion_matches_search_on_fibres():
 
 
 @pytest.mark.parametrize("U2,gamma", EIGHT_TORSION)
-def test_closed_form_torsion_matches_search_on_eight_torsion(U2, gamma):
+def test_torsion_refuses_eight_torsion(U2, gamma):
+    # these cubics are no fibres: U2 gamma is a square
     c = hand_fibre(U2, gamma)
-    got, want = torsion_subgroup(c), reference_torsion(c)
+    want = reference_torsion(c)
     assert want.structure == (2, 8) and len(want.points) == 16
-    assert (got.structure, got.points, got.lower_bound_only) == (
-        want.structure, want.points, want.lower_bound_only)
-    for P in got.points:
+    for P in want.points:
         assert on_curve(c, P) and scalar_mul(c, 8, P) == INFINITY
+    with pytest.raises(ValueError, match="halves: torsion Z/2 x Z/8"):
+        torsion_subgroup(c)
 
 
 def test_roots_differ_by_squares_on_every_fibre():
@@ -322,48 +331,38 @@ def test_cubic_rhs_matches_roots():
             assert cubic_rhs(c, Fraction(e)) == 0
 
 
-def _all_pairs_closure(c, pts):
-    # every pass re-adds all pairs until nothing new appears
-    pts = set(pts) | {INFINITY}
-    while True:
-        fresh = {add(c, P, Q) for P in pts for Q in pts} - pts
-        if not fresh:
-            return pts
-        pts |= fresh
-
-
-def test_torsion_matches_all_pairs_closure(monkeypatch):
-    from brickforge import ecq
-
+def test_torsion_matches_all_pairs_closure():
+    # the closed form lists a group: closed under addition, nothing left out
     rng = random.Random(1717)
     fibres = [build_fibre(m, n) for m, n in
               sorted({random_pair(rng, 2, 300) for _ in range(110)} | {(2, 1), (44, 9), (88, 7)})]
     assert len(fibres) >= 100
-    eights = [hand_fibre(U2, gamma) for U2, gamma in EIGHT_TORSION]
-    semi_naive = ecq._closure
-    calls = []
-
-    def checked(c, pts, base=frozenset()):
-        # each semi-naive call must agree with the plain closure of its input
-        got = semi_naive(c, pts, base)
-        assert got == _all_pairs_closure(c, set(pts) | set(base))
-        calls.append(len(got))
-        return got
-
-    monkeypatch.setattr(ecq, "_closure", checked)
-    for c in fibres + eights:
-        # the closed form lists a group: closed under addition, nothing left out
+    for c in fibres:
         points = torsion_subgroup(c).points
         assert set(points) == _all_pairs_closure(c, points)
-    assert calls == [16] * len(eights)  # only a Z/2 x Z/8 group is closed by search
-    monkeypatch.undo()
-    # one generator, alone and on top of the two-torsion group
-    for c in fibres[:20] + eights:
-        two = ecq._closure(c, two_torsion(c))
-        assert two == _all_pairs_closure(c, two_torsion(c))
-        for P in torsion_subgroup(c).points:
-            assert ecq._closure(c, [P]) == _all_pairs_closure(c, {P})
-            assert ecq._closure(c, [P], two) == _all_pairs_closure(c, two | {P})
+
+
+def test_no_torsion_point_lifts_on_fibres():
+    # the proof in torsion_subgroup, checked fibre by fibre: the points of
+    # order 4 are phi(+-1, +-2 U2), none of the eight lifts, 4 U2 gamma is
+    # no square, and no hit the seed search finds is torsion
+    from brickforge.fibration import lift_point, phi
+    from brickforge.mw import naive_quartic_search
+
+    fibres = admissible_fibres(1000)
+    hits = 0
+    for m, n in fibres:
+        c = build_fibre(m, n)
+        points = torsion_subgroup(c).points
+        quartic = {phi(c, t, s) for t in (1, -1) for s in (2 * c.U2, -2 * c.U2)}
+        assert {P for P in points if not P.is_infinity and P.Y} == quartic, (m, n)
+        assert all(lift_point(c, P) is None for P in points), (m, n)
+        assert is_perfect_square(4 * c.U2 * c.gamma) is None, (m, n)
+        for a, b in naive_quartic_search(c, 60):
+            t = Fraction(a, b)
+            assert phi(c, t, is_square_rational(quartic_rhs(c, t))) not in points, (m, n)
+            hits += 1
+    assert fibres[-1][0] >= 70 and hits >= 120
 
 
 def _fraction_add(c, P, Q):
@@ -390,7 +389,7 @@ def test_integer_chord_law_matches_fraction_formula():
     for m, n in ((13, 2), (44, 9), (6, 5), (2, 1)):
         c = build_fibre(m, n)
         tor = torsion_subgroup(c).points
-        seeds = seeds_from_hits(c, naive_quartic_search(c, 60), torsion_subgroup(c)).points
+        seeds = seeds_from_hits(c, naive_quartic_search(c, 60)).points
         pts = list(tor) + [pt(80, 672)] * (m == 2)
         for P in seeds:
             for k in (1, 2, -1, -3):
@@ -413,7 +412,7 @@ def _chord_test_points(c, rng):
     group = torsion_subgroup(c)
     tor = group.points
     pts = list(tor)
-    for P in seeds_from_hits(c, naive_quartic_search(c, 60), group).points:
+    for P in seeds_from_hits(c, naive_quartic_search(c, 60)).points:
         for k in (1, 2, -1, 3, -4):
             Q = scalar_mul(c, k, P)
             pts += [Q] + [add(c, Q, rng.choice(tor)) for _ in range(2)]

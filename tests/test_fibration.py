@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import EIGHT_TORSION, admissible_fibres, hand_fibre, random_pair
-from brickforge.ecq import CurvePoint, INFINITY, _triple, add, scalar_mul, torsion_subgroup
+from brickforge.ecq import (
+    CurvePoint, INFINITY, _triple, add, halve, scalar_mul, torsion_subgroup, two_torsion,
+)
 from brickforge.fibration import (
     build_fibre, lift_pairs, lift_point, phi, quartic_rhs, tau, tau_phi_identity,
 )
@@ -188,6 +190,17 @@ def _lift_pairs_by_root(tv):
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
 
 
+def _eight_torsion_points(c):
+    """The 16 torsion points of a Z/2 x Z/8 hand fibre, which torsion_subgroup
+    refuses: the multiples of a half of the point of order 4 at
+    X = e2 + 4 U2 gamma, each plus the 2-torsion."""
+    r = 4 * c.U2 * c.gamma
+    Q = halve(c, CurvePoint(Fraction(c.e2 + r), Fraction(r * (2 * c.U2 + 2 * c.gamma))))[0]
+    points = {add(c, scalar_mul(c, k, Q), T) for k in range(8) for T in [INFINITY, *two_torsion(c)]}
+    assert len(points) == 16
+    return sorted(points, key=lambda P: (not P.is_infinity, P.X or 0, P.Y or 0))
+
+
 @functools.cache
 def _points_on_test_fibres():
     """(fibre, points) on the first 100 admissible fibres and the Z/2 x Z/8
@@ -195,9 +208,12 @@ def _points_on_test_fibres():
     a, b <= 30, and their sums with the torsion, with each other and with
     themselves."""
     out = []
-    for c in ([build_fibre(m, n) for m, n in admissible_fibres(100)]
-              + [hand_fibre(U2, gamma) for U2, gamma in EIGHT_TORSION]):
-        tor = torsion_subgroup(c).points
+    fibres = [(c, torsion_subgroup(c).points)
+              for c in (build_fibre(m, n) for m, n in admissible_fibres(100))]
+    for U2, gamma in EIGHT_TORSION:
+        c = hand_fibre(U2, gamma)
+        fibres.append((c, _eight_torsion_points(c)))
+    for c, tor in fibres:
         seeds = []
         for a in range(1, 31):
             for b in range(1, 31):

@@ -69,17 +69,17 @@ def test_naive_quartic_search_gates_its_inputs():
 
 def test_seeds_from_hits():
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48)])
     assert len(g.points) == 1
     P = g.points[0]
     assert tau(F449, P) == Fraction(3025, 2304)
     assert P not in tor.points
     # duplicates collapse
-    g = seeds_from_hits(F449, [(55, 48), (55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48), (55, 48)])
     assert len(g.points) == 1
     with pytest.raises(ValueError):
-        seeds_from_hits(F449, [(3, 2)], tor)
-    assert seeds_from_hits(F449, [], tor).points == []
+        seeds_from_hits(F449, [(3, 2)])
+    assert seeds_from_hits(F449, []).points == []
 
 
 def test_coefficient_vectors():
@@ -110,7 +110,7 @@ def test_coefficient_vectors_match_the_sorted_construction():
 
 def test_enumerate_recovers_seed():
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48)])
     run = enumerate_and_certify(g, 1, tor)
     assert sigma_canonical(MasterTuple(55, 48, 44, 9)) in run.outputs
     assert run.provenance == "MW-44-9"
@@ -121,7 +121,7 @@ def test_enumerate_recovers_seed():
 
 def test_enumerate_outputs_all_certified():
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48)])
     run = enumerate_and_certify(g, 2, tor)
     for t in run.outputs:
         assert is_master_hit(t) is not None
@@ -132,7 +132,7 @@ def test_enumerate_outputs_all_certified():
 
 def test_enumerate_monotone_in_K():
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48)])
     small = set(enumerate_and_certify(g, 1, tor).outputs)
     large = set(enumerate_and_certify(g, 2, tor).outputs)
     assert small <= large
@@ -153,14 +153,14 @@ def test_enumerate_rejects_bad_K():
 
 def test_mirror_point_same_tau():
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48)])
     P = g.points[0]
     assert tau(F449, P) == tau(F449, neg(F449, P))
 
 
 def test_load_seed_file(tmp_path):
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
+    g = seeds_from_hits(F449, [(55, 48)])
     P = g.points[0]
     path = tmp_path / "seeds.txt"
     path.write_text(
@@ -254,7 +254,7 @@ def test_enumerate_matches_reference_on_seeded_fibres():
     for m, n in SEEDED_FIBRES:
         c = build_fibre(m, n)
         tor = torsion_subgroup(c)
-        g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+        g = seeds_from_hits(c, naive_quartic_search(c, 60))
         assert g.points, (m, n)
         for K in (1, 2):
             _assert_matches_reference(g, K, tor)
@@ -266,7 +266,7 @@ def test_enumerate_matches_reference_with_dependent_seeds(m, n, K):
     # some on a torsion point, which take the Fraction group law
     c = build_fibre(m, n)
     tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60))
     stats = _assert_matches_reference(g, K, tor)
     assert stats.certified > 0
 
@@ -276,13 +276,12 @@ def test_enumerate_checks_points_where_they_enter():
     off = CurvePoint(Fraction(1), Fraction(1))
     with pytest.raises(ValueError, match="not on fibre"):
         enumerate_and_certify(GeneratorSet(F449, [off]), 1, tor)
-    g = seeds_from_hits(F449, [(55, 48)], tor)
-    with pytest.raises(ValueError, match="not on fibre"):
-        enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, off]))
-    # a non-integral point cannot be torsion on this integral model
-    P2 = add(F449, g.points[0], g.points[0])
-    with pytest.raises(AssertionError, match="not integral"):
-        enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, P2]))
+    # a listed torsion point must be one of the eight: not a point off the
+    # curve, nor one on it that is not integral
+    g = seeds_from_hits(F449, [(55, 48)])
+    for T in (off, add(F449, g.points[0], g.points[0])):
+        with pytest.raises(ValueError, match="is not torsion on fibre"):
+            enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, T]))
 
 
 @pytest.mark.parametrize("m, n, K", [(13, 2, 2), (44, 9, 2), (8, 5, 2), (22, 17, 1)])
@@ -291,7 +290,7 @@ def test_enumerate_matches_reference_with_hand_built_torsion(m, n, K):
     # is missing stands alone, and the order of the list is the output order
     c = build_fibre(m, n)
     tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60))
     E1, E2, E3 = two_torsion(c)
     shuffled = list(tor.points)
     random.Random(m * n).shuffle(shuffled)
@@ -308,7 +307,7 @@ def test_tau_shared_across_two_torsion_on_seeds():
         c = build_fibre(m, n)
         tor = torsion_subgroup(c)
         E1, E2, E3 = two_torsion(c)
-        for P in seeds_from_hits(c, naive_quartic_search(c, 60), tor).points:
+        for P in seeds_from_hits(c, naive_quartic_search(c, 60)).points:
             for k in (1, 2, -3):
                 for T in tor.points:
                     R = add(c, scalar_mul(c, k, P), T)
@@ -396,7 +395,7 @@ def _seeded_fibres(how_many, height):
         hits = naive_quartic_search(c, height)
         if hits:
             tor = torsion_subgroup(c)
-            out.append((seeds_from_hits(c, hits, tor), tor))
+            out.append((seeds_from_hits(c, hits), tor))
             if len(out) == how_many:
                 return out
     raise AssertionError(f"fewer than {how_many} seeded fibres")
@@ -421,7 +420,7 @@ def test_integer_walk_matches_fraction_walk_on_seeded_fibres():
 def test_integer_walk_matches_fraction_walk_on_the_deep_fibre():
     c = build_fibre(22, 17)
     tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 80), tor)
+    g = seeds_from_hits(c, naive_quartic_search(c, 80))
     stats = _assert_walks_agree(g, 3, tor)
     assert (stats.candidates, stats.certified) == (67224, 16770)
 
@@ -439,7 +438,7 @@ def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
     monkeypatch.setattr(mw, "_CAP_BITS", cap)
     c = build_fibre(13, 2)
     tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60))
     stats = _assert_matches_reference(g, 2, tor)
     assert 0 < stats.skipped_large < stats.candidates
     assert stats.skipped_large % len(tor.points) == 0
@@ -454,7 +453,7 @@ def test_skipped_large_matches_reference_with_dependent_seeds(monkeypatch, cap):
     monkeypatch.setattr(mw, "_CAP_BITS", cap)
     c = build_fibre(22, 17)
     tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60))
     stats = _assert_matches_reference(g, 2, tor)
     assert 0 < stats.skipped_large < stats.candidates
 
@@ -521,27 +520,16 @@ def test_relation_basis_spans_exactly_the_relations():
 
 
 @pytest.mark.parametrize("m, n", [(4, 3), (6, 5)])
-def test_listed_point_of_infinite_order_gives_no_relation(monkeypatch, m, n):
-    # an integral seed put in a hand-built torsion list: the base that lands
-    # on it takes the group-law path, and as it is not torsion no relation
-    # is recorded from it
+def test_listed_point_of_infinite_order_is_refused(m, n):
+    # an integral seed put in a hand-built torsion list: on the curve and
+    # integral, but a base landing on it would be taken for torsion
     c = build_fibre(m, n)
     tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60), tor)
+    g = seeds_from_hits(c, naive_quartic_search(c, 60))
     P = next(P for P in g.points if P.X.denominator == 1)
-    recorded = []
-    add_relation = mw._add_relation
-
-    def recording(basis, w):
-        recorded.append(w)
-        return add_relation(basis, w)
-
-    monkeypatch.setattr(mw, "_add_relation", recording)
-    enumerate_and_certify(g, 2, tor)
-    plain = list(recorded)
-    recorded.clear()
-    _assert_matches_reference(g, 2, TorsionGroup(tor.structure, tor.points + [P]))
-    assert recorded == plain
+    assert ecq.on_curve(c, P)
+    with pytest.raises(ValueError, match="is not torsion on fibre"):
+        enumerate_and_certify(g, 2, TorsionGroup(tor.structure, tor.points + [P]))
 
 
 def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
@@ -562,7 +550,7 @@ def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
     counting(ecq, "_chord")
     c = build_fibre(22, 17)
     tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80), tor), 3, tor)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80)), 3, tor)
     assert (run.stats.candidates, run.stats.certified, len(run.outputs)) == (67224, 16770, 1059)
     assert calls["lift_pairs"] <= 5000  # 16,770 with every vector walked
     assert calls["_chord"] <= 3000  # 8,386 with every vector walked
@@ -572,7 +560,7 @@ def test_deep_walk_at_height_150_and_K_4():
     # pinned to the outputs of the walk that summed every vector
     c = build_fibre(22, 17)
     tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 150), tor), 4, tor)
+    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 150)), 4, tor)
     assert run.stats == MwStats(candidates=2125760, lifted=531072, certified=531072,
                                 skipped_large=0)
     text = "".join(f"{t.a},{t.b},{t.m},{t.n}\n" for t in run.outputs)

@@ -142,6 +142,10 @@ def test_fibre_row_upsert_and_validation():
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=3))
     assert len(db.fibres()) == 1
     assert any("bad torsion" in p for p in validate_consistency(db))
+    # every fibre's torsion is Z/2 x Z/4 (ecq.torsion_subgroup)
+    for d1, d2 in ((2, 8), (1, 4), (4, 4), (2, 2)):
+        db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=d1, torsion_d2=d2))
+        assert validate_consistency(db) == [f"fibre (44,9): bad torsion ({d1},{d2})"]
 
 
 def _fibre_with_seed():
