@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import master
 from .blockers import blockers, is_strictly_semiscaled, k_invariant, verify_E1, verify_blocker_conjecture
-from .ecq import torsion_subgroup
+from .ecq import TORSION_STRUCTURE
 from .families import build_tables, classify, load_tables, save_tables
 from .fibration import build_fibre
 from .master import MasterTuple
@@ -196,6 +196,9 @@ def _cmd_factorize(args) -> int:
         raise ValueError("--budget must be a finite number above 0")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    cpus = os.cpu_count() or 1
+    if args.jobs > cpus:  # a fork pool starts all its workers at the first submit
+        raise ValueError(f"--jobs must be at most {cpus}, the CPU count")
     db = _load(args.db)
     todo = [rec for rec in db.hits() if rec.f1_status != "full"]
     results = _pmap(args.jobs, _factor_f1,
@@ -219,25 +222,23 @@ def _cmd_mw_run(args) -> int:
         return 2
     db = _load(args.db)
     c = build_fibre(args.m, args.n)
-    torsion = torsion_subgroup(c)
     if args.seeds is not None:
-        gens = load_seed_file(args.seeds, c, torsion=torsion)
+        seeds = load_seed_file(args.seeds, c)
     else:
-        pairs = naive_quartic_search(c, args.seed_height)
-        gens = seeds_from_hits(c, pairs)
-    run = enumerate_and_certify(gens, args.K, torsion)
+        seeds = seeds_from_hits(c, naive_quartic_search(c, args.seed_height))
+    run = enumerate_and_certify(c, seeds, args.K)
     inserted = 0
     for t in run.outputs:
         _, created = db.insert_hit(t, run.provenance)
         inserted += int(created)
     db.upsert_fibre(FibreRow(
         m=args.m, n=args.n,
-        torsion_d1=torsion.structure[0], torsion_d2=torsion.structure[1],
-        generators=tuple(gens.points),
+        torsion_d1=TORSION_STRUCTURE[0], torsion_d2=TORSION_STRUCTURE[1],
+        generators=tuple(seeds),
     ))
     export_csv(db, args.db)
     s = run.stats
-    print(f"fibre=({args.m},{args.n}) torsion={torsion.structure} seeds={len(gens.points)} "
+    print(f"fibre=({args.m},{args.n}) torsion={TORSION_STRUCTURE} seeds={len(seeds)} "
           f"candidates={s.candidates} certified={s.certified} "
           f"skipped_large={s.skipped_large} inserted={inserted}")
     return 0

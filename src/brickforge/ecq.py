@@ -7,9 +7,11 @@ so every identity below is checked exactly, never numerically.
 
 The group law (add, neg, scalar_mul, halve) assumes its inputs are on
 the curve; it checks only the integral form the chord works in.  Points
-are checked where they enter: in `mw` (seed files, seeds),
-`fibration.phi` and `store.validate_consistency`.  The torsion of every
-fibre is Z/2 x Z/4, none of it lifts to a hit (`torsion_subgroup`).
+are checked where they enter: seed file lines in `mw.load_seed_file`,
+seeds in `mw.enumerate_and_certify`, hit pairs in `fibration.phi` and
+stored generators in `store.validate_consistency`.  The torsion of every
+fibre is Z/2 x Z/4 (`TORSION_STRUCTURE`), none of it lifts to a hit, and
+its points come from `torsion_subgroup`, unchecked.
 """
 from __future__ import annotations
 
@@ -185,6 +187,9 @@ def halve(c, P: CurvePoint) -> list[CurvePoint]:
     return out
 
 
+TORSION_STRUCTURE = (2, 4)  # Z/2 x Z/4 on every fibre, see torsion_subgroup
+
+
 @dataclass
 class TorsionGroup:
     structure: tuple[int, int]  # (d1, d2) meaning Z/d1 + Z/d2
@@ -229,4 +234,4 @@ def torsion_subgroup(c) -> TorsionGroup:
     for s in (1, -1):
         X, Y = Fraction(c.e2 + s * r1 * r3), Fraction(r1 * r3 * (r1 + s * r3))
         group += [CurvePoint(X, Y), CurvePoint(X, -Y)]
-    return TorsionGroup((2, 4), [INFINITY, *sorted(group, key=lambda P: (P.X, P.Y))])
+    return TorsionGroup(TORSION_STRUCTURE, [INFINITY, *sorted(group, key=lambda P: (P.X, P.Y))])

@@ -15,9 +15,9 @@ pair it finds is checked again by `seeds_from_hits` (`master_norm`) and
 
 The `ecq` group law assumes its inputs are on the curve, so points are
 checked where they enter: seed file lines in `load_seed_file`, hit pairs
-in `fibration.phi`, and once per run at the top of `enumerate_and_certify`
-each seed (on the curve) and each listed torsion point (a point of
-`ecq.torsion_subgroup`); the enumeration then runs unchecked.
+in `fibration.phi`, and each seed once per run at the top of
+`enumerate_and_certify`; the enumeration then runs unchecked.  The walk
+reads the eight torsion points from `ecq.torsion_subgroup` itself.
 The walk works on the reduced integers (p, r, d) of X = p/d^2 and
 Y = r/d^3.  Partial sums over coefficient prefixes are shared, so each
 combination (the base) costs one addition of the integer chord law
@@ -29,15 +29,17 @@ one gcd).  Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)}
 is computed: translation by (e1,0) keeps tau and translation by (e2,0)
 or (e3,0) inverts it (an exact identity, see `_cosets`), so one root
 decides the lifts of all four translates.  A base at infinity or above a
-listed torsion point, where the shift is undefined, is itself torsion, so
-none of its translates lifts (`ecq.torsion_subgroup`).  A base past the
+torsion point, where the shift is undefined, is itself torsion, so none
+of its translates lifts (`ecq.torsion_subgroup`).  A base past the
 size cap is skipped with all of its translates.
-Each distinct lifted pair is certified once per run.
+Each distinct lifted pair is certified once per run, and output then: on
+one fibre a pair names one sigma-canonical tuple, and distinct pairs
+distinct ones.
 
 The seeds are dependent, so many coefficient vectors land on one point
 (8,403 vectors on 2,312 points on (22,17) at H=80, K=3).  The walk keeps
 the integer relations it proves itself: a base at infinity gives its
-vector w, and a base on a listed torsion point gives k w, where k is its
+vector w, and a base on a torsion point gives k w, where k is its
 order in Z/2 x Z/4, read from its triple: 2 where Y = 0, else 4.  They
 form an echelon basis (`_add_relation`, Euclid's algorithm at the pivots
 as for the Hermite normal form), and a vector's key is its reduction by
@@ -48,7 +50,7 @@ appends nothing.  So `candidates`, `lifted`, `certified` and
 `skipped_large` count the vectors of the box times the torsion points,
 not the work done, and the outputs keep their order.  Points are not
 merged up to a torsion translate or a sign, because the size cap is
-tested per point.  Nothing of this is built before the first relation.
+tested per point.
 """
 from __future__ import annotations
 
@@ -68,12 +70,6 @@ from .ntkernel import is_perfect_square, is_square_rational
 
 DIGIT_CAP = 10000  # skip combination points with larger coordinates and their translates
 _CAP_BITS = DIGIT_CAP * 33220 // 10000 + 8  # log2(10) < 3.3220
-
-
-@dataclass
-class GeneratorSet:
-    fibre: FibreCurve
-    points: list[CurvePoint]
 
 
 @dataclass
@@ -110,7 +106,7 @@ def naive_quartic_search(c: FibreCurve, height_bound: int) -> list[EuclidPair]:
     return out
 
 
-def seeds_from_hits(c: FibreCurve, hits) -> GeneratorSet:
+def seeds_from_hits(c: FibreCurve, hits) -> list[CurvePoint]:
     """Map hit pairs onto the cubic, each distinct point once; no hit maps
     to a torsion point (`ecq.torsion_subgroup`)."""
     points: list[CurvePoint] = []
@@ -121,14 +117,13 @@ def seeds_from_hits(c: FibreCurve, hits) -> GeneratorSet:
         P = phi(c, Fraction(a, b), Fraction(q, b * b))
         if P not in points:
             points.append(P)
-    return GeneratorSet(c, points)
+    return points
 
 
-def load_seed_file(path, c: FibreCurve, torsion=None) -> GeneratorSet:
-    """Seed points from a text file: either `Xn/Xd Yn/Yd` or `t a/b` lines."""
-    if torsion is None:
-        torsion = torsion_subgroup(c)
-    torsion_set = set(torsion.points)
+def load_seed_file(path, c: FibreCurve) -> list[CurvePoint]:
+    """Seed points from a text file: either `Xn/Xd Yn/Yd` or `t a/b` lines;
+    torsion points are dropped, and a bad line raises ValueError naming it."""
+    torsion = torsion_subgroup(c).points
     points: list[CurvePoint] = []
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -146,14 +141,17 @@ def load_seed_file(path, c: FibreCurve, torsion=None) -> GeneratorSet:
                 s = is_square_rational(quartic_rhs(c, t))
                 if s is None:
                     raise ValueError(f"{path}:{lineno}: t = {t} is not on a hit")
-                P = phi(c, t, s)
+                try:
+                    P = phi(c, t, s)
+                except ValueError as err:  # t = 0
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
             else:
                 P = CurvePoint(*values)
                 if not on_curve(c, P):
                     raise ValueError(f"{path}:{lineno}: point not on fibre ({c.m},{c.n})")
-            if P not in torsion_set and P not in points:
+            if P not in torsion and P not in points:
                 points.append(P)
-    return GeneratorSet(c, points)
+    return points
 
 
 def _coefficient_vectors(r: int, K: int) -> list[tuple[int, ...]]:
@@ -211,7 +209,7 @@ def _cosets(c: FibreCurve, points: list[CurvePoint]):
     gives X' + B = (2 gamma^2 + B)(X + 2 gamma^2)/(X - 2 gamma^2) and
     X' + 2 gamma^2 = 4 gamma^2 (X + B)/(X - 2 gamma^2), so tau is inverted,
     as it is by (e3,0).  Hence tau(P + T) is tau(P + rep) or its inverse.
-    A point whose partner is not in `points` is not grouped with it.
+    `points` is a group containing E[2].
     """
     index = {T: i for i, T in enumerate(points)}
     E1, E2, E3 = two_torsion(c)
@@ -222,9 +220,7 @@ def _cosets(c: FibreCurve, points: list[CurvePoint]):
             continue
         coset[i] = (len(reps), False)
         for E, inverted in ((E1, False), (E2, True), (E3, True)):
-            j = index.get(add(c, T, E))
-            if j is not None:
-                coset[j] = (len(reps), inverted)
+            coset[index[add(c, T, E)]] = (len(reps), inverted)
         reps.append(i)
     return reps, coset
 
@@ -271,22 +267,19 @@ def _add_relation(basis, w: tuple[int, ...]) -> bool:
     return True
 
 
-def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
-    """Run the bounded enumeration and keep only re-certified hits."""
+def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwRun:
+    """Run the bounded enumeration over the seeds and every torsion point
+    of the fibre, and keep only re-certified hits."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    c = g.fibre
-    members = set(torsion_subgroup(c).points)
-    shifts = []
-    for T in torsion.points:
-        if T not in members:
-            raise ValueError(f"listed point {T} is not torsion on fibre ({c.m},{c.n})")
-        shifts.append((None, None) if T.is_infinity else (T.X.numerator, T.Y.numerator))
+    torsion = torsion_subgroup(c).points
+    shifts = [(None, None) if T.is_infinity else (T.X.numerator, T.Y.numerator)
+              for T in torsion]
     torsion_xs = {xT for xT, _ in shifts if xT is not None}
-    reps, coset = _cosets(c, torsion.points)
+    reps, coset = _cosets(c, torsion)
     reps = [shifts[i] for i in reps]
     multiples = []
-    for P in g.points:
+    for P in seeds:
         if not on_curve(c, P):
             raise ValueError(f"seed {P} not on fibre ({c.m},{c.n})")
         P = _triple(P)
@@ -314,9 +307,8 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
     pivots = corrections = None
     stats = MwStats()
     outputs: list[MasterTuple] = []
-    seen: set[MasterTuple] = set()
-    certified: dict[EuclidPair, MasterTuple] = {}  # lifted pair -> canonical tuple
-    for vec in _coefficient_vectors(len(g.points), K):
+    certified: set[EuclidPair] = set()
+    for vec in _coefficient_vectors(len(seeds), K):
         stats.candidates += len(shifts)
         key = vec
         if relations:  # v - _reduce(relations, v) depends only on v at the pivots
@@ -338,8 +330,7 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
         if base is not None and max(base[0].bit_length(), base[1].bit_length(),
                                     (base[2] ** 3).bit_length()) > _CAP_BITS:
             stats.skipped_large += len(shifts)
-            if relations:
-                known[key] = -1
+            known[key] = -1
             continue
         relation = None
         if base is None or base[2] == 1 and base[0] in torsion_xs:
@@ -358,19 +349,15 @@ def enumerate_and_certify(g: GeneratorSet, K: int, torsion) -> MwRun:
             if pair is None:
                 continue
             count += 1
-            canon = certified.get(pair)
-            if canon is None:
+            if pair not in certified:
                 t = MasterTuple(pair.a, pair.b, c.m, c.n)
                 if is_master_hit(t) is None:
                     raise AssertionError(f"lifted pair {tuple(t)} failed certification")
-                canon = certified[pair] = sigma_canonical(t)
-            if canon not in seen:
-                seen.add(canon)
-                outputs.append(canon)
+                certified.add(pair)
+                outputs.append(sigma_canonical(t))
         stats.lifted += count
         stats.certified += count
-        if relations:  # nothing is kept before the first relation
-            known[key] = count
+        known[key] = count
         if relation is not None and _add_relation(relations, relation):
             # a key reduced by the old basis still names its point, though
             # a later vector of that point may now reduce further

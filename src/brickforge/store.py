@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import csvrows, master
-from .ecq import on_curve
+from .ecq import TORSION_STRUCTURE, on_curve
 from .families import FAMILY_TAGS
 from .fibration import build_fibre
 from .master import MasterTuple
@@ -230,7 +230,7 @@ def validate_consistency(store: Store) -> list[str]:
         if not ok:
             bad.append(f"fibre ({row.m},{row.n}): inadmissible ({reason})")
             continue
-        if (row.torsion_d1, row.torsion_d2) != (2, 4):  # see ecq.torsion_subgroup
+        if (row.torsion_d1, row.torsion_d2) != TORSION_STRUCTURE:
             bad.append(f"fibre ({row.m},{row.n}): bad torsion ({row.torsion_d1},{row.torsion_d2})")
         c = build_fibre(row.m, row.n)
         for pt in row.generators:
@@ -369,13 +369,13 @@ def import_csv(dirpath) -> Store:
 
     When manifest.txt is present, every CSV must match the digest it lists
     there; a store without a manifest (built by hand) loads unchecked.
-    Either way a repeated hit id, a repeated (a, b, m, n) row, a repeated
-    fibre or a factor row whose hit id names no hit is rejected.  A damaged
-    or inconsistent file raises ValueError naming it; a missing one raises
-    OSError.  A row export would write back as it is stays its line (see
-    csvrows); any other row is parsed here, so a field that is no integer,
-    a zero denominator or a factor row with a prime below 2, an exponent
-    below 1 or is_residual outside {0, 1} is refused here, naming the row.
+    Either way a repeated hit id, a repeated (a, b, m, n) row or a repeated
+    fibre is rejected.  A damaged or inconsistent file raises ValueError
+    naming it; a missing one raises OSError.  A row export would write back
+    as it is stays its line (see csvrows); any other row is parsed here, so
+    a field that is no integer, a zero denominator or a factor row with a
+    prime below 2, an exponent below 1, is_residual outside {0, 1} or a hit
+    id that names no hit is refused here, naming the row.
     """
     _unlock_big_decimals()
     data, stats = {}, {}
@@ -405,11 +405,8 @@ def import_csv(dirpath) -> Store:
         store._by_tuple[key] = hit_id
         tidy = tidy and hit_id >= store._next_id
         store._next_id = max(store._next_id, hit_id + 1)
-    for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS, _factor_row):
-        if frow.hit_id not in store._hits:
-            # export writes factor rows per hit, so this row would be dropped
-            raise ValueError(f"f1_factors.csv: factor row for hit id {frow.hit_id}, "
-                             "which names no hit")
+    for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS,
+                                lambda fields: _factor_row(fields, store._hits)):
         store._factors.setdefault(frow.hit_id, []).append(frow)
     for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row,
                                csvrows.kept_fibre):
@@ -437,13 +434,17 @@ def _hit_record(fields) -> HitRecord:
     )
 
 
-def _factor_row(fields) -> FactorRow:
+def _factor_row(fields, hits) -> FactorRow:
     """The one parse of an f1_factors.csv row, its fields in FACTOR_COLUMNS
-    order; a row no factorization can hold is refused."""
+    order; a row no factorization can hold, or one whose hit id is not a
+    key of `hits`, is refused (export writes factor rows per hit, so it
+    would drop that row)."""
     hit_id, prime, exponent, is_residual = map(int, fields)
     if prime < 2 or exponent < 1 or is_residual not in (0, 1):
         raise ValueError(f"prime {prime}, exponent {exponent}, is_residual {is_residual}; "
                          "a factor row needs prime >= 2, exponent >= 1, is_residual 0 or 1")
+    if hit_id not in hits:
+        raise ValueError(f"factor row for hit id {hit_id}, which names no hit")
     return FactorRow(hit_id, prime, exponent, bool(is_residual))
 
 

@@ -58,11 +58,9 @@ EIGHT_TORSION = [(9, 16), (16, 9), (27, 48)]
 def audit_tuples() -> tuple[MasterTuple, ...]:
     """The 346 hits of mw run (22,17) at seed height 80, K=2: the store that
     perfbench's factor-audit factors."""
-    from brickforge.ecq import torsion_subgroup
     from brickforge.fibration import build_fibre
     from brickforge.mw import enumerate_and_certify, naive_quartic_search, seeds_from_hits
 
     c = build_fibre(22, 17)
-    tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80)), 2, tor)
+    run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), 2)
     return tuple(run.outputs)

@@ -239,7 +239,7 @@ def test_criterion_10_store_determinism(tmp_path):
         db.set_family_tags(rec.id, classify(rec.x, rec.y, rec.z, tables))
     seeds = seeds_from_hits(build_fibre(44, 9), [(55, 48)])
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4,
-                             generators=tuple(seeds.points)))
+                             generators=tuple(seeds)))
     export_csv(db, tmp_path / "a")
     back = import_csv(tmp_path / "a")
     export_csv(back, tmp_path / "b")

@@ -94,6 +94,7 @@ def test_factorize_and_idempotence(db, capsys):
 
 
 def test_factorize_parallel_matches_serial(db, tmp_path_factory, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs 2 on a one-CPU host too
     seeded_db(db, factored=False)
     assert cli.main(["factorize", "--budget", "30", "--jobs", "2"]) == 0
     parallel = import_csv(db)
@@ -121,6 +122,40 @@ def test_bad_budget_or_jobs_is_operational_error(db, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
     assert {path.name: path.read_bytes() for path in db.iterdir()} == before
+
+
+def test_factorize_jobs_above_the_cpu_count_is_operational_error(db, capsys, monkeypatch):
+    # a fork pool starts all its workers at the first submit: the limit is
+    # checked before any pool is made
+    seeded_db(db, factored=False)
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    assert cli.main(["factorize", "--jobs", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --jobs must be at most 3, the CPU count\n"
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
+
+
+def test_mw_run_computes_the_torsion_once(db, monkeypatch, capsys):
+    from brickforge import ecq
+
+    calls = []
+    inner = ecq.torsion_subgroup
+
+    def counted(c):
+        calls.append((c.m, c.n))
+        return inner(c)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brickforge") and getattr(module, "torsion_subgroup", None) is inner:
+            monkeypatch.setattr(module, "torsion_subgroup", counted)
+    argv = ["mw", "run", "--m", "44", "--n", "9", "--seed-height", "60", "--K", "1"]
+    assert cli.main(argv) == 0
+    assert calls == [(44, 9)]
+    assert cli.main(argv) == 0
+    assert calls == [(44, 9)] * 2
+    assert "torsion=(2, 4)" in capsys.readouterr().out
 
 
 def test_mw_run_inserts_sigma_form(db, capsys):

@@ -10,12 +10,11 @@ import pytest
 from conftest import admissible_fibres
 from brickforge import ecq, master, mw
 from brickforge.ecq import (
-    INFINITY, CurvePoint, TorsionGroup, add, neg, scalar_mul, torsion_subgroup, two_torsion,
+    INFINITY, CurvePoint, add, neg, scalar_mul, torsion_subgroup, two_torsion,
 )
 from brickforge.fibration import build_fibre, lift_point, tau
 from brickforge.master import EuclidPair, MasterTuple, edges, is_master_hit, sigma_canonical
 from brickforge.mw import (
-    GeneratorSet,
     MwStats,
     _coefficient_vectors,
     enumerate_and_certify,
@@ -69,17 +68,16 @@ def test_naive_quartic_search_gates_its_inputs():
 
 def test_seeds_from_hits():
     tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)])
-    assert len(g.points) == 1
-    P = g.points[0]
+    seeds = seeds_from_hits(F449, [(55, 48)])
+    assert len(seeds) == 1
+    P = seeds[0]
     assert tau(F449, P) == Fraction(3025, 2304)
     assert P not in tor.points
     # duplicates collapse
-    g = seeds_from_hits(F449, [(55, 48), (55, 48)])
-    assert len(g.points) == 1
+    assert seeds_from_hits(F449, [(55, 48), (55, 48)]) == seeds
     with pytest.raises(ValueError):
         seeds_from_hits(F449, [(3, 2)])
-    assert seeds_from_hits(F449, []).points == []
+    assert seeds_from_hits(F449, []) == []
 
 
 def test_coefficient_vectors():
@@ -109,9 +107,7 @@ def test_coefficient_vectors_match_the_sorted_construction():
 
 
 def test_enumerate_recovers_seed():
-    tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)])
-    run = enumerate_and_certify(g, 1, tor)
+    run = enumerate_and_certify(F449, seeds_from_hits(F449, [(55, 48)]), 1)
     assert sigma_canonical(MasterTuple(55, 48, 44, 9)) in run.outputs
     assert run.provenance == "MW-44-9"
     assert run.stats.candidates == 8  # one vector, eight torsion shifts
@@ -120,9 +116,7 @@ def test_enumerate_recovers_seed():
 
 
 def test_enumerate_outputs_all_certified():
-    tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)])
-    run = enumerate_and_certify(g, 2, tor)
+    run = enumerate_and_certify(F449, seeds_from_hits(F449, [(55, 48)]), 2)
     for t in run.outputs:
         assert is_master_hit(t) is not None
         assert t == sigma_canonical(t)
@@ -131,37 +125,30 @@ def test_enumerate_outputs_all_certified():
 
 
 def test_enumerate_monotone_in_K():
-    tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)])
-    small = set(enumerate_and_certify(g, 1, tor).outputs)
-    large = set(enumerate_and_certify(g, 2, tor).outputs)
+    seeds = seeds_from_hits(F449, [(55, 48)])
+    small = set(enumerate_and_certify(F449, seeds, 1).outputs)
+    large = set(enumerate_and_certify(F449, seeds, 2).outputs)
     assert small <= large
 
 
 def test_enumerate_empty_generator_set():
-    tor = torsion_subgroup(F21)
-    run = enumerate_and_certify(GeneratorSet(F21, []), 2, tor)
+    run = enumerate_and_certify(F21, [], 2)
     assert run.outputs == []
     assert run.stats.candidates == 0
 
 
 def test_enumerate_rejects_bad_K():
-    tor = torsion_subgroup(F21)
     with pytest.raises(ValueError):
-        enumerate_and_certify(GeneratorSet(F21, []), 0, tor)
+        enumerate_and_certify(F21, [], 0)
 
 
 def test_mirror_point_same_tau():
-    tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)])
-    P = g.points[0]
+    P = seeds_from_hits(F449, [(55, 48)])[0]
     assert tau(F449, P) == tau(F449, neg(F449, P))
 
 
 def test_load_seed_file(tmp_path):
-    tor = torsion_subgroup(F449)
-    g = seeds_from_hits(F449, [(55, 48)])
-    P = g.points[0]
+    P = seeds_from_hits(F449, [(55, 48)])[0]
     path = tmp_path / "seeds.txt"
     path.write_text(
         "# cubic-side and quartic-side forms\n"
@@ -169,25 +156,24 @@ def test_load_seed_file(tmp_path):
         "t 55/48\n"
         "\n"
     )
-    loaded = load_seed_file(path, F449, tor)
-    assert len(loaded.points) == 1  # the two lines name the same point
+    assert load_seed_file(path, F449) == [P]  # the two lines name the same point
 
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
-        load_seed_file(bad, F449, tor)
+        load_seed_file(bad, F449)
 
     bad2 = tmp_path / "bad2.txt"
     bad2.write_text("t 3/2\n")
     with pytest.raises(ValueError, match="not on a hit"):
-        load_seed_file(bad2, F449, tor)
+        load_seed_file(bad2, F449)
 
-    # a zero denominator or a missing field names the line, never crashes
-    for line in ("1/0 3", "t 5/0", "t"):
+    # a zero denominator, a missing field or t = 0 names the line, never crashes
+    for line in ("1/0 3", "t 5/0", "t", "t 0"):
         bad3 = tmp_path / "bad3.txt"
         bad3.write_text(f"t 55/48\n{line}\n")
         with pytest.raises(ValueError, match="bad3.txt:2"):
-            load_seed_file(bad3, F449, tor)
+            load_seed_file(bad3, F449)
 
 
 # fibres with m < 100 that have seeds at height 60: every one with two or
@@ -204,23 +190,23 @@ SEEDED_FIBRES = (
 )
 
 
-def _reference_enumeration(g, K, torsion):
+def _reference_enumeration(c, seeds, K):
     """Every combination and torsion shift, summed from scratch with the checked law."""
-    c = g.fibre
+    torsion = torsion_subgroup(c).points
     stats = MwStats()
     outputs, seen = [], set()
     multiples = []
-    for P in g.points:
+    for P in seeds:
         row = {0: INFINITY}
         for k in range(1, K + 1):
             row[k] = add(c, row[k - 1], P)
             row[-k] = neg(c, row[k])
         multiples.append(row)
-    for vec in _coefficient_vectors(len(g.points), K):
+    for vec in _coefficient_vectors(len(seeds), K):
         base = INFINITY
         for i, coeff in enumerate(vec):
             base = add(c, base, multiples[i][coeff])
-        for T in torsion.points:
+        for T in torsion:
             stats.candidates += 1
             if not base.is_infinity and max(
                     v.bit_length() for v in (base.X.numerator, base.X.denominator,
@@ -242,9 +228,9 @@ def _reference_enumeration(g, K, torsion):
     return outputs, stats
 
 
-def _assert_matches_reference(g, K, tor):
-    run = enumerate_and_certify(g, K, tor)
-    outputs, stats = _reference_enumeration(g, K, tor)
+def _assert_matches_reference(c, seeds, K):
+    run = enumerate_and_certify(c, seeds, K)
+    outputs, stats = _reference_enumeration(c, seeds, K)
     assert run.outputs == outputs  # same tuples in the same order
     assert run.stats == stats
     return stats
@@ -253,11 +239,10 @@ def _assert_matches_reference(g, K, tor):
 def test_enumerate_matches_reference_on_seeded_fibres():
     for m, n in SEEDED_FIBRES:
         c = build_fibre(m, n)
-        tor = torsion_subgroup(c)
-        g = seeds_from_hits(c, naive_quartic_search(c, 60))
-        assert g.points, (m, n)
+        seeds = seeds_from_hits(c, naive_quartic_search(c, 60))
+        assert seeds, (m, n)
         for K in (1, 2):
-            _assert_matches_reference(g, K, tor)
+            _assert_matches_reference(c, seeds, K)
 
 
 @pytest.mark.parametrize("m, n, K", [(44, 9, 3), (22, 17, 2)])
@@ -265,40 +250,14 @@ def test_enumerate_matches_reference_with_dependent_seeds(m, n, K):
     # the five (22,17) seeds are dependent: some bases land at infinity and
     # some on a torsion point, which take the Fraction group law
     c = build_fibre(m, n)
-    tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60))
-    stats = _assert_matches_reference(g, K, tor)
+    stats = _assert_matches_reference(c, seeds_from_hits(c, naive_quartic_search(c, 60)), K)
     assert stats.certified > 0
 
 
 def test_enumerate_checks_points_where_they_enter():
-    tor = torsion_subgroup(F449)
     off = CurvePoint(Fraction(1), Fraction(1))
     with pytest.raises(ValueError, match="not on fibre"):
-        enumerate_and_certify(GeneratorSet(F449, [off]), 1, tor)
-    # a listed torsion point must be one of the eight: not a point off the
-    # curve, nor one on it that is not integral
-    g = seeds_from_hits(F449, [(55, 48)])
-    for T in (off, add(F449, g.points[0], g.points[0])):
-        with pytest.raises(ValueError, match="is not torsion on fibre"):
-            enumerate_and_certify(g, 1, TorsionGroup((1, 2), [INFINITY, T]))
-
-
-@pytest.mark.parametrize("m, n, K", [(13, 2, 2), (44, 9, 2), (8, 5, 2), (22, 17, 1)])
-def test_enumerate_matches_reference_with_hand_built_torsion(m, n, K):
-    # the E[2] cosets are found from the list itself: a point whose partner
-    # is missing stands alone, and the order of the list is the output order
-    c = build_fibre(m, n)
-    tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60))
-    E1, E2, E3 = two_torsion(c)
-    shuffled = list(tor.points)
-    random.Random(m * n).shuffle(shuffled)
-    assert len(shuffled) == 8 and shuffled != tor.points
-    for points in ([INFINITY, E1, E2, E3], [INFINITY], [INFINITY, E1], [E3, E1],
-                   shuffled, shuffled[:5]):
-        stats = _assert_matches_reference(g, K, TorsionGroup(tor.structure, points))
-        assert stats.candidates == len(points) * len(_coefficient_vectors(len(g.points), K))
+        enumerate_and_certify(F449, [off], 1)
 
 
 def test_tau_shared_across_two_torsion_on_seeds():
@@ -307,7 +266,7 @@ def test_tau_shared_across_two_torsion_on_seeds():
         c = build_fibre(m, n)
         tor = torsion_subgroup(c)
         E1, E2, E3 = two_torsion(c)
-        for P in seeds_from_hits(c, naive_quartic_search(c, 60)).points:
+        for P in seeds_from_hits(c, naive_quartic_search(c, 60)):
             for k in (1, 2, -3):
                 for T in tor.points:
                     R = add(c, scalar_mul(c, k, P), T)
@@ -335,25 +294,25 @@ def _lift_pairs_of_tau(tv):
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
 
 
-def _fraction_walk(g, K, torsion):
+def _fraction_walk(c, seeds, K):
     """The walk on Fraction points with one reduced tau and two square tests
     per coset, as it was before it ran on integer triples."""
-    c = g.fibre
+    torsion = torsion_subgroup(c).points
     stats = MwStats()
     shifts = [(T, None, None) if T.is_infinity else (T, T.X.numerator, T.Y.numerator)
-              for T in torsion.points]
+              for T in torsion]
     torsion_xs = {xT for _, xT, _ in shifts if xT is not None}
-    reps, coset = mw._cosets(c, torsion.points)
+    reps, coset = mw._cosets(c, torsion)
     reps = [shifts[i][1:] for i in reps]
     multiples = []
-    for P in g.points:
+    for P in seeds:
         row = {0: INFINITY}
         for k in range(1, K + 1):
             row[k] = add(c, row[k - 1], P)
             row[-k] = neg(c, row[k])
         multiples.append(row)
     outputs, seen = [], set()
-    for vec in _coefficient_vectors(len(g.points), K):
+    for vec in _coefficient_vectors(len(seeds), K):
         base = INFINITY
         for i, coeff in enumerate(vec):
             base = add(c, base, multiples[i][coeff])
@@ -394,16 +353,15 @@ def _seeded_fibres(how_many, height):
         c = build_fibre(m, n)
         hits = naive_quartic_search(c, height)
         if hits:
-            tor = torsion_subgroup(c)
-            out.append((seeds_from_hits(c, hits), tor))
+            out.append((c, seeds_from_hits(c, hits)))
             if len(out) == how_many:
                 return out
     raise AssertionError(f"fewer than {how_many} seeded fibres")
 
 
-def _assert_walks_agree(g, K, tor):
-    run = enumerate_and_certify(g, K, tor)
-    outputs, stats = _fraction_walk(g, K, tor)
+def _assert_walks_agree(c, seeds, K):
+    run = enumerate_and_certify(c, seeds, K)
+    outputs, stats = _fraction_walk(c, seeds, K)
     assert run.outputs == outputs  # same tuples in the same order
     assert run.stats == stats
     return stats
@@ -412,16 +370,14 @@ def _assert_walks_agree(g, K, tor):
 def test_integer_walk_matches_fraction_walk_on_seeded_fibres():
     fibres = _seeded_fibres(110, 60)
     certified = 0
-    for g, tor in fibres:
-        certified += _assert_walks_agree(g, 2, tor).certified
-    assert fibres[-1][0].fibre.m >= 90 and certified >= 1000
+    for c, seeds in fibres:
+        certified += _assert_walks_agree(c, seeds, 2).certified
+    assert fibres[-1][0].m >= 90 and certified >= 1000
 
 
 def test_integer_walk_matches_fraction_walk_on_the_deep_fibre():
     c = build_fibre(22, 17)
-    tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 80))
-    stats = _assert_walks_agree(g, 3, tor)
+    stats = _assert_walks_agree(c, seeds_from_hits(c, naive_quartic_search(c, 80)), 3)
     assert (stats.candidates, stats.certified) == (67224, 16770)
 
 
@@ -437,12 +393,11 @@ def test_skipped_large_matches_reference_at_small_caps(monkeypatch, cap):
     # a base past the cap is skipped with every one of its torsion translates
     monkeypatch.setattr(mw, "_CAP_BITS", cap)
     c = build_fibre(13, 2)
-    tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60))
-    stats = _assert_matches_reference(g, 2, tor)
+    seeds = seeds_from_hits(c, naive_quartic_search(c, 60))
+    stats = _assert_matches_reference(c, seeds, 2)
     assert 0 < stats.skipped_large < stats.candidates
-    assert stats.skipped_large % len(tor.points) == 0
-    _assert_walks_agree(g, 2, tor)
+    assert stats.skipped_large % 8 == 0  # the eight torsion translates
+    _assert_walks_agree(c, seeds, 2)
 
 
 @pytest.mark.parametrize("cap", [40, 80, 120, 200])
@@ -452,9 +407,7 @@ def test_skipped_large_matches_reference_with_dependent_seeds(monkeypatch, cap):
     # point must not be merged with its torsion translates or its negative
     monkeypatch.setattr(mw, "_CAP_BITS", cap)
     c = build_fibre(22, 17)
-    tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60))
-    stats = _assert_matches_reference(g, 2, tor)
+    stats = _assert_matches_reference(c, seeds_from_hits(c, naive_quartic_search(c, 60)), 2)
     assert 0 < stats.skipped_large < stats.candidates
 
 
@@ -519,19 +472,6 @@ def test_relation_basis_spans_exactly_the_relations():
     assert tested > 150
 
 
-@pytest.mark.parametrize("m, n", [(4, 3), (6, 5)])
-def test_listed_point_of_infinite_order_is_refused(m, n):
-    # an integral seed put in a hand-built torsion list: on the curve and
-    # integral, but a base landing on it would be taken for torsion
-    c = build_fibre(m, n)
-    tor = torsion_subgroup(c)
-    g = seeds_from_hits(c, naive_quartic_search(c, 60))
-    P = next(P for P in g.points if P.X.denominator == 1)
-    assert ecq.on_curve(c, P)
-    with pytest.raises(ValueError, match="is not torsion on fibre"):
-        enumerate_and_certify(g, 2, TorsionGroup(tor.structure, tor.points + [P]))
-
-
 def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
     # bench fibre (22,17), H=80, K=3: 8,403 coefficient vectors land on 2,312
     # points; counts and outputs keep their box meaning
@@ -549,18 +489,16 @@ def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
     counting(mw, "_chord")
     counting(ecq, "_chord")
     c = build_fibre(22, 17)
-    tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 80)), 3, tor)
+    run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), 3)
     assert (run.stats.candidates, run.stats.certified, len(run.outputs)) == (67224, 16770, 1059)
-    assert calls["lift_pairs"] <= 5000  # 16,770 with every vector walked
-    assert calls["_chord"] <= 3000  # 8,386 with every vector walked
+    assert calls["lift_pairs"] <= 4700  # 16,770 with every vector walked
+    assert calls["_chord"] <= 2700  # 8,386 with every vector walked
 
 
 def test_deep_walk_at_height_150_and_K_4():
     # pinned to the outputs of the walk that summed every vector
     c = build_fibre(22, 17)
-    tor = torsion_subgroup(c)
-    run = enumerate_and_certify(seeds_from_hits(c, naive_quartic_search(c, 150)), 4, tor)
+    run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 150)), 4)
     assert run.stats == MwStats(candidates=2125760, lifted=531072, certified=531072,
                                 skipped_large=0)
     text = "".join(f"{t.a},{t.b},{t.m},{t.n}\n" for t in run.outputs)

@@ -133,9 +133,9 @@ def test_fibre_row_upsert_and_validation():
     db = golden_store()
     c, seeds = _fibre_with_seed()
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4,
-                             generators=tuple(seeds.points)))
+                             generators=tuple(seeds)))
     assert validate_consistency(db) == []
-    P = seeds.points[0]
+    P = seeds[0]
     off = CurvePoint(P.X, P.Y + 1)
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4, generators=(P, off)))
     assert validate_consistency(db) == ["fibre (44,9): generator off curve"]
@@ -181,7 +181,7 @@ def full_store() -> Store:
     db.set_factorization(2, Factorization(factors=[(3, 2)], residual=f1 // 9, status="partial"))
     _, seeds = _fibre_with_seed()
     db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4,
-                             rank_lb=1, generators=tuple(seeds.points)))
+                             rank_lb=1, generators=tuple(seeds)))
     db.upsert_fibre(FibreRow(m=2, n=1, torsion_d1=2, torsion_d2=4))
     db.set_family_tags(1, {"Sporadic", "Euler"})
     db.set_family_tags(2, {"Sporadic"})
@@ -328,7 +328,8 @@ def test_import_rejects_orphan_factor_rows(tmp_path, manifest):
         _rewrite_manifest(tmp_path)  # the digests match; the orphan is what fails
     else:
         (tmp_path / "manifest.txt").unlink()
-    with pytest.raises(ValueError, match="f1_factors.csv: factor row for hit id 7"):
+    with pytest.raises(ValueError, match="f1_factors.csv row 7: factor row for hit id 7, "
+                                         "which names no hit"):
         import_csv(tmp_path)
 
 
@@ -720,7 +721,7 @@ def fibre_store() -> Store:
     db = full_store()
     for m, n in ((6, 5), (13, 2), (22, 17)):
         c = build_fibre(m, n)
-        gens = seeds_from_hits(c, naive_quartic_search(c, 60)).points
+        gens = seeds_from_hits(c, naive_quartic_search(c, 60))
         db.upsert_fibre(FibreRow(m=m, n=n, torsion_d1=2, torsion_d2=4, generators=tuple(gens)))
     return db
 
