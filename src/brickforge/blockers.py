@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .master import MasterTuple, f1, is_master_hit, parameter_set, triples
-from .ntkernel import Factorization, is_perfect_square, valuation
+from .ntkernel import Factorization, is_perfect_square, is_prime, valuation
 
 VALID_MODIFIERS = (1, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
@@ -165,7 +165,7 @@ def twelve_formulas(t: MasterTuple, k: int) -> list[int]:
 
 def padic_profile(t: MasterTuple, p: int):
     """(v_p(W1*U2), v_p(U1*V2), predicted v_p(f1) when the two differ)."""
-    if p == 2 or p < 3:
+    if p % 2 == 0 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     t1, t2 = triples(t)
     alpha = valuation(t1.W * t2.U, p)

@@ -2,11 +2,11 @@
 
 The curve object is any value carrying integer attributes B, gamma and
 the three roots e1, e2, e3; all point coordinates are Fractions, or the
-integers (p, r, d) of X = p/d^2 and Y = r/d^3 in the chord (`_chord`),
-so every identity below is checked exactly, never numerically.
+integers (p, r, d) of X = p/d^2 and Y = r/d^3 that the group law works
+in, so every identity below is checked exactly, never numerically.
 
 The group law (add, neg, scalar_mul, halve) assumes its inputs are on
-the curve; it checks only the integral form the chord works in.  Points
+the curve; it checks only the integral form its sums take.  Points
 are checked where they enter: seed file lines in `mw.load_seed_file`,
 seeds in `mw.enumerate_and_certify`, hit pairs in `fibration.phi` and
 stored generators in `store.validate_consistency`.  The torsion of every
@@ -35,14 +35,9 @@ class CurvePoint:
 INFINITY = CurvePoint()
 
 
-def _coeffs(c) -> tuple[int, int, int]:
-    g4 = c.gamma**4
-    return c.B, -4 * g4, -4 * g4 * c.B
-
-
 def cubic_rhs(c, X: Fraction) -> Fraction:
-    a2, a4, a6 = _coeffs(c)
-    return ((X + a2) * X + a4) * X + a6
+    g4 = 4 * c.gamma**4
+    return ((X + c.B) * X - g4) * X - g4 * c.B
 
 
 def on_curve(c, P: CurvePoint) -> bool:
@@ -78,58 +73,67 @@ def _point(P: tuple[int, int, int] | None) -> CurvePoint:
     return CurvePoint(Fraction(p, s), Fraction(r, s * d))
 
 
-def _chord(c, P: tuple[int, int, int], Q: tuple[int, int, int]) -> tuple[int, int, int] | None:
-    """P + Q on triples (p, r, d) with X = p/d^2 and Y = r/d^3, d != 0, the
-    sum with d > 0 and X in lowest terms; None when X(P) = X(Q), where
-    there is no chord (a doubling, or Q = -P).
+def _raw_sum(c, P: tuple[int, int, int], Q: tuple[int, int, int]) -> tuple[int, int, int] | None:
+    """P + Q as (u, w, D) with X = u/D^2 and Y = w/D^3, unreduced, for triples
+    (p, r, d) with X = p/d^2 and Y = r/d^3, d != 0; None at infinity.
 
-    With E = p2 d1^2 - p1 d2^2, F = r2 d1^3 - r1 d2^3 and D = d1 d2 E the
-    slope is F/D and the sum is (u/D^2, w/D^3).  On the integral model its
-    X is p/d^2 in lowest terms with d | D, so gcd(u, D^2) = (D/d)^2 and one
-    gcd reduces X and Y at once.  That this gcd is a square and divides w
-    the right number of times is checked, never assumed.
+    With E = p2 d1^2 - p1 d2^2 and F = r2 d1^3 - r1 d2^3 the chord has slope
+    F/D, D = d1 d2 E.  Where E = F = 0 and r != 0 the tangent has slope L/D,
+    L = 3 p^2 + 2 B p d^2 - 4 gamma^4 d^4 and D = 2 r d, the integral form of
+    X(2P) = phi_2/psi_2^2 (Silverman, AEC III.2).
     """
     p1, r1, d1 = P
     p2, r2, d2 = Q
     s1, s2 = d1 * d1, d2 * d2
     E = p2 * s1 - p1 * s2
-    if not E:
-        return None
     t2 = s2 * d2
     F = r2 * s1 * d1 - r1 * t2
-    D = d1 * d2 * E
-    E2, D2 = E * E, D * D
-    x1 = p1 * s2 * E2  # X(P) * D^2
-    u = F * F - c.B * D2 - x1 - p2 * s1 * E2
-    w = F * (x1 - u) - r1 * t2 * E2 * E
+    if E:
+        D = d1 * d2 * E
+        E2 = E * E
+        x1 = p1 * s2 * E2  # X(P) * D^2
+        u = F * F - c.B * D * D - x1 - p2 * s1 * E2
+        return u, F * (x1 - u) - r1 * t2 * E2 * E, D
+    if F or not r1:  # Q = -P, or P of order two
+        return None
+    L = (3 * p1 + 2 * c.B * s1) * p1 - 4 * c.gamma**4 * s1 * s1
+    D = 2 * r1 * d1
+    rr = r1 * r1
+    u = L * L - c.B * D * D - 8 * p1 * rr
+    return u, L * (4 * p1 * rr - u) - 8 * rr * rr, D
+
+
+def _sum(c, P: tuple[int, int, int] | None, Q: tuple[int, int, int] | None) -> tuple[int, int, int] | None:
+    """P + Q on triples (None at infinity), the sum with d > 0 and X in
+    lowest terms.
+
+    On the integral model X(P + Q) is p/d^2 in lowest terms with d | D, so
+    gcd(u, D^2) = (D/d)^2 and one gcd reduces X and Y at once, for a chord
+    and a tangent alike.  That this gcd is a square and divides w the right
+    number of times is checked, never assumed.
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    R = _raw_sum(c, P, Q)
+    if R is None:
+        return None
+    u, w, D = R
     if D < 0:
         D, w = -D, -w
-    G = gcd(u, D2)
+    G = gcd(u, D * D)
     g = isqrt(G)
     g3 = G * g
     if g * g != G or w % g3:
-        raise AssertionError(f"chord sum not in integral form on the curve with B = {c.B}")
+        raise AssertionError(f"sum not in integral form on the curve with B = {c.B}")
     return u // G, w // g3, D // g
 
 
 def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    """Chord-tangent sum of two points on the curve.
-
-    The model is integral, so a point on it is X = p/d^2, Y = r/d^3 in
-    lowest terms, and the chord is summed in those integers (`_chord`).
-    """
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    if P.X == Q.X:
-        if P.Y == -Q.Y:
-            return INFINITY
-        a2, a4, _ = _coeffs(c)
-        lam = (3 * P.X * P.X + 2 * a2 * P.X + a4) / (2 * P.Y)
-        X3 = lam * lam - a2 - P.X - Q.X
-        return CurvePoint(X3, lam * (P.X - X3) - P.Y)
-    return _point(_chord(c, _triple(P), _triple(Q)))
+    """Chord-tangent sum of two points on the curve, in the integers of
+    their triples (`_sum`)."""
+    return _point(_sum(c, _triple(P), _triple(Q)))
 
 
 def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:

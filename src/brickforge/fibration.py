@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .ecq import CurvePoint, on_curve
+from .ecq import CurvePoint, _triple, on_curve
 from .master import EuclidPair, triple_from_pair
 
 
@@ -81,11 +81,8 @@ def tau(c: FibreCurve, P: CurvePoint) -> Fraction | None:
 
 
 def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
-    """The admissible pair (a, b) behind a point, when one exists.
-
-    tau is the square of the root t = 2 gamma (X + B) / Y wherever Y != 0
-    (see `lift_pairs`); a point lifts when |t| = a/b in lowest terms has
-    a > b with a - b odd.  Certification of the hit itself stays with the
+    """The admissible pair (a, b) behind a point, when one exists, by the
+    rule of `lift_pairs`.  Certification of the hit itself stays with the
     caller.  On the quartic point (t, s), t is the root itself:
 
     >>> from brickforge.ntkernel import is_square_rational
@@ -95,33 +92,25 @@ def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
     >>> root, root ** 2 == tau(c, P), lift_point(c, P)
     (Fraction(55, 48), True, EuclidPair(a=55, b=48))
     """
-    if P.is_infinity:
-        return None
-    X, Y = P.X, P.Y
-    # t = 2 gamma (X + B) / Y with X = p/s and Y = r/q
-    return _lift_root(2 * c.gamma * (X.numerator + c.B * X.denominator) * Y.denominator,
-                      X.denominator * Y.numerator)[0]
+    return None if P.is_infinity else lift_pairs(c, *_triple(P))[0]
 
 
 def lift_pairs(c: FibreCurve, u: int, w: int, D: int) -> tuple[EuclidPair | None, EuclidPair | None]:
-    """The lift rule of lift_point for the point X = u/D^2, Y = w/D^3 (any
-    such integers, D != 0), applied to tau and to 1/tau at once: the root of
-    1/tau is b/a, so one root decides both, and at most one of the two lifts.
+    """The lifts of tau and of 1/tau at the point X = u/D^2, Y = w/D^3 (any
+    such integers, D != 0).
 
     On the cubic Y^2 = (X + B)(X^2 - 4 gamma^4), so tau Y^2 = 4 gamma^2 (X + B)^2
     and tau = t^2 exactly, t = 2 gamma (X + B) / Y = 2 gamma (u + B D^2) D / w,
-    wherever Y != 0.  The three points with Y = 0 are those where tau is None
-    or 0, and lift to nothing.
+    wherever Y != 0.  The point lifts when |t| = a/b in lowest terms has
+    a > b with a - b odd.  The root of 1/tau is b/a, so one root decides
+    both, and at most one of the two lifts.  The three points with Y = 0
+    are those where tau is None or 0, and lift to nothing.
     """
-    return _lift_root(2 * c.gamma * (u + c.B * D * D) * D, w)
-
-
-def _lift_root(num: int, den: int) -> tuple[EuclidPair | None, EuclidPair | None]:
-    # the root num/den of tau, unreduced, to the lifts of tau and of 1/tau
-    if not num or not den:
+    num = 2 * c.gamma * (u + c.B * D * D) * D
+    if not num or not w:
         return None, None
-    g = gcd(num, den)
-    a, b = abs(num // g), abs(den // g)
+    g = gcd(num, w)
+    a, b = abs(num // g), abs(w // g)
     if (a - b) % 2 == 0:
         return None, None
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))

@@ -20,13 +20,12 @@ in `fibration.phi`, and each seed once per run at the top of
 reads the eight torsion points from `ecq.torsion_subgroup` itself.
 The walk works on the reduced integers (p, r, d) of X = p/d^2 and
 Y = r/d^3.  Partial sums over coefficient prefixes are shared, so each
-combination (the base) costs one addition of the integer chord law
-(`ecq._chord`, one gcd), or of `ecq.add` where the chord is undefined.
-Each torsion shift of a base is then done in integers: with T integral,
-the shifted point is u/D^2, w/D^3 without any gcd, and its lift is read
-from the root 2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`,
-one gcd).  Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)}
-is computed: translation by (e1,0) keeps tau and translation by (e2,0)
+combination (the base) costs one chord or tangent in integers
+(`ecq._sum`, one gcd).  Each torsion shift of a base is the unreduced
+sum u/D^2, w/D^3 (`ecq._raw_sum`), and its lift is read from the root
+2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`, one gcd).
+Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)} is
+computed: translation by (e1,0) keeps tau and translation by (e2,0)
 or (e3,0) inverts it (an exact identity, see `_cosets`), so one root
 decides the lifts of all four translates.  A base at infinity or above a
 torsion point, where the shift is undefined, is itself torsion, so none
@@ -60,7 +59,7 @@ from math import gcd, isqrt
 from operator import itemgetter, sub
 
 from .ecq import (
-    CurvePoint, _chord, _point, _triple, add, on_curve, torsion_subgroup, two_torsion,
+    CurvePoint, _raw_sum, _sum, _triple, add, on_curve, torsion_subgroup, two_torsion,
 )
 from .fibration import FibreCurve, lift_pairs, phi, quartic_rhs
 from .master import (
@@ -174,29 +173,6 @@ def _coefficient_vectors(r: int, K: int) -> list[tuple[int, ...]]:
     return [v for s in range(1, r * K + 1) for v in lead[s]]
 
 
-def _shift(c: FibreCurve, p: int, r: int, d: int, xT: int, yT: int) -> tuple[int, int, int]:
-    """base + T for integral T off the vertical line of base = (p/d^2, r/d^3):
-    (u, w, D) with X = u/D^2 and Y = w/D^3, unreduced."""
-    d2 = d * d
-    e = xT * d2 - p
-    N = yT * d2 * d - r
-    D = d * e
-    pe2 = p * e * e
-    u = N * N - (c.B + xT) * D * D - pe2
-    return u, N * (pe2 - u) - r * e**3, D
-
-
-def _sum(c: FibreCurve, P, Q):
-    """P + Q on the triples of `ecq._chord` (None at infinity): the chord in
-    integers, and `ecq.add` where it is undefined."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    R = _chord(c, P, Q)
-    return _triple(add(c, _point(P), _point(Q))) if R is None else R
-
-
 def _cosets(c: FibreCurve, points: list[CurvePoint]):
     """The torsion points grouped into cosets of E[2] = {O, (e1,0), (e2,0), (e3,0)}.
 
@@ -273,9 +249,8 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
     if K < 1:
         raise ValueError("K must be at least 1")
     torsion = torsion_subgroup(c).points
-    shifts = [(None, None) if T.is_infinity else (T.X.numerator, T.Y.numerator)
-              for T in torsion]
-    torsion_xs = {xT for xT, _ in shifts if xT is not None}
+    shifts = [_triple(T) for T in torsion]
+    torsion_xs = {T[0] for T in shifts if T is not None}
     reps, coset = _cosets(c, torsion)
     reps = [shifts[i] for i in reps]
     multiples = []
@@ -341,8 +316,8 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
             pairs = ()
         else:
             # one root of tau per coset
-            roots = [lift_pairs(c, *(base if xT is None else _shift(c, *base, xT, yT)))
-                     for xT, yT in reps]
+            roots = [lift_pairs(c, *(base if T is None else _raw_sum(c, base, T)))
+                     for T in reps]
             pairs = [roots[k][inverted] for k, inverted in coset]
         count = 0
         for pair in pairs:

@@ -213,8 +213,9 @@ def test_padic_profile():
     assert padic_profile(GOLDEN, 73) == (2, 0, 0)
     assert padic_profile(MasterTuple(2, 1, 2, 1), 5) == (1, 0, 0)
     assert f1(MasterTuple(2, 1, 2, 1)) == 9 * 41
-    with pytest.raises(ValueError):
-        padic_profile(GOLDEN, 2)
+    for p in (2, 4, 9, 15):
+        with pytest.raises(ValueError):
+            padic_profile(GOLDEN, p)
 
 
 def test_padic_prediction_random():

@@ -420,55 +420,65 @@ def _chord_test_points(c, rng):
 
 
 def test_chord_helper_matches_add():
-    from brickforge.ecq import _chord, _point, _triple
-    from brickforge.mw import _sum
+    from brickforge.ecq import _point, _sum, _triple
+    from brickforge.mw import naive_quartic_search, seeds_from_hits
 
     rng = random.Random(2027)
-    chords = negative = same_x = at_infinity = 0
+    chords = negative = doublings = to_infinity = at_infinity = 0
     for m, n in ((13, 2), (44, 9), (6, 5), (22, 17), (8, 3)):
         c = build_fibre(m, n)
         pts = _chord_test_points(c, rng)
         pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(400)]
         pairs += [(P, Q) for P in pts for Q in (P, neg(c, P))]
+        # doublings of seed multiples, up to 2^6 times a seed
+        for P in seeds_from_hits(c, naive_quartic_search(c, 60)):
+            for _ in range(6):
+                pairs.append((P, P))
+                P = _fraction_add(c, P, P)
         for P, Q in pairs:
-            R = add(c, P, Q)
+            want = _fraction_add(c, P, Q)
             tP, tQ = _triple(P), _triple(Q)
-            assert _sum(c, tP, tQ) == _triple(R), (m, n, P, Q)
+            got = _sum(c, tP, tQ)
+            assert got == _triple(want) and add(c, P, Q) == want, (m, n, P, Q)
             if tP is None or tQ is None:
                 at_infinity += 1
                 continue
-            chord = _chord(c, tP, tQ)
-            if P.X == Q.X:  # a doubling or Q = -P: the fallback
-                assert chord is None
-                same_x += 1
+            if got is None:
+                to_infinity += 1  # P + (-P), or P of order two doubled
+                assert P.X == Q.X
                 continue
-            p, r, d = chord
+            p, r, d = got
             assert d > 0 and gcd(p, d) == 1 and gcd(r, d) == 1
-            assert _point(chord) == R == _fraction_add(c, P, Q)
-            chords += 1
-            negative += Q.X < P.X  # E and D negative
-    assert chords >= 1000 and negative >= 400 and same_x >= 100 and at_infinity >= 100
+            assert _point(got) == want
+            if P == Q:
+                doublings += 1
+            else:
+                chords += 1
+                negative += Q.X < P.X  # E and D negative
+    assert chords >= 1000 and negative >= 400 and at_infinity >= 100
+    assert doublings >= 100 and to_infinity >= 100
 
 
 def test_chord_helper_rejects_a_non_integral_sum():
-    from brickforge.ecq import _chord, _point, _triple
+    from brickforge.ecq import _point, _sum, _triple
 
     with pytest.raises(AssertionError, match="not in integral form"):
-        _chord(F21, (-3, -3, 2), (1, 1, 1))
+        _sum(F21, (-3, -3, 2), (1, 1, 1))
     with pytest.raises(AssertionError, match="not in integral form"):
         _triple(CurvePoint(Fraction(1, 2), Fraction(1)))
     # off the curve the sum is either exact or refused, never wrong
-    raised = 0
+    raised = same_x = 0
     for P in product(range(-3, 4), range(-3, 4), (1, 2)):
         for Q in ((1, 1, 1), (2, 3, 1), (5, -7, 2)):
             if P[0] * Q[2] ** 2 == Q[0] * P[2] ** 2:
-                assert _chord(F21, P, Q) is None
-                continue
+                if P[1] * Q[2] ** 3 not in (Q[1] * P[2] ** 3, -Q[1] * P[2] ** 3):
+                    continue  # on a curve one X carries only +-Y
+                same_x += 1
             want = _fraction_add(F21, _point(P), _point(Q))
             try:
-                got = _chord(F21, P, Q)
+                got = _sum(F21, P, Q)
             except AssertionError:
                 raised += 1
                 continue
             assert _point(got) == want
-    assert raised >= 20
+    assert raised >= 20 and same_x == 4

@@ -329,7 +329,7 @@ def _fraction_walk(c, seeds, K):
             d = base.Y.denominator // d2
             shared = []
             for xT, yT in reps:
-                u, _, D = (p, r, d) if xT is None else mw._shift(c, p, r, d, xT, yT)
+                u, _, D = (p, r, d) if xT is None else ecq._raw_sum(c, (p, r, d), (xT, yT, 1))
                 shared.append(_lift_pairs_of_tau(_tau_fraction(c, u, D)))
             pairs = [shared[k][inverted] for k, inverted in coset]
         for pair in pairs:
@@ -475,7 +475,7 @@ def test_relation_basis_spans_exactly_the_relations():
 def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
     # bench fibre (22,17), H=80, K=3: 8,403 coefficient vectors land on 2,312
     # points; counts and outputs keep their box meaning
-    calls = {"lift_pairs": 0, "_chord": 0}
+    calls = {"lift_pairs": 0, "_raw_sum": 0}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -486,13 +486,12 @@ def test_deep_walk_reuses_the_points_of_dependent_seeds(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(mw, "lift_pairs")
-    counting(mw, "_chord")
-    counting(ecq, "_chord")
+    counting(ecq, "_raw_sum")
     c = build_fibre(22, 17)
     run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), 3)
     assert (run.stats.candidates, run.stats.certified, len(run.outputs)) == (67224, 16770, 1059)
     assert calls["lift_pairs"] <= 4700  # 16,770 with every vector walked
-    assert calls["_chord"] <= 2700  # 8,386 with every vector walked
+    assert calls["_raw_sum"] <= 2700  # 8,386 with every vector walked
 
 
 def test_deep_walk_at_height_150_and_K_4():
