@@ -22,7 +22,7 @@ from .fibration import build_fibre
 from .master import MasterTuple
 from .mw import enumerate_and_certify, load_seed_file, naive_quartic_search, seeds_from_hits
 from .ntkernel import DEFAULT_BUDGET, is_perfect_square
-from .store import FibreRow, Store, export_csv, import_csv, validate_consistency
+from .store import CSV_NAMES, FibreRow, Store, export_csv, import_csv, validate_consistency
 
 
 def main(argv=None) -> int:
@@ -96,8 +96,11 @@ def _require_store_dir(dirpath) -> None:
 
 
 def _load(dirpath) -> Store:
+    """The store in dirpath, empty only where none of its files exists: a
+    store that lacks one is refused by `import_csv`, which names it."""
     _require_store_dir(dirpath)
-    if not os.path.exists(os.path.join(dirpath, "master_hits.csv")):
+    names = (*CSV_NAMES, "manifest.txt")
+    if not any(os.path.exists(os.path.join(dirpath, name)) for name in names):
         return Store()
     return import_csv(dirpath)
 
@@ -215,11 +218,9 @@ def _cmd_factorize(args) -> int:
 def _cmd_mw_run(args) -> int:
     ok, reason = master.is_admissible(args.m, args.n, args.m, args.n)
     if not ok:
-        print(f"error: pair ({args.m},{args.n}) inadmissible ({reason})", file=sys.stderr)
-        return 2
+        raise ValueError(f"pair ({args.m},{args.n}) inadmissible ({reason})")
     if args.K < 1:
-        print("error: --K must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--K must be at least 1")
     db = _load(args.db)
     c = build_fibre(args.m, args.n)
     if args.seeds is not None:

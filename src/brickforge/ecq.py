@@ -11,11 +11,13 @@ are checked where they enter: seed file lines in `mw.load_seed_file`,
 seeds in `mw.enumerate_and_certify`, hit pairs in `fibration.phi` and
 stored generators in `store.validate_consistency`.  The torsion of every
 fibre is Z/2 x Z/4 (`TORSION_STRUCTURE`), none of it lifts to a hit, and
-its points come from `torsion_subgroup`, unchecked.
+its points come from `torsion_subgroup`, unchecked, with a table of
+their cosets of E[2] that tells the MW walk which translates share tau
+and which invert it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -201,6 +203,8 @@ class TorsionGroup:
     # always False, as the group is complete by theorem; kept only because
     # perfbench's torsion observer reads it
     lower_bound_only: bool = False
+    # per point, (its coset of E[2], whether it is O or Q plus (e2,0) or (e3,0))
+    cosets: list[tuple[int, bool]] = field(default_factory=list)
 
 
 def torsion_subgroup(c) -> TorsionGroup:
@@ -219,6 +223,18 @@ def torsion_subgroup(c) -> TorsionGroup:
     So every torsion point is O, one with Y = 0 or phi(+-1, +-2 U2), and
     none lifts (|t| = 1 gives a = b): no admissible hit a/b maps to one.
 
+    The cosets of E[2] = {O, (e1,0), (e2,0), (e3,0)} are E[2] (coset 0) and
+    Q + E[2] (coset 1), Q = (e2 + r1 r3, r1 r3 (r1 + r3)): Q + (e2,0) = -Q,
+    and Q + (e1,0) and Q + (e3,0) are (e2 - r1 r3, -+r1 r3 (r1 - r3)).  The
+    flag in `cosets` marks O or Q plus (e2,0) or (e3,0).  Translation by
+    (e, 0) sends X to e + K/(X - e), K = (e - e')(e - e'').  With
+    tau = 4 gamma^2 (X + B) / ((X - 2 gamma^2)(X + 2 gamma^2)), (e1,0) gives
+    X' + B = (B^2 - 4 gamma^4)/(X + B), so tau is kept, and (e2,0) gives
+    X' + B = (2 gamma^2 + B)(X + 2 gamma^2)/(X - 2 gamma^2) and
+    X' + 2 gamma^2 = 4 gamma^2 (X + B)/(X - 2 gamma^2), so tau is inverted, as
+    by (e3,0).  So tau(P + T) is tau(P + T0), T0 a point of T's coset
+    without the flag, or its inverse where T has the flag.
+
     >>> from brickforge.fibration import build_fibre
     >>> c = build_fibre(2, 1)
     >>> tor = torsion_subgroup(c)
@@ -234,8 +250,11 @@ def torsion_subgroup(c) -> TorsionGroup:
     if all(is_perfect_square(X - e) is not None for e in (c.e1, c.e2, c.e3)):
         raise ValueError(f"the point of order 4 at X = {X} halves: torsion Z/2 x Z/8 "
                          "is not that of a fibre")
-    group = two_torsion(c)
+    E1, E2, E3 = two_torsion(c)
+    group = [(E1, (0, False)), (E2, (0, True)), (E3, (0, True))]
     for s in (1, -1):
         X, Y = Fraction(c.e2 + s * r1 * r3), Fraction(r1 * r3 * (r1 + s * r3))
-        group += [CurvePoint(X, Y), CurvePoint(X, -Y)]
-    return TorsionGroup(TORSION_STRUCTURE, [INFINITY, *sorted(group, key=lambda P: (P.X, P.Y))])
+        group += [(CurvePoint(X, Y), (1, s < 0)), (CurvePoint(X, -Y), (1, s > 0))]
+    group.sort(key=lambda item: (item[0].X, item[0].Y))
+    return TorsionGroup(TORSION_STRUCTURE, [INFINITY, *(P for P, _ in group)],
+                        cosets=[(0, False), *(flag for _, flag in group)])

@@ -25,12 +25,12 @@ combination (the base) costs one chord or tangent in integers
 sum u/D^2, w/D^3 (`ecq._raw_sum`), and its lift is read from the root
 2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`, one gcd).
 Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)} is
-computed: translation by (e1,0) keeps tau and translation by (e2,0)
-or (e3,0) inverts it (an exact identity, see `_cosets`), so one root
-decides the lifts of all four translates.  A base at infinity or above a
-torsion point, where the shift is undefined, is itself torsion, so none
-of its translates lifts (`ecq.torsion_subgroup`).  A base past the
-size cap is skipped with all of its translates.
+computed, by T0, the coset's first point without the flag in the table
+of `ecq.torsion_subgroup`: tau(base + T) is tau(base + T0) or, where T
+has the flag, its inverse, so one root decides the lifts of all four
+translates.  A base at infinity or above a torsion point, where the
+shift is undefined, is itself torsion, so none of its translates lifts.
+A base past the size cap is skipped with all of its translates.
 Each distinct lifted pair is certified once per run, and output then: on
 one fibre a pair names one sigma-canonical tuple, and distinct pairs
 distinct ones.
@@ -58,8 +58,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter, sub
 
-from .ecq import (
-    CurvePoint, _raw_sum, _sum, _triple, add, on_curve, torsion_subgroup, two_torsion,
+from .ecq import (  # no call to add here: perfbench's wrapper test reads mw.add
+    CurvePoint, _raw_sum, _sum, _triple, add, on_curve, torsion_subgroup,
 )
 from .fibration import FibreCurve, lift_pairs, phi, quartic_rhs
 from .master import (
@@ -173,34 +173,6 @@ def _coefficient_vectors(r: int, K: int) -> list[tuple[int, ...]]:
     return [v for s in range(1, r * K + 1) for v in lead[s]]
 
 
-def _cosets(c: FibreCurve, points: list[CurvePoint]):
-    """The torsion points grouped into cosets of E[2] = {O, (e1,0), (e2,0), (e3,0)}.
-
-    Returns the index of each coset's representative and, per point, the
-    pair (coset, inverted): the number of its coset, and whether the point
-    is the representative plus (e2,0) or (e3,0).
-    Translation by (e, 0) sends X to e + K/(X - e), K = (e - e')(e - e'').
-    With tau = 4 gamma^2 (X + B) / ((X - 2 gamma^2)(X + 2 gamma^2)), (e1,0)
-    gives X' + B = (B^2 - 4 gamma^4)/(X + B), so tau is kept, and (e2,0)
-    gives X' + B = (2 gamma^2 + B)(X + 2 gamma^2)/(X - 2 gamma^2) and
-    X' + 2 gamma^2 = 4 gamma^2 (X + B)/(X - 2 gamma^2), so tau is inverted,
-    as it is by (e3,0).  Hence tau(P + T) is tau(P + rep) or its inverse.
-    `points` is a group containing E[2].
-    """
-    index = {T: i for i, T in enumerate(points)}
-    E1, E2, E3 = two_torsion(c)
-    reps: list[int] = []
-    coset: list = [None] * len(points)
-    for i, T in enumerate(points):
-        if coset[i] is not None:
-            continue
-        coset[i] = (len(reps), False)
-        for E, inverted in ((E1, False), (E2, True), (E3, True)):
-            coset[index[add(c, T, E)]] = (len(reps), inverted)
-        reps.append(i)
-    return reps, coset
-
-
 def _reduce(basis, v: tuple[int, ...]) -> tuple[int, ...]:
     """v reduced by an echelon basis: a list of (pivot, row), pivots
     increasing, each row zero before its pivot and positive there.  Each
@@ -248,11 +220,13 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
     of the fibre, and keep only re-certified hits."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    torsion = torsion_subgroup(c).points
-    shifts = [_triple(T) for T in torsion]
+    torsion = torsion_subgroup(c)
+    shifts = [_triple(T) for T in torsion.points]
     torsion_xs = {T[0] for T in shifts if T is not None}
-    reps, coset = _cosets(c, torsion)
-    reps = [shifts[i] for i in reps]
+    reps: dict[int, tuple[int, int, int] | None] = {}  # coset -> T0, O for E[2]
+    for T, (k, inverted) in zip(shifts, torsion.cosets):
+        if not inverted:
+            reps.setdefault(k, T)
     multiples = []
     for P in seeds:
         if not on_curve(c, P):
@@ -316,9 +290,9 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
             pairs = ()
         else:
             # one root of tau per coset
-            roots = [lift_pairs(c, *(base if T is None else _raw_sum(c, base, T)))
-                     for T in reps]
-            pairs = [roots[k][inverted] for k, inverted in coset]
+            roots = {k: lift_pairs(c, *(base if T is None else _raw_sum(c, base, T)))
+                     for k, T in reps.items()}
+            pairs = [roots[k][inverted] for k, inverted in torsion.cosets]
         count = 0
         for pair in pairs:
             if pair is None:

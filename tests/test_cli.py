@@ -338,6 +338,26 @@ def test_corrupted_store_is_operational_error(db, capsys):
     assert "f1_factors.csv does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mw", "run", "--m", "16", "--n", "11", "--seed-height", "20", "--K", "1"],
+    ["factorize", "--budget", "1"],
+    ["verify", "theorem"],
+])
+@pytest.mark.parametrize("kept", [("f1_factors.csv", "fibers.csv", "manifest.txt"),
+                                  ("manifest.txt",)])
+def test_store_missing_a_file_is_operational_error(db, capsys, argv, kept):
+    # master_hits.csv deleted, or a first export torn after its manifest: the
+    # store is refused, not loaded as empty and written over the rest
+    seeded_db(db)
+    for path in db.iterdir():
+        if path.name not in kept:
+            path.unlink()
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
+    assert cli.main(argv) == 2
+    assert "master_hits.csv" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
+
+
 def test_orphan_factor_row_is_operational_error(db, capsys):
     seeded_db(db)
     (db / "manifest.txt").unlink()

@@ -276,6 +276,54 @@ def test_tau_shared_across_two_torsion_on_seeds():
                     assert tau(c, add(c, R, E2)) == tau(c, add(c, R, E3)) == 1 / t
 
 
+def _reference_cosets(c, points):
+    """The torsion points grouped into cosets of E[2] with the group law:
+    the index of each coset's first point and, per point, the pair (coset,
+    whether the point is that first point plus (e2,0) or (e3,0))."""
+    index = {T: i for i, T in enumerate(points)}
+    E1, E2, E3 = two_torsion(c)
+    reps: list[int] = []
+    coset: list = [None] * len(points)
+    for i, T in enumerate(points):
+        if coset[i] is None:
+            for E, inverted in ((INFINITY, False), (E1, False), (E2, True), (E3, True)):
+                coset[index[add(c, T, E)]] = (len(reps), inverted)
+            reps.append(i)
+    return reps, coset
+
+
+def test_torsion_cosets_match_the_group_law_on_fibres():
+    # the closed-form table of torsion_subgroup against the group law: the
+    # same cosets, and the flag set exactly on the points that are the
+    # coset's first point without it plus (e2,0) or (e3,0)
+    fibres = admissible_fibres(1500)
+    for m, n in fibres:
+        c = build_fibre(m, n)
+        tor = torsion_subgroup(c)
+        _, E2, E3 = two_torsion(c)
+        _, want = _reference_cosets(c, tor.points)
+        assert [k for k, _ in tor.cosets] == [k for k, _ in want], (m, n)
+        first = {}
+        for T, (k, inverted) in zip(tor.points, tor.cosets):
+            if not inverted:
+                first.setdefault(k, T)
+        for T, (k, inverted) in zip(tor.points, tor.cosets):
+            assert inverted == (add(c, T, neg(c, first[k])) in (E2, E3)), (m, n, T)
+    assert fibres[-1][0] >= 70
+
+
+def test_walk_without_seeds_does_no_group_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("group law called")
+
+    for module in (ecq, mw):
+        monkeypatch.setattr(module, "_sum", refuse)
+        monkeypatch.setattr(module, "add", refuse)
+    for m, n in SEEDED_FIBRES:
+        run = enumerate_and_certify(build_fibre(m, n), [], 3)
+        assert run.outputs == [] and run.stats == MwStats()
+
+
 def _tau_fraction(c, u, D):
     """tau at X = u/D^2 as one reduced Fraction; None at X = +-2 gamma^2."""
     D2 = D * D
@@ -302,7 +350,7 @@ def _fraction_walk(c, seeds, K):
     shifts = [(T, None, None) if T.is_infinity else (T, T.X.numerator, T.Y.numerator)
               for T in torsion]
     torsion_xs = {xT for _, xT, _ in shifts if xT is not None}
-    reps, coset = mw._cosets(c, torsion)
+    reps, coset = _reference_cosets(c, torsion)
     reps = [shifts[i][1:] for i in reps]
     multiples = []
     for P in seeds:
