@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from . import master
 from .blockers import blockers, is_strictly_semiscaled, k_invariant, verify_E1, verify_blocker_conjecture
@@ -109,6 +108,8 @@ def _pmap(jobs, fn, items):
     items = list(items)
     if jobs <= 1 or len(items) < 2:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # imported here: no other command needs it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 

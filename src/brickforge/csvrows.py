@@ -1,7 +1,12 @@
 """The text of the rows of the store's CSV files, written as csv.writer
 writes them.  A row export would write back unchanged is kept as its line:
 its integers read 0|-?[1-9][0-9]*, a hit row's tags are sorted, distinct
-and non-empty, a fibre row's fractions are reduced with d > 0."""
+and non-empty, a fibre row's fractions are reduced with d > 0.
+
+A file whose every row is in that form is read by one findall
+(`rows_in_export_form`): Python work per row is left for the family tags
+and generators that are not empty.  Any other file is read a row at a
+time (`records`)."""
 from __future__ import annotations
 
 import csv
@@ -28,6 +33,10 @@ _HIT_LINE = re.compile(
 _POINT = rf"{_INT}/[1-9][0-9]*:{_INT}/[1-9][0-9]*"
 # groups: m, n and the generators
 _FIBRE_LINE = re.compile(rf"({_INT}),({_INT}),{_INT},{_INT},{_INT}?,((?:{_POINT}(?:;{_POINT})*)?)")
+# every such line of a file, whole: groups the line, then those above
+HIT_ROWS = re.compile(rf"^({_HIT_LINE.pattern})$", re.M)
+FIBRE_ROWS = re.compile(rf"^({_FIBRE_LINE.pattern})$", re.M)
+_POINT_SEPARATORS = re.compile("[/:;]")
 
 
 def tuple_key(t) -> str:
@@ -35,12 +44,23 @@ def tuple_key(t) -> str:
     return ",".join(map(str, t))
 
 
+def kept_tags(tags: str) -> bool:
+    """Whether export writes a hit row's family tags back as they are."""
+    return tags == ";".join(sorted(set(filter(None, tags.split(";")))))
+
+
+def kept_points(generators: str) -> bool:
+    """Whether each fraction of a fibre row's generators, a field _FIBRE_LINE
+    matched, is reduced."""
+    ints = list(map(int, _POINT_SEPARATORS.split(generators)))
+    return set(map(gcd, ints[::2], ints[1::2])) <= {1}
+
+
 def kept_hit(line: str):
     """The match of a master_hits.csv line export would write back as it
     is, or None; its groups are the id, "a,b,m,n" and the tags."""
     found = _HIT_LINE.fullmatch(line)
-    tags = found and found[3]
-    if tags and tags != ";".join(sorted(set(filter(None, tags.split(";"))))):
+    if found and found[3] and not kept_tags(found[3]):
         return None
     return found
 
@@ -49,10 +69,8 @@ def kept_fibre(line: str):
     """The match of a fibers.csv line export would write back as it is, or
     None; its groups are m, n and the generators."""
     found = _FIBRE_LINE.fullmatch(line)
-    if found and found[3]:
-        ints = list(map(int, re.split("[/:;]", found[3])))
-        if any(gcd(n, d) != 1 for n, d in zip(ints[::2], ints[1::2])):
-            return None
+    if found and found[3] and not kept_points(found[3]):
+        return None
     return found
 
 
@@ -101,22 +119,56 @@ def csv_chunks(header, lines) -> list[bytes]:
     return chunks
 
 
-def records(name: str, data: dict[str, bytes], columns, parse, keep=None):
+def _decode(name: str, data: dict) -> bool:
+    """Decodes file `name` in `data` in place, its bytes freed, unless it
+    holds a quote or a carriage return: only csv.reader splits such a file
+    as csv.writer meant, so it is left as bytes and False returned."""
+    if type(data[name]) is str:
+        return True
+    if b'"' in data[name] or b"\r" in data[name]:
+        return False
+    data[name] = data[name].decode("ascii")
+    return True
+
+
+def rows_in_export_form(name: str, data: dict, columns, rows: re.Pattern,
+                        kept) -> tuple | None:
+    """One findall of `rows` over file `name`, popped from `data`, as a
+    tuple per group (the lines first), if the file is in export form: its
+    header is `columns`, each line ends with a line end and is a match, and
+    `kept` holds for each last group that is not empty.  A match count equal
+    to the line count proves the form, as no match spans a line end and the
+    header is none.  Else None, and the file, decoded if it can be, stays
+    in `data` for records."""
+    if not _decode(name, data):
+        return None
+    text = data[name]
+    if not (text.startswith(",".join(columns) + "\n") and text.endswith("\n")):
+        return None
+    found = rows.findall(text)
+    if (len(found) != text.count("\n") - 1
+            or not all(map(kept, filter(None, map(itemgetter(-1), found))))):
+        return None
+    del data[name], text  # the lines hold what is kept of it
+    return tuple(zip(*found)) or ((),) * rows.groups
+
+
+def records(name: str, data: dict, columns, parse, keep=None):
     """Each row of one file: what `keep` returns for its fields joined by
     commas (tried when the header is exactly `columns`), unless None, else
     `parse` of its named columns, a ValueError from it raised again naming
     the file and row.  A file with no quote and no carriage return is split
     on line ends, as csv.reader would split it; any other goes through it."""
-    if b'"' in data[name] or b"\r" in data[name]:
+    if _decode(name, data):  # the text is freed once split
+        lines = data.pop(name).split("\n")
+        header = lines[0].split(",")
+        rows = ((line, None) for line in itertools.islice(lines, 1, None))
+    else:
         # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
         rows = csv.reader(io.TextIOWrapper(io.BytesIO(data.pop(name)), encoding="ascii",
                                            newline=""))
         header = next(rows, [])
         rows = ((",".join(row), row) for row in rows)
-    else:  # the bytes are freed once decoded, the text once split
-        lines = data.pop(name).decode("ascii").split("\n")
-        header = lines[0].split(",")
-        rows = ((line, None) for line in itertools.islice(lines, 1, None))
     for col in columns:
         if col not in header:
             raise ValueError(f"{name}: no column {col!r}")

@@ -13,16 +13,21 @@ a manifest.txt still loads, unchecked.
 A command pays only for the rows it reads and adds.  Import keeps a row
 that export would write back unchanged as its line (see csvrows), parsed
 only for its id and tuple, or its pair, until get, find, hits, fibres,
-factorization_of or a setter reads it.  Export writes an unread line as it
-is, skips a file still the one this store read or wrote whose bytes would
-not change, and does not even build master_hits.csv while it is the file
-as loaded, in export form (this header, ids ascending, no blank line, a
-final line end), with no hit row read or inserted since.
+factorization_of or a setter reads it.  A hits or fibres file whose every
+row is such a line is read by one findall: its import costs a regex pass
+over its bytes, and Python work per row only for the rows whose family
+tags or generators are not empty.  A file with any other row is read a row
+at a time.  Export writes an unread line as it is, skips a file still the
+one this store read or wrote whose bytes would not change, and does not
+even build master_hits.csv while it is the file as loaded, in export form
+(this header, ids ascending, no blank line, a final line end), with no hit
+row read or inserted since.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import operator
 import os
 import re
 import sys
@@ -376,6 +381,13 @@ def import_csv(dirpath) -> Store:
     a field that is no integer, a zero denominator or a factor row with a
     prime below 2, an exponent below 1, is_residual outside {0, 1} or a hit
     id that names no hit is refused here, naming the row.
+
+    master_hits.csv and fibers.csv are each read by one findall when every
+    row is in export form (csvrows.rows_in_export_form), the dicts built
+    from its groups with no Python call per row; a file with another row,
+    another header, a quote or a carriage return is read a row at a time
+    (csvrows.records), as are the factor rows.  Each file's bytes are freed
+    once decoded, and its text once split into lines.
     """
     _unlock_big_decimals()
     data, stats = {}, {}
@@ -384,42 +396,75 @@ def import_csv(dirpath) -> Store:
     digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in data.items()}
     if os.path.exists(os.path.join(dirpath, "manifest.txt")):
         _check_manifest(_read(os.path.join(dirpath, "manifest.txt"))[0], digests)
-    raw = data["master_hits.csv"]
-    # in export form, too, if every row is kept and the ids ascend
-    tidy = (raw.startswith(",".join(csvrows.HIT_COLUMNS).encode("ascii") + b"\n")
-            and raw.endswith(b"\n") and not any(s in raw for s in (b"\n\n", b'"', b"\r")))
-    del raw
     store = Store()
-    for row in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record,
-                               csvrows.kept_hit):
-        if type(row) is HitRecord:
-            hit_id, key, tidy = row.id, csvrows.tuple_key(row.tuple), False
-        else:
-            hit_id, key, row = int(row[1]), row[2], row[0]
-        if hit_id in store._hits:
-            raise ValueError(f"master_hits.csv: duplicate hit id {hit_id}")
-        if key in store._by_tuple:
-            raise ValueError(f"master_hits.csv: tuple ({key.replace(',', ', ')}) in hits "
-                             f"{store._by_tuple[key]} and {hit_id}")
-        store._hits[hit_id] = row
-        store._by_tuple[key] = hit_id
-        tidy = tidy and hit_id >= store._next_id
-        store._next_id = max(store._next_id, hit_id + 1)
+    tidy = _import_hits(store, data)
+    store._next_id = max(1, max(store._hits, default=0) + 1)
     for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS,
                                 lambda fields: _factor_row(fields, store._hits)):
         store._factors.setdefault(frow.hit_id, []).append(frow)
-    for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row,
-                               csvrows.kept_fibre):
-        if type(row) is FibreRow:
-            key = (row.m, row.n)
-        else:
-            row, key = row[0], (int(row[1]), int(row[2]))
-        if key in store._fibres:
-            raise ValueError(f"fibers.csv: duplicate fibre ({key[0]},{key[1]})")
-        store._fibres[key] = row
+    _import_fibres(store, data)
     store._on_disk = {name: (digests[name], stats[name]) for name in CSV_NAMES}
     store._hits_digest = digests["master_hits.csv"] if tidy else None
     return store
+
+
+def _import_hits(store: Store, data: dict) -> bool:
+    """Loads master_hits.csv; True if it is in export form, every row kept
+    and the ids ascending from 1."""
+    found = csvrows.rows_in_export_form("master_hits.csv", data, csvrows.HIT_COLUMNS,
+                                        csvrows.HIT_ROWS, csvrows.kept_tags)
+    if found is None:
+        for row in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record,
+                                   csvrows.kept_hit):
+            if type(row) is HitRecord:
+                _add_hit(store, row.id, csvrows.tuple_key(row.tuple), row)
+            else:
+                _add_hit(store, int(row[1]), row[2], row[0])
+        return False
+    lines, ids, keys, _ = found
+    ids = list(map(int, ids))
+    store._hits, store._by_tuple = dict(zip(ids, lines)), dict(zip(keys, ids))
+    if not len(store._hits) == len(store._by_tuple) == len(ids):
+        store._hits, store._by_tuple = {}, {}
+        for row in zip(ids, keys, lines):
+            _add_hit(store, *row)  # raises, naming the first repeat
+    return all(map(operator.lt, [0, *ids], ids))
+
+
+def _add_hit(store: Store, hit_id: int, key: str, row) -> None:
+    if hit_id in store._hits:
+        raise ValueError(f"master_hits.csv: duplicate hit id {hit_id}")
+    if key in store._by_tuple:
+        raise ValueError(f"master_hits.csv: tuple ({key.replace(',', ', ')}) in hits "
+                         f"{store._by_tuple[key]} and {hit_id}")
+    store._hits[hit_id] = row
+    store._by_tuple[key] = hit_id
+
+
+def _import_fibres(store: Store, data: dict) -> None:
+    found = csvrows.rows_in_export_form("fibers.csv", data, csvrows.FIBRE_COLUMNS,
+                                        csvrows.FIBRE_ROWS, csvrows.kept_points)
+    if found is None:
+        for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row,
+                                   csvrows.kept_fibre):
+            if type(row) is FibreRow:
+                _add_fibre(store, (row.m, row.n), row)
+            else:
+                _add_fibre(store, (int(row[1]), int(row[2])), row[0])
+        return
+    lines, ms, ns, _ = found
+    keys = list(zip(map(int, ms), map(int, ns)))
+    store._fibres = dict(zip(keys, lines))
+    if len(store._fibres) != len(keys):
+        store._fibres = {}
+        for row in zip(keys, lines):
+            _add_fibre(store, *row)  # raises, naming the first repeat
+
+
+def _add_fibre(store: Store, key: tuple, row) -> None:
+    if key in store._fibres:
+        raise ValueError(f"fibers.csv: duplicate fibre ({key[0]},{key[1]})")
+    store._fibres[key] = row
 
 
 def _hit_record(fields) -> HitRecord:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import hashlib
 import os
@@ -130,7 +131,7 @@ def test_factorize_jobs_above_the_cpu_count_is_operational_error(db, capsys, mon
     seeded_db(db, factored=False)
     before = {path.name: path.read_bytes() for path in db.iterdir()}
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     assert cli.main(["factorize", "--jobs", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --jobs must be at most 3, the CPU count\n"

@@ -900,3 +900,97 @@ def test_loaded_hits_file_in_export_form_is_not_rebuilt(tmp_path, monkeypatch):
         export_csv(back, tmp_path)
         assert path.read_bytes() == want
     assert builds.calls == 4
+
+
+# -- a file in export form read by one findall, any other a row at a time ------
+
+def _renumber(ids: dict):
+    """Gives hit i the id text ids[i], in master_hits.csv and f1_factors.csv."""
+    def apply(files):
+        for row in files["master_hits.csv"][1:]:
+            row[0] = ids.get(int(row[0]), row[0])
+        for row in files["f1_factors.csv"][1:]:
+            row[0] = str(int(ids.get(int(row[0]), row[0])))
+    return apply
+
+
+def _set_tags(files):
+    files["master_hits.csv"][1][10] = "Sporadic;Euler"
+
+
+def _unreduce(files):
+    for row in files["fibers.csv"][1:]:
+        if row[:2] == ["13", "2"]:
+            row[5] = _first_fraction(lambda n, d: f"{2 * n}/{2 * d}")(row[5])
+
+
+QUIRKS = {
+    "007": [_renumber({1: "007"})],
+    "unsorted tags": [_set_tags],
+    "unreduced fraction": [_unreduce],
+    "ids out of order": [_renumber({1: "9", 2: "4"})],
+    "id 0": [_renumber({1: "0", 2: "1"})],
+    "all": [_renumber({1: "007", 2: "0"}), _set_tags, _unreduce],
+}
+
+
+def _write_files(dirpath, files, order) -> None:
+    dirpath.mkdir()
+    for name, rows in files.items():
+        (dirpath / name).write_text("".join(",".join(order(row)) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("quirk", sorted(QUIRKS))
+def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
+    # the same rows in export column order (one findall per file, unless a
+    # row is not in export form) and in reversed column order (a row at a time)
+    export_csv(fibre_store(), tmp_path / "a")
+    files = {name: [line.split(",") for line in (tmp_path / "a" / name).read_text().splitlines()]
+             for name in CSV_NAMES}
+    for edit in QUIRKS[quirk]:
+        edit(files)
+    _write_files(tmp_path / "export", files, lambda row: row)
+    _write_files(tmp_path / "reversed", files, lambda row: row[::-1])
+    kept_hit, kept_fibre = _Count(csvrows.kept_hit), _Count(csvrows.kept_fibre)
+    monkeypatch.setattr(csvrows, "kept_hit", kept_hit)
+    monkeypatch.setattr(csvrows, "kept_fibre", kept_fibre)
+    one = import_csv(tmp_path / "export")
+    # which way each file went: a row at a time only when a row is not in export form
+    assert (kept_hit.calls > 0, kept_fibre.calls > 0) == (
+        quirk in ("007", "unsorted tags", "all"), quirk in ("unreduced fraction", "all"))
+    other = import_csv(tmp_path / "reversed")
+    assert one.hits() == other.hits()
+    assert one.fibres() == other.fibres()
+    for t in (*(rec.tuple for rec in one.hits()), GOLDEN, MasterTuple(40, 33, 41, 32)):
+        assert one.find(t) == other.find(t)
+    new_id = max(1, max(rec.id for rec in one.hits()) + 1)
+    assert one.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32") == (new_id, True)
+    assert other.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32") == (new_id, True)
+    assert _tree_of(one, tmp_path / "one") == _tree_of(other, tmp_path / "other")
+
+
+def test_import_in_export_form_makes_no_call_per_row(tmp_path, monkeypatch):
+    db = golden_store()  # no family tags
+    for m, n in ((2, 1), (4, 1), (6, 5)):
+        db.upsert_fibre(FibreRow(m=m, n=n, torsion_d1=2, torsion_d2=4, rank_lb=m // 4 or None))
+    export_csv(db, tmp_path)
+    counts = {}
+    for module, name in ((store_module, "_hit_record"), (store_module, "_fibre_row"),
+                         (csvrows, "kept_hit"), (csvrows, "kept_fibre"),
+                         (csvrows, "kept_tags"), (csvrows, "kept_points")):
+        counts[name] = _Count(getattr(module, name))
+        monkeypatch.setattr(module, name, counts[name])
+    back = import_csv(tmp_path)
+    assert {name: count.calls for name, count in counts.items()} == dict.fromkeys(counts, 0)
+    assert len(back) == 2 and len(back._fibres) == 3
+    # the counts are real: with a row of each file not in export form, each
+    # file is read a row at a time (the text after the last line end too)
+    (tmp_path / "manifest.txt").unlink()
+    hits = tmp_path / "master_hits.csv"
+    hits.write_bytes(_edit_field(0, lambda i: "0" + i)(hits.read_bytes()))
+    fibres = tmp_path / "fibers.csv"
+    fibres.write_bytes(_edit_fibre(4, lambda rank: "-0", key=("4", "1"))(fibres.read_bytes()))
+    import_csv(tmp_path)
+    assert {name: count.calls for name, count in counts.items()} == {
+        "_hit_record": 1, "_fibre_row": 1, "kept_hit": 3, "kept_fibre": 4,
+        "kept_tags": 0, "kept_points": 0}
