@@ -3,10 +3,11 @@ writes them.  A row export would write back unchanged is kept as its line:
 its integers read 0|-?[1-9][0-9]*, a hit row's tags are sorted, distinct
 and non-empty, a fibre row's fractions are reduced with d > 0.
 
-A file whose every row is in that form is read by one findall
-(`rows_in_export_form`): Python work per row is left for the family tags
-and generators that are not empty.  Any other file is read a row at a
-time (`records`)."""
+Each file has two readers.  A file whose every row is in that form is read
+by one findall (`rows_in_export_form`), its rows kept as lines: Python work
+per row is left for the family tags and generators that are not empty.
+Any other file, and every f1_factors.csv, is read by csv.reader with every
+row parsed (`records`)."""
 from __future__ import annotations
 
 import csv
@@ -28,14 +29,13 @@ FIBRE_COLUMNS = ("m", "n", "torsion_d1", "torsion_d2", "rank_lb", "generators")
 _INT = r"(?:0|-?[1-9][0-9]*)"
 _TEXT = r'[^,"\r\n]*'
 # groups: id, "a,b,m,n" and the family tags
-_HIT_LINE = re.compile(
-    rf"({_INT}),({_INT}(?:,{_INT}){{3}})(?:,{_INT}){{4}},{_TEXT},({_TEXT}),{_TEXT}")
+_HIT_LINE = rf"({_INT}),({_INT}(?:,{_INT}){{3}})(?:,{_INT}){{4}},{_TEXT},({_TEXT}),{_TEXT}"
 _POINT = rf"{_INT}/[1-9][0-9]*:{_INT}/[1-9][0-9]*"
 # groups: m, n and the generators
-_FIBRE_LINE = re.compile(rf"({_INT}),({_INT}),{_INT},{_INT},{_INT}?,((?:{_POINT}(?:;{_POINT})*)?)")
+_FIBRE_LINE = rf"({_INT}),({_INT}),{_INT},{_INT},{_INT}?,((?:{_POINT}(?:;{_POINT})*)?)"
 # every such line of a file, whole: groups the line, then those above
-HIT_ROWS = re.compile(rf"^({_HIT_LINE.pattern})$", re.M)
-FIBRE_ROWS = re.compile(rf"^({_FIBRE_LINE.pattern})$", re.M)
+HIT_ROWS = re.compile(rf"^({_HIT_LINE})$", re.M)
+FIBRE_ROWS = re.compile(rf"^({_FIBRE_LINE})$", re.M)
 _POINT_SEPARATORS = re.compile("[/:;]")
 
 
@@ -50,28 +50,10 @@ def kept_tags(tags: str) -> bool:
 
 
 def kept_points(generators: str) -> bool:
-    """Whether each fraction of a fibre row's generators, a field _FIBRE_LINE
+    """Whether each fraction of a fibre row's generators, a field FIBRE_ROWS
     matched, is reduced."""
     ints = list(map(int, _POINT_SEPARATORS.split(generators)))
     return set(map(gcd, ints[::2], ints[1::2])) <= {1}
-
-
-def kept_hit(line: str):
-    """The match of a master_hits.csv line export would write back as it
-    is, or None; its groups are the id, "a,b,m,n" and the tags."""
-    found = _HIT_LINE.fullmatch(line)
-    if found and found[3] and not kept_tags(found[3]):
-        return None
-    return found
-
-
-def kept_fibre(line: str):
-    """The match of a fibers.csv line export would write back as it is, or
-    None; its groups are m, n and the generators."""
-    found = _FIBRE_LINE.fullmatch(line)
-    if found and found[3] and not kept_points(found[3]):
-        return None
-    return found
 
 
 def serialize_points(points) -> str:
@@ -119,18 +101,6 @@ def csv_chunks(header, lines) -> list[bytes]:
     return chunks
 
 
-def _decode(name: str, data: dict) -> bool:
-    """Decodes file `name` in `data` in place, its bytes freed, unless it
-    holds a quote or a carriage return: only csv.reader splits such a file
-    as csv.writer meant, so it is left as bytes and False returned."""
-    if type(data[name]) is str:
-        return True
-    if b'"' in data[name] or b"\r" in data[name]:
-        return False
-    data[name] = data[name].decode("ascii")
-    return True
-
-
 def rows_in_export_form(name: str, data: dict, columns, rows: re.Pattern,
                         kept) -> tuple | None:
     """One findall of `rows` over file `name`, popped from `data`, as a
@@ -138,57 +108,49 @@ def rows_in_export_form(name: str, data: dict, columns, rows: re.Pattern,
     header is `columns`, each line ends with a line end and is a match, and
     `kept` holds for each last group that is not empty.  A match count equal
     to the line count proves the form, as no match spans a line end and the
-    header is none.  Else None, and the file, decoded if it can be, stays
-    in `data` for records."""
-    if not _decode(name, data):
-        return None
-    text = data[name]
-    if not (text.startswith(",".join(columns) + "\n") and text.endswith("\n")):
-        return None
-    found = rows.findall(text)
-    if (len(found) != text.count("\n") - 1
-            or not all(map(kept, filter(None, map(itemgetter(-1), found))))):
-        return None
-    del data[name], text  # the lines hold what is kept of it
-    return tuple(zip(*found)) or ((),) * rows.groups
+    header is none; nor does a match hold a quote or a carriage return, so
+    a line csv.reader would split otherwise is never one.  Else None, and
+    the file's bytes go back into `data` for records."""
+    try:
+        text = data.pop(name).decode("ascii")  # its bytes freed
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{name}: {err}") from None
+    if text.startswith(",".join(columns) + "\n") and text.endswith("\n"):
+        found = rows.findall(text)
+        if (len(found) == text.count("\n") - 1
+                and all(map(kept, filter(None, map(itemgetter(-1), found))))):
+            del text  # the lines hold what is kept of it
+            return tuple(zip(*found)) or ((),) * rows.groups
+    data[name] = text.encode("ascii")
+    return None
 
 
-def records(name: str, data: dict, columns, parse, keep=None):
-    """Each row of one file: what `keep` returns for its fields joined by
-    commas (tried when the header is exactly `columns`), unless None, else
-    `parse` of its named columns, a ValueError from it raised again naming
-    the file and row.  A file with no quote and no carriage return is split
-    on line ends, as csv.reader would split it; any other goes through it."""
-    if _decode(name, data):  # the text is freed once split
-        lines = data.pop(name).split("\n")
-        header = lines[0].split(",")
-        rows = ((line, None) for line in itertools.islice(lines, 1, None))
-    else:
-        # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
-        rows = csv.reader(io.TextIOWrapper(io.BytesIO(data.pop(name)), encoding="ascii",
-                                           newline=""))
+def records(name: str, data: dict, columns, parse):
+    """`parse` of the named columns of each row of file `name`, popped from
+    `data` and read by csv.reader, a blank line skipped; an error in a row,
+    from csv.reader or from `parse`, is raised again as a ValueError naming
+    the file and the row (for csv.reader, the line it stopped at)."""
+    # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data.pop(name)), encoding="ascii",
+                                       newline=""))
+    try:
         header = next(rows, [])
-        rows = ((",".join(row), row) for row in rows)
-    for col in columns:
-        if col not in header:
-            raise ValueError(f"{name}: no column {col!r}")
-    pick = itemgetter(*(header.index(col) for col in columns))
-    if header != list(columns):
-        keep = None
-    for number, (line, row) in enumerate(rows, start=2):
-        kept = keep(line) if keep else None
-        if kept:
-            yield kept
-            continue
-        if row is None:
-            row = line.split(",") if line else []
-        if len(row) != len(header):
-            if not row:  # a blank line
-                continue
-            raise ValueError(f"{name} row {number}: {len(row)} fields, "
-                             f"expected {len(header)}")
-        try:
-            parsed = parse(pick(row))
-        except ValueError as err:
-            raise ValueError(f"{name} row {number}: {err}") from None
-        yield parsed
+        for col in columns:
+            if col not in header:
+                raise ValueError(f"{name}: no column {col!r}")
+        pick = itemgetter(*(header.index(col) for col in columns))
+        for number, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                if not row:  # a blank line
+                    continue
+                raise ValueError(f"{name} row {number}: {len(row)} fields, "
+                                 f"expected {len(header)}")
+            try:
+                parsed = parse(pick(row))
+            except ValueError as err:
+                raise ValueError(f"{name} row {number}: {err}") from None
+            yield parsed
+    except csv.Error as err:
+        raise ValueError(f"{name} line {rows.line_num}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{name}: {err}") from None

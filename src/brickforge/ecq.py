@@ -5,7 +5,7 @@ the three roots e1, e2, e3; all point coordinates are Fractions, or the
 integers (p, r, d) of X = p/d^2 and Y = r/d^3 that the group law works
 in, so every identity below is checked exactly, never numerically.
 
-The group law (add, neg, scalar_mul, halve) assumes its inputs are on
+The group law (add, neg, scalar_mul) assumes its inputs are on
 the curve; it checks only the integral form its sums take.  Points
 are checked where they enter: seed file lines in `mw.load_seed_file`,
 seeds in `mw.enumerate_and_certify`, hit pairs in `fibration.phi` and
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .ntkernel import is_perfect_square, is_square_rational
+from .ntkernel import is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -158,39 +158,6 @@ def two_torsion(c) -> list[CurvePoint]:
         CurvePoint(Fraction(c.e2), zero),
         CurvePoint(Fraction(c.e3), zero),
     ]
-
-
-def halve(c, P: CurvePoint) -> list[CurvePoint]:
-    """All rational Q with 2Q = P, possibly empty.
-
-    P halves exactly when X(P) - e_i is a rational square for each root;
-    the candidate abscissae are X + r1*r2 + r1*r3 + r2*r3 over the sign
-    choices of the roots r_i, and every candidate is confirmed by an
-    exact doubling before it is returned.
-    """
-    if P.is_infinity:
-        return [INFINITY] + two_torsion(c)
-    roots = []
-    for e in (c.e1, c.e2, c.e3):
-        r = is_square_rational(P.X - e) if P.X != e else Fraction(0)
-        if r is None:
-            return []
-        roots.append(r)
-    out: list[CurvePoint] = []
-    r1, r2, r3 = roots
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                u1, u2, u3 = s1 * r1, s2 * r2, s3 * r3
-                X = P.X + u1 * u2 + u1 * u3 + u2 * u3
-                Y2 = cubic_rhs(c, X)
-                Y = is_square_rational(Y2) if Y2 != 0 else Fraction(0)
-                if Y is None:
-                    continue
-                for Q in (CurvePoint(X, Y), CurvePoint(X, -Y)):
-                    if Q not in out and add(c, Q, Q) == P:
-                        out.append(Q)
-    return out
 
 
 TORSION_STRUCTURE = (2, 4)  # Z/2 x Z/4 on every fibre, see torsion_subgroup

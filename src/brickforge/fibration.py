@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .ecq import CurvePoint, _triple, on_curve
+from .ecq import CurvePoint, on_curve
 from .master import EuclidPair, triple_from_pair
 
 
@@ -78,21 +78,6 @@ def tau(c: FibreCurve, P: CurvePoint) -> Fraction | None:
     if P.X == g2 or P.X == -g2:
         return None
     return 4 * c.gamma**2 * (P.X + c.B) / (P.X * P.X - 4 * c.gamma**4)
-
-
-def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
-    """The admissible pair (a, b) behind a point, when one exists, by the
-    rule of `lift_pairs`.  Certification of the hit itself stays with the
-    caller.  On the quartic point (t, s), t is the root itself:
-
-    >>> from brickforge.ntkernel import is_square_rational
-    >>> c, t = build_fibre(44, 9), Fraction(55, 48)
-    >>> P = phi(c, t, is_square_rational(quartic_rhs(c, t)))
-    >>> root = 2 * c.gamma * (P.X + c.B) / P.Y
-    >>> root, root ** 2 == tau(c, P), lift_point(c, P)
-    (Fraction(55, 48), True, EuclidPair(a=55, b=48))
-    """
-    return None if P.is_infinity else lift_pairs(c, *_triple(P))[0]
 
 
 def lift_pairs(c: FibreCurve, u: int, w: int, D: int) -> tuple[EuclidPair | None, EuclidPair | None]:

@@ -68,6 +68,7 @@ from .master import (
 from .ntkernel import is_perfect_square, is_square_rational
 
 DIGIT_CAP = 10000  # skip combination points with larger coordinates and their translates
+MAX_BOX = 10 ** 6  # refuse a walk over more coefficient vectors than this
 _CAP_BITS = DIGIT_CAP * 33220 // 10000 + 8  # log2(10) < 3.3220
 
 
@@ -217,9 +218,14 @@ def _add_relation(basis, w: tuple[int, ...]) -> bool:
 
 def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwRun:
     """Run the bounded enumeration over the seeds and every torsion point
-    of the fibre, and keep only re-certified hits."""
+    of the fibre, and keep only re-certified hits.  A box of more than
+    MAX_BOX coefficient vectors is refused before anything is built."""
     if K < 1:
         raise ValueError("K must be at least 1")
+    box = ((2 * K + 1) ** len(seeds) - 1) // 2
+    if box > MAX_BOX:
+        raise ValueError(f"the walk over {len(seeds)} seeds at K={K} has {box:,} coefficient "
+                         f"vectors, above the {MAX_BOX:,} allowed")
     torsion = torsion_subgroup(c)
     shifts = [_triple(T) for T in torsion.points]
     torsion_xs = {T[0] for T in shifts if T is not None}

@@ -10,22 +10,23 @@ checks every file against the sha256 listed in manifest.txt, so a torn
 export or a damaged file is rejected rather than loaded.  A store without
 a manifest.txt still loads, unchecked.
 
-A command pays only for the rows it reads and adds.  Import keeps a row
-that export would write back unchanged as its line (see csvrows), parsed
-only for its id and tuple, or its pair, until get, find, hits, fibres,
-factorization_of or a setter reads it.  A hits or fibres file whose every
-row is such a line is read by one findall: its import costs a regex pass
-over its bytes, and Python work per row only for the rows whose family
-tags or generators are not empty.  A file with any other row is read a row
-at a time.  Export writes an unread line as it is, skips a file still the
-one this store read or wrote whose bytes would not change, and does not
-even build master_hits.csv while it is the file as loaded, in export form
-(this header, ids ascending, no blank line, a final line end), with no hit
-row read or inserted since.
+A command pays only for the rows it reads and adds.  A hits or fibres
+file whose every row export would write back unchanged (see csvrows) is
+read by one findall, each row kept as its line, known only by its id and
+tuple, or its pair, until get, find, hits, fibres, factorization_of or a
+setter reads it: its import costs a regex pass over its bytes, and Python
+work per row only for the rows whose family tags or generators are not
+empty.  Any other file, and every f1_factors.csv, is read by csv.reader,
+every row parsed once.  Export writes an unread line as it is, skips a
+file still the one this store read or wrote whose bytes would not change,
+and does not even build master_hits.csv while it is the file as loaded, in
+export form (this header, ids ascending, no blank line, a final line end),
+with no hit row read or inserted since.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import operator
 import os
@@ -50,6 +51,8 @@ def _unlock_big_decimals() -> None:
     # CPython caps int<->str conversion length; lifted tuples exceed it
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+    # and csv.reader caps a field's length
+    csv.field_size_limit(max(csv.field_size_limit(), 2_000_000))
 
 
 @dataclass
@@ -376,18 +379,18 @@ def import_csv(dirpath) -> Store:
     there; a store without a manifest (built by hand) loads unchecked.
     Either way a repeated hit id, a repeated (a, b, m, n) row or a repeated
     fibre is rejected.  A damaged or inconsistent file raises ValueError
-    naming it; a missing one raises OSError.  A row export would write back
-    as it is stays its line (see csvrows); any other row is parsed here, so
-    a field that is no integer, a zero denominator or a factor row with a
-    prime below 2, an exponent below 1, is_residual outside {0, 1} or a hit
-    id that names no hit is refused here, naming the row.
+    naming it, and the row where there is one; a missing one raises
+    OSError.
 
     master_hits.csv and fibers.csv are each read by one findall when every
-    row is in export form (csvrows.rows_in_export_form), the dicts built
-    from its groups with no Python call per row; a file with another row,
-    another header, a quote or a carriage return is read a row at a time
-    (csvrows.records), as are the factor rows.  Each file's bytes are freed
-    once decoded, and its text once split into lines.
+    row is in export form (csvrows.rows_in_export_form): each row stays its
+    line, and the dicts are built from the groups with no Python call per
+    row.  Any other file, and every f1_factors.csv, is read by csv.reader
+    (csvrows.records) with every row parsed, so a field that is no integer,
+    a zero denominator or a factor row with a prime below 2, an exponent
+    below 1, is_residual outside {0, 1} or a hit id that names no hit is
+    refused here, naming the row.  Each file's bytes are freed once
+    decoded.
     """
     _unlock_big_decimals()
     data, stats = {}, {}
@@ -414,12 +417,8 @@ def _import_hits(store: Store, data: dict) -> bool:
     found = csvrows.rows_in_export_form("master_hits.csv", data, csvrows.HIT_COLUMNS,
                                         csvrows.HIT_ROWS, csvrows.kept_tags)
     if found is None:
-        for row in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record,
-                                   csvrows.kept_hit):
-            if type(row) is HitRecord:
-                _add_hit(store, row.id, csvrows.tuple_key(row.tuple), row)
-            else:
-                _add_hit(store, int(row[1]), row[2], row[0])
+        for rec in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record):
+            _add_hit(store, rec.id, csvrows.tuple_key(rec.tuple), rec)
         return False
     lines, ids, keys, _ = found
     ids = list(map(int, ids))
@@ -445,12 +444,8 @@ def _import_fibres(store: Store, data: dict) -> None:
     found = csvrows.rows_in_export_form("fibers.csv", data, csvrows.FIBRE_COLUMNS,
                                         csvrows.FIBRE_ROWS, csvrows.kept_points)
     if found is None:
-        for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row,
-                                   csvrows.kept_fibre):
-            if type(row) is FibreRow:
-                _add_fibre(store, (row.m, row.n), row)
-            else:
-                _add_fibre(store, (int(row[1]), int(row[2])), row[0])
+        for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row):
+            _add_fibre(store, (row.m, row.n), row)
         return
     lines, ms, ns, _ = found
     keys = list(zip(map(int, ms), map(int, ns)))

@@ -1,10 +1,14 @@
-"""Shared helpers: pseudorandom admissible tuples, lists of fibres and the
-hits of the factor-audit store for property tests."""
+"""Shared helpers: pseudorandom admissible tuples, lists of fibres, the
+hits of the factor-audit store for property tests, and reference rules
+(halving a point, lifting one) the tests check the package against."""
 import functools
+from fractions import Fraction
 from math import gcd
 
-from brickforge.fibration import FibreCurve
-from brickforge.master import MasterTuple
+from brickforge.ecq import INFINITY, CurvePoint, _triple, add, cubic_rhs, two_torsion
+from brickforge.fibration import FibreCurve, lift_pairs
+from brickforge.master import EuclidPair, MasterTuple
+from brickforge.ntkernel import is_square_rational
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive pytest's output capture
@@ -64,3 +68,43 @@ def audit_tuples() -> tuple[MasterTuple, ...]:
     c = build_fibre(22, 17)
     run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), 2)
     return tuple(run.outputs)
+
+
+def halve(c, P: CurvePoint) -> list[CurvePoint]:
+    """All rational Q with 2Q = P, possibly empty.
+
+    P halves exactly when X(P) - e_i is a rational square for each root;
+    the candidate abscissae are X + r1*r2 + r1*r3 + r2*r3 over the sign
+    choices of the roots r_i, and every candidate is confirmed by an
+    exact doubling before it is returned.
+    """
+    if P.is_infinity:
+        return [INFINITY] + two_torsion(c)
+    roots = []
+    for e in (c.e1, c.e2, c.e3):
+        r = is_square_rational(P.X - e) if P.X != e else Fraction(0)
+        if r is None:
+            return []
+        roots.append(r)
+    out: list[CurvePoint] = []
+    r1, r2, r3 = roots
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            for s3 in (1, -1):
+                u1, u2, u3 = s1 * r1, s2 * r2, s3 * r3
+                X = P.X + u1 * u2 + u1 * u3 + u2 * u3
+                Y2 = cubic_rhs(c, X)
+                Y = is_square_rational(Y2) if Y2 != 0 else Fraction(0)
+                if Y is None:
+                    continue
+                for Q in (CurvePoint(X, Y), CurvePoint(X, -Y)):
+                    if Q not in out and add(c, Q, Q) == P:
+                        out.append(Q)
+    return out
+
+
+def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
+    """The admissible pair (a, b) behind a point, when one exists, by the
+    rule of `fibration.lift_pairs`.  Certification of the hit itself stays
+    with the caller."""
+    return None if P.is_infinity else lift_pairs(c, *_triple(P))[0]

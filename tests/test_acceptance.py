@@ -19,7 +19,7 @@ from brickforge.blockers import (
     verify_E1,
     verify_blocker_conjecture,
 )
-from brickforge.ecq import CurvePoint, halve, torsion_subgroup
+from brickforge.ecq import CurvePoint, torsion_subgroup
 from brickforge.families import (
     build_tables,
     classify,
@@ -32,7 +32,7 @@ from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
 from brickforge.ntkernel import is_square_rational, valuation
 from brickforge.store import FibreRow, Store, export_csv, import_csv, validate_consistency
-from conftest import ACCEPTANCE_LINES, random_admissible, random_pair
+from conftest import ACCEPTANCE_LINES, halve, random_admissible, random_pair
 
 GOLDEN = (55, 48, 44, 9)
 SINGLE_BLOCKER_ROWS = [

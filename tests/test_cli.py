@@ -394,6 +394,27 @@ def test_impossible_factor_row_is_operational_error(db, capsys, row):
         assert f"f1_factors.csv row {len(lines) + 1}: prime " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["master_hits.csv", "f1_factors.csv", "fibers.csv"])
+def test_non_ascii_byte_in_a_store_file_is_operational_error(db, capsys, name):
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / name
+    path.write_bytes(path.read_bytes() + "caf\u00e9\n".encode("utf-8"))
+    assert cli.main(["verify", "consistency"]) == 2
+    assert f"error: {name}: 'ascii' codec can't decode byte 0xc3" in capsys.readouterr().err
+
+
+def test_factor_field_above_the_csv_field_limit_is_operational_error(db, capsys):
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / "f1_factors.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, "1," + "7" * 2_000_001 + ",1,1", ""]))
+    assert cli.main(["verify", "theorem"]) == 2
+    assert (f"error: f1_factors.csv line {len(lines) + 1}: field larger than field limit "
+            "(2000000)") in capsys.readouterr().err
+
+
 # mw run (22,17) H=80 K=2, then these fibres at H=60 K=2: inserts, fibres without
 # seeds, a rerun that inserts nothing and a rerun of the first fibre
 GUARD_FIBRES = ((4, 3), (6, 5), (8, 3), (2, 1), (13, 2), (16, 5), (7, 2), (18, 7), (21, 8),

@@ -5,14 +5,13 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import EIGHT_TORSION, admissible_fibres, hand_fibre, random_pair
+from conftest import EIGHT_TORSION, admissible_fibres, halve, hand_fibre, lift_point, random_pair
 from brickforge.ecq import (
     INFINITY,
     CurvePoint,
     TorsionGroup,
     add,
     cubic_rhs,
-    halve,
     neg,
     on_curve,
     scalar_mul,
@@ -346,7 +345,7 @@ def test_no_torsion_point_lifts_on_fibres():
     # the proof in torsion_subgroup, checked fibre by fibre: the points of
     # order 4 are phi(+-1, +-2 U2), none of the eight lifts, 4 U2 gamma is
     # no square, and no hit the seed search finds is torsion
-    from brickforge.fibration import lift_point, phi
+    from brickforge.fibration import phi
     from brickforge.mw import naive_quartic_search
 
     fibres = admissible_fibres(1000)

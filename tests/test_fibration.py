@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EIGHT_TORSION, admissible_fibres, hand_fibre, random_pair
+from conftest import EIGHT_TORSION, admissible_fibres, halve, hand_fibre, lift_point, random_pair
 from brickforge.ecq import (
-    CurvePoint, INFINITY, _triple, add, halve, scalar_mul, torsion_subgroup, two_torsion,
+    CurvePoint, INFINITY, _triple, add, scalar_mul, torsion_subgroup, two_torsion,
 )
 from brickforge.fibration import (
-    build_fibre, lift_pairs, lift_point, phi, quartic_rhs, tau, tau_phi_identity,
+    build_fibre, lift_pairs, phi, quartic_rhs, tau, tau_phi_identity,
 )
 from brickforge.master import EuclidPair, MasterTuple, is_master_hit
 from brickforge.ntkernel import is_square_rational
@@ -96,6 +96,15 @@ def test_lift_point():
     assert lift_point(c21, CurvePoint(Fraction(80), Fraction(672))) is None  # t = 1
     assert lift_point(c21, CurvePoint(Fraction(-4), Fraction(0))) is None  # t = 0
     assert lift_point(c21, INFINITY) is None
+
+
+def test_lift_point_reads_the_quartic_root():
+    # on the quartic point (t, s), t is the root 2 gamma (X + B) / Y
+    c, t = build_fibre(44, 9), Fraction(55, 48)
+    P = phi(c, t, is_square_rational(quartic_rhs(c, t)))
+    root = 2 * c.gamma * (P.X + c.B) / P.Y
+    assert root == t and root ** 2 == tau(c, P)
+    assert lift_point(c, P) == EuclidPair(55, 48)
 
 
 def test_lift_point_negative_branch():

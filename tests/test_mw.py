@@ -7,12 +7,12 @@ from math import gcd
 
 import pytest
 
-from conftest import admissible_fibres
-from brickforge import ecq, master, mw
+from conftest import admissible_fibres, lift_point
+from brickforge import cli, ecq, master, mw
 from brickforge.ecq import (
     INFINITY, CurvePoint, add, neg, scalar_mul, torsion_subgroup, two_torsion,
 )
-from brickforge.fibration import build_fibre, lift_point, tau
+from brickforge.fibration import build_fibre, tau
 from brickforge.master import EuclidPair, MasterTuple, edges, is_master_hit, sigma_canonical
 from brickforge.mw import (
     MwStats,
@@ -140,6 +140,19 @@ def test_enumerate_empty_generator_set():
 def test_enumerate_rejects_bad_K():
     with pytest.raises(ValueError):
         enumerate_and_certify(F21, [], 0)
+
+
+def test_mw_run_refuses_a_box_above_the_cap(tmp_path, monkeypatch, capsys):
+    # 13 seeds at H=3000 on (88,7): 610,351,562 vectors at K=2, refused before any is built
+    def fail(r, K):
+        raise AssertionError(f"the box of {r} seeds at K={K} was built")
+
+    monkeypatch.setattr(mw, "_coefficient_vectors", fail)
+    assert cli.main(["mw", "run", "--m", "88", "--n", "7", "--seed-height", "3000",
+                     "--K", "2", "--db", str(tmp_path)]) == 2
+    assert ("the walk over 13 seeds at K=2 has 610,351,562 coefficient vectors, "
+            "above the 1,000,000 allowed") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mirror_point_same_tau():

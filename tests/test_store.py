@@ -496,25 +496,25 @@ def _edit_field(column: int, edit):
 
 
 NONCANONICAL = {
-    "leading zero": (_edit_field(5, lambda x: "0" + x), 1),
-    "leading zero id": (_edit_field(0, lambda i: "0" + i), 1),
-    "plus sign": (_edit_field(1, lambda a: "+" + a), 1),
-    "minus zero": (_edit_field(8, lambda g: "-0"), 1),
-    "leading space": (_edit_field(6, lambda y: " " + y), 1),
-    "trailing space": (_edit_field(4, lambda n: n + " "), 1),
-    "underscore": (_edit_field(7, lambda z: z[:1] + "_" + z[1:]), 1),
-    "unsorted tags": (_edit_field(10, lambda t: "Sporadic;Euler"), 1),
-    "repeated tags": (_edit_field(10, lambda t: "Euler;Euler"), 1),
-    "empty tag segments": (_edit_field(10, lambda t: ";Euler;;Sporadic;"), 1),
-    "crlf": (lambda text: text.replace(b"\n", b"\r\n"), 0),
-    "blank lines": (lambda text: text.replace(b"\n", b"\n\n"), 0),
-    "quoted provenance": (_edit_field(9, lambda p: f'"{p}"'), 0),
+    "leading zero": _edit_field(5, lambda x: "0" + x),
+    "leading zero id": _edit_field(0, lambda i: "0" + i),
+    "plus sign": _edit_field(1, lambda a: "+" + a),
+    "minus zero": _edit_field(8, lambda g: "-0"),
+    "leading space": _edit_field(6, lambda y: " " + y),
+    "trailing space": _edit_field(4, lambda n: n + " "),
+    "underscore": _edit_field(7, lambda z: z[:1] + "_" + z[1:]),
+    "unsorted tags": _edit_field(10, lambda t: "Sporadic;Euler"),
+    "repeated tags": _edit_field(10, lambda t: "Euler;Euler"),
+    "empty tag segments": _edit_field(10, lambda t: ";Euler;;Sporadic;"),
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "blank lines": lambda text: text.replace(b"\n", b"\n\n"),
+    "quoted provenance": _edit_field(9, lambda p: f'"{p}"'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NONCANONICAL))
 def test_noncanonical_row_reads_and_exports_as_before(tmp_path, monkeypatch, case):
-    edit, parsed = NONCANONICAL[case]
+    edit = NONCANONICAL[case]
     export_csv(full_store(), tmp_path / "a")
     want = _tree(tmp_path / "a")
     (tmp_path / "a" / "manifest.txt").unlink()
@@ -523,7 +523,7 @@ def test_noncanonical_row_reads_and_exports_as_before(tmp_path, monkeypatch, cas
     parse = _Count(store_module._hit_record)
     monkeypatch.setattr(store_module, "_hit_record", parse)
     back = import_csv(tmp_path / "a")
-    assert parse.calls == parsed  # only a row export would not write back as it is
+    assert parse.calls == 2  # a file not in export form: each of its rows parsed once
     export_csv(back, tmp_path / "b")
     ref = _reference_rows(data)
     got = _tree(tmp_path / "b")
@@ -798,7 +798,7 @@ def test_noncanonical_fibre_row_reads_and_exports_as_before(tmp_path, monkeypatc
     parse = _Count(store_module._fibre_row)
     monkeypatch.setattr(store_module, "_fibre_row", parse)
     back = import_csv(tmp_path / "a")
-    assert parse.calls == 1  # only the row export would not write back as it is
+    assert parse.calls == 5  # a file not in export form: each of its rows parsed once
     export_csv(back, tmp_path / "b")
     ref = _reference_fibres(data)
     got = _tree(tmp_path / "b")
@@ -811,14 +811,13 @@ def test_noncanonical_fibre_row_reads_and_exports_as_before(tmp_path, monkeypatc
 def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
     export_csv(fibre_store(), tmp_path / "a")
     (tmp_path / "a" / "manifest.txt").unlink()
-    # one row of each file parsed at import, between rows kept as lines
+    # hits not in export form, each row parsed at import; fibres in export
+    # form, each row kept as its line until the steps put records among them
     hits = tmp_path / "a" / "master_hits.csv"
     hits.write_bytes(_edit_field(5, lambda x: "0" + x)(hits.read_bytes()))
-    fibres = tmp_path / "a" / "fibers.csv"
-    fibres.write_bytes(FIBRE_NONCANONICAL["2/4"](fibres.read_bytes()))
     back, ref = import_csv(tmp_path / "a"), import_csv(tmp_path / "a")
-    assert [type(r) for r in back._hits.values()] == [str, store_module.HitRecord]
-    assert [type(r) for _, r in sorted(back._fibres.items())] == [str, str, str, FibreRow, str]
+    assert [type(r) for r in back._hits.values()] == [store_module.HitRecord] * 2
+    assert [type(r) for r in back._fibres.values()] == [str] * 5
     steps = [
         lambda db: None,
         lambda db: setattr(db.get(2), "y", db.get(2).y + 1),  # an in-place edit
@@ -830,14 +829,14 @@ def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
         step(back)
         step(ref)
         export_csv(back, tmp_path / f"b{i}")
-        assert type(back._hits[1]) is str and type(back._fibres[(6, 5)]) is str
+        assert type(back._fibres[(6, 5)]) is str
         got = _tree(tmp_path / f"b{i}")
         assert {name: got[name] for name in CSV_NAMES} == _csv_writer_export(ref), i
 
 
 def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
-    # three chunks of lines and a bit; the rows at the first chunk boundary
-    # are parsed at import (a leading zero), the others stay lines
+    # three chunks of lines and a bit; a leading zero in the rows at the
+    # first chunk boundary takes the file out of export form
     size = 3 * csvrows._CHUNK_LINES + 5
     edge = {csvrows._CHUNK_LINES - 1, csvrows._CHUNK_LINES, csvrows._CHUNK_LINES + 1}
     rows = [f"{i},{i + 1},{i},{i + 3},{i + 2},{'0' if i in edge else ''}{7 * i},{11 * i},"
@@ -848,7 +847,7 @@ def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
     (tmp_path / "a" / "f1_factors.csv").write_text(",".join(csvrows.FACTOR_COLUMNS) + "\n")
     (tmp_path / "a" / "fibers.csv").write_text(",".join(csvrows.FIBRE_COLUMNS) + "\n")
     back = import_csv(tmp_path / "a")
-    assert sum(type(r) is not str for r in back._hits.values()) == len(edge)
+    assert all(type(r) is store_module.HitRecord for r in back._hits.values())
     manifest = dict(export_csv(back, tmp_path / "b"))
     got = (tmp_path / "b" / "master_hits.csv").read_bytes()
     assert got == _reference_hits_csv(_reference_rows(data))
@@ -865,8 +864,8 @@ def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
     ("fibers.csv", "4,1,2,4,,1/2", "not enough values to unpack"),
 ])
 def test_import_reports_bad_rows_the_same_either_way(tmp_path, form, name, row, message):
-    # a file with a quote or a carriage return goes through csv.reader,
-    # any other is split into lines; the errors read the same
+    # the same bad row with line ends \n and \r\n: csv.reader reads both,
+    # and the errors read the same
     export_csv(full_store(), tmp_path)
     (tmp_path / "manifest.txt").unlink()
     path = tmp_path / name
@@ -902,7 +901,7 @@ def test_loaded_hits_file_in_export_form_is_not_rebuilt(tmp_path, monkeypatch):
     assert builds.calls == 4
 
 
-# -- a file in export form read by one findall, any other a row at a time ------
+# -- a file in export form read by one findall, any other by csv.reader -------
 
 def _renumber(ids: dict):
     """Gives hit i the id text ids[i], in master_hits.csv and f1_factors.csv."""
@@ -943,7 +942,7 @@ def _write_files(dirpath, files, order) -> None:
 @pytest.mark.parametrize("quirk", sorted(QUIRKS))
 def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
     # the same rows in export column order (one findall per file, unless a
-    # row is not in export form) and in reversed column order (a row at a time)
+    # row is not in export form) and in reversed column order (csv.reader)
     export_csv(fibre_store(), tmp_path / "a")
     files = {name: [line.split(",") for line in (tmp_path / "a" / name).read_text().splitlines()]
              for name in CSV_NAMES}
@@ -951,13 +950,14 @@ def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
         edit(files)
     _write_files(tmp_path / "export", files, lambda row: row)
     _write_files(tmp_path / "reversed", files, lambda row: row[::-1])
-    kept_hit, kept_fibre = _Count(csvrows.kept_hit), _Count(csvrows.kept_fibre)
-    monkeypatch.setattr(csvrows, "kept_hit", kept_hit)
-    monkeypatch.setattr(csvrows, "kept_fibre", kept_fibre)
+    hit_parse, fibre_parse = _Count(store_module._hit_record), _Count(store_module._fibre_row)
+    monkeypatch.setattr(store_module, "_hit_record", hit_parse)
+    monkeypatch.setattr(store_module, "_fibre_row", fibre_parse)
     one = import_csv(tmp_path / "export")
-    # which way each file went: a row at a time only when a row is not in export form
-    assert (kept_hit.calls > 0, kept_fibre.calls > 0) == (
-        quirk in ("007", "unsorted tags", "all"), quirk in ("unreduced fraction", "all"))
+    # which way each file went: each row parsed only when a row is not in export form
+    assert (hit_parse.calls, fibre_parse.calls) == (
+        2 * (quirk in ("007", "unsorted tags", "all")),
+        5 * (quirk in ("unreduced fraction", "all")))
     other = import_csv(tmp_path / "reversed")
     assert one.hits() == other.hits()
     assert one.fibres() == other.fibres()
@@ -976,7 +976,6 @@ def test_import_in_export_form_makes_no_call_per_row(tmp_path, monkeypatch):
     export_csv(db, tmp_path)
     counts = {}
     for module, name in ((store_module, "_hit_record"), (store_module, "_fibre_row"),
-                         (csvrows, "kept_hit"), (csvrows, "kept_fibre"),
                          (csvrows, "kept_tags"), (csvrows, "kept_points")):
         counts[name] = _Count(getattr(module, name))
         monkeypatch.setattr(module, name, counts[name])
@@ -984,7 +983,7 @@ def test_import_in_export_form_makes_no_call_per_row(tmp_path, monkeypatch):
     assert {name: count.calls for name, count in counts.items()} == dict.fromkeys(counts, 0)
     assert len(back) == 2 and len(back._fibres) == 3
     # the counts are real: with a row of each file not in export form, each
-    # file is read a row at a time (the text after the last line end too)
+    # file goes through csv.reader, every row parsed once
     (tmp_path / "manifest.txt").unlink()
     hits = tmp_path / "master_hits.csv"
     hits.write_bytes(_edit_field(0, lambda i: "0" + i)(hits.read_bytes()))
@@ -992,5 +991,38 @@ def test_import_in_export_form_makes_no_call_per_row(tmp_path, monkeypatch):
     fibres.write_bytes(_edit_fibre(4, lambda rank: "-0", key=("4", "1"))(fibres.read_bytes()))
     import_csv(tmp_path)
     assert {name: count.calls for name, count in counts.items()} == {
-        "_hit_record": 1, "_fibre_row": 1, "kept_hit": 3, "kept_fibre": 4,
-        "kept_tags": 0, "kept_points": 0}
+        "_hit_record": 2, "_fibre_row": 3, "kept_tags": 0, "kept_points": 0}
+
+
+def test_store_written_by_the_commands_reimports_with_no_parse_per_row(tmp_path, monkeypatch,
+                                                                       capsys):
+    db = tmp_path / "db"
+    db.mkdir()
+    for argv in (_mw_argv(44, 9, 60, 2, db), _mw_argv(6, 5, 60, 1, db),
+                 ["factorize", "--budget", "0.05", "--db", str(db)],
+                 ["families", "build", "--saunderson-max", "50", "--lenhart-max", "13",
+                  "--db", str(db)],
+                 ["families", "classify", "--db", str(db)]):
+        assert cli.main(argv) == 0
+    assert "Sporadic: 11" in capsys.readouterr().out  # every row has family tags
+    counts = {name: _Count(getattr(store_module, name)) for name in ("_hit_record", "_fibre_row")}
+    for name, count in counts.items():
+        monkeypatch.setattr(store_module, name, count)
+    back = import_csv(db)
+    assert {name: count.calls for name, count in counts.items()} == {
+        "_hit_record": 0, "_fibre_row": 0}
+    assert (len(back), len(back._fibres)) == (11, 2)
+    assert back._hits_digest is not None  # export need not even build master_hits.csv
+
+
+def test_crlf_store_with_a_big_factor_row_loads(tmp_path, capsys):
+    # csv.reader refuses a field above its limit, 131,072 characters by default
+    export_csv(golden_store(), tmp_path)
+    (tmp_path / "manifest.txt").unlink()
+    path = tmp_path / "f1_factors.csv"
+    text = path.read_text() + "2,1" + "0" * 139_998 + "1,1,1\n"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    back = import_csv(tmp_path)
+    assert back.factor_rows(2) == [FactorRow(2, 10 ** 139_999 + 1, 1, True)]
+    assert cli.main(["verify", "theorem", "--db", str(tmp_path)]) == 0
+    assert "verified=1" in capsys.readouterr().out
