@@ -18,7 +18,6 @@ from .blockers import blockers, is_strictly_semiscaled, k_invariant, verify_E1, 
 from .ecq import TORSION_STRUCTURE
 from .families import build_tables, classify, load_tables, save_tables
 from .fibration import build_fibre
-from .master import MasterTuple
 from .mw import enumerate_and_certify, load_seed_file, naive_quartic_search, seeds_from_hits
 from .ntkernel import DEFAULT_BUDGET, is_perfect_square
 from .store import CSV_NAMES, FibreRow, Store, export_csv, import_csv, validate_consistency
@@ -120,40 +119,41 @@ def _full_records(db: Store) -> list:
     return [rec for rec in db.hits() if rec.f1_status == "full"]
 
 
+def _summary(counts: dict, failing: str = "", ids=()) -> int:
+    """Print `counts` as key=value pairs on one line, then `<failing> ids: …`
+    when `ids` is not empty; the exit code, 1 exactly then, else 0."""
+    print(" ".join(f"{key}={value}" for key, value in counts.items()))
+    if ids:
+        print(f"{failing} ids: " + " ".join(map(str, ids)))
+        return 1
+    return 0
+
+
 def _cmd_verify_theorem(args) -> int:
     db = _load(args.db)
     full = _full_records(db)
-    counts = Counter({"verified": 0, "violated": 0, "undecidable_partial": 0})
+    counts = dict.fromkeys(("verified", "violated", "undecidable_partial"), 0)
     violated = []
     for rec in full:
         verdict = verify_blocker_conjecture(rec.tuple, db.factorization_of(rec.id)).verdict
         counts[verdict] += 1
         if verdict == "violated":
             violated.append(rec.id)
-    print(f"verified={counts['verified']} violated={counts['violated']} "
-          f"undecidable_partial={counts['undecidable_partial']} "
-          f"skipped_not_full={len(db) - len(full)}")
-    if violated:
-        print("violated ids: " + " ".join(map(str, violated)))
-        return 1
-    return 0
+    counts["skipped_not_full"] = len(db) - len(full)
+    return _summary(counts, "violated", violated)
 
 
 def _cmd_verify_perfect(args) -> int:
     db = _load(args.db)
     found = [rec.id for rec in db.hits()
              if is_perfect_square(rec.x ** 2 + rec.y ** 2 + rec.z ** 2) is not None]
-    print(f"records={len(db)} perfect_cuboids={len(found)}")
-    if found:
-        print("perfect ids: " + " ".join(map(str, found)))
-        return 1
-    return 0
+    return _summary({"records": len(db), "perfect_cuboids": len(found)}, "perfect", found)
 
 
 def _cmd_verify_consistency(args) -> int:
     db = _load(args.db)
     problems = validate_consistency(db)
-    print(f"records={len(db)} violations={len(problems)}")
+    _summary({"records": len(db), "violations": len(problems)})
     for line in problems:
         print(line)
     return 1 if problems else 0
@@ -162,37 +162,18 @@ def _cmd_verify_consistency(args) -> int:
 def _cmd_verify_single_blocker(args) -> int:
     db = _load(args.db)
     full = _full_records(db)
-    checked = holds = 0
-    fails = []
-    for rec in full:
-        if len(blockers(db.factorization_of(rec.id))) != 1:
-            continue
-        checked += 1
-        if is_strictly_semiscaled(rec.tuple):
-            holds += 1
-        else:
-            fails.append(rec.id)
-    print(f"single_blocker={checked} strictly_semiscaled={holds} "
-          f"fails={len(fails)} skipped_not_full={len(db) - len(full)}")
-    if fails:
-        print("failing ids: " + " ".join(map(str, fails)))
-        return 1
-    return 0
+    single = [rec for rec in full if len(blockers(db.factorization_of(rec.id))) == 1]
+    fails = [rec.id for rec in single if not is_strictly_semiscaled(rec.tuple)]
+    return _summary({"single_blocker": len(single),
+                     "strictly_semiscaled": len(single) - len(fails),
+                     "fails": len(fails), "skipped_not_full": len(db) - len(full)},
+                    "failing", fails)
 
 
 def _cmd_verify_e1(args) -> int:
     db = _load(args.db)
     fails = [rec.id for rec in db.hits() if not verify_E1(rec.tuple)]
-    print(f"records={len(db)} e1_failures={len(fails)}")
-    if fails:
-        print("failing ids: " + " ".join(map(str, fails)))
-        return 1
-    return 0
-
-
-def _factor_f1(item):
-    t, budget = item
-    return master.factor_f1(MasterTuple(*t), budget)
+    return _summary({"records": len(db), "e1_failures": len(fails)}, "failing", fails)
 
 
 def _cmd_factorize(args) -> int:
@@ -205,15 +186,14 @@ def _cmd_factorize(args) -> int:
         raise ValueError(f"--jobs must be at most {cpus}, the CPU count")
     db = _load(args.db)
     todo = [rec for rec in db.hits() if rec.f1_status != "full"]
-    results = _pmap(args.jobs, _factor_f1,
-                    [(tuple(rec.tuple), args.budget) for rec in todo])
+    results = _pmap(args.jobs, functools.partial(master.factor_f1, budget=args.budget),
+                    [rec.tuple for rec in todo])
     for rec, fact in zip(todo, results):
         db.set_factorization(rec.id, fact)
     export_csv(db, args.db)
     full = sum(1 for rec in todo if rec.f1_status == "full")
-    print(f"factored={len(todo)} full={full} partial={len(todo) - full} "
-          f"already_full={len(db) - len(todo)}")
-    return 0
+    return _summary({"factored": len(todo), "full": full, "partial": len(todo) - full,
+                     "already_full": len(db) - len(todo)})
 
 
 def _cmd_mw_run(args) -> int:
@@ -240,10 +220,9 @@ def _cmd_mw_run(args) -> int:
     ))
     export_csv(db, args.db)
     s = run.stats
-    print(f"fibre=({args.m},{args.n}) torsion={TORSION_STRUCTURE} seeds={len(seeds)} "
-          f"candidates={s.candidates} certified={s.certified} "
-          f"skipped_large={s.skipped_large} inserted={inserted}")
-    return 0
+    return _summary({"fibre": f"({args.m},{args.n})", "torsion": TORSION_STRUCTURE,
+                     "seeds": len(seeds), "candidates": s.candidates, "certified": s.certified,
+                     "skipped_large": s.skipped_large, "inserted": inserted})
 
 
 def _cmd_families_build(args) -> int:
@@ -271,31 +250,24 @@ def _cmd_families_classify(args) -> int:
 
 def _cmd_report(args) -> int:
     db = _load(args.db)
+    if args.what == "fibres":
+        hist = Counter(pair for rec in db.hits() for pair in {(rec.a, rec.b), (rec.m, rec.n)})
+        torsion = {(row.m, row.n): (row.torsion_d1, row.torsion_d2) for row in db.fibres()}
+        for pair in sorted(hist):
+            extra = f" torsion={torsion[pair]}" if pair in torsion else ""
+            print(f"{pair[0]} {pair[1]} hits={hist[pair]}{extra}")
+        return 0
+    full = _full_records(db)
     if args.what == "k-distribution":
-        full = _full_records(db)
-        hist: Counter = Counter()
+        hist = Counter()
         for rec in full:
             split = k_invariant(rec.tuple, db.factorization_of(rec.id))
             hist[str(split[2]) if split else "undefined"] += 1
         _print_table("k", hist, key=lambda k: (k == "undefined", len(k), k))
-        print(f"skipped_not_full={len(db) - len(full)}")
-    elif args.what == "blockers":
-        full = _full_records(db)
+    else:
         hist = Counter(len(blockers(db.factorization_of(rec.id))) for rec in full)
         _print_table("num_blockers", hist, key=int)
-        print(f"skipped_not_full={len(db) - len(full)}")
-    else:
-        hist = Counter()
-        for rec in db.hits():
-            for pair in {(rec.a, rec.b), (rec.m, rec.n)}:
-                hist[pair] += 1
-        torsion = {(row.m, row.n): (row.torsion_d1, row.torsion_d2) for row in db.fibres()}
-        for pair in sorted(hist):
-            extra = ""
-            if pair in torsion:
-                extra = f" torsion={torsion[pair]}"
-            print(f"{pair[0]} {pair[1]} hits={hist[pair]}{extra}")
-    return 0
+    return _summary({"skipped_not_full": len(db) - len(full)})
 
 
 def _print_table(label, hist: Counter, key) -> None:

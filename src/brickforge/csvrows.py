@@ -111,10 +111,7 @@ def rows_in_export_form(name: str, data: dict, columns, rows: re.Pattern,
     header is none; nor does a match hold a quote or a carriage return, so
     a line csv.reader would split otherwise is never one.  Else None, and
     the file's bytes go back into `data` for records."""
-    try:
-        text = data.pop(name).decode("ascii")  # its bytes freed
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{name}: {err}") from None
+    text = data.pop(name).decode("ascii")  # its bytes freed
     if text.startswith(",".join(columns) + "\n") and text.endswith("\n"):
         found = rows.findall(text)
         if (len(found) == text.count("\n") - 1
@@ -152,5 +149,3 @@ def records(name: str, data: dict, columns, parse):
             yield parsed
     except csv.Error as err:
         raise ValueError(f"{name} line {rows.line_num}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{name}: {err}") from None

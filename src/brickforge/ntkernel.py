@@ -339,11 +339,11 @@ def _ecm(n: int, deadline: float) -> int | None:
 
     One curve per sigma = 6, 7, 8, ...: Suyama's parametrisation of a
     Montgomery curve, whose group order is divisible by 12; stage 1 is an
-    x:z Montgomery ladder for kP, stage 2 is `_ecm_stage2`.  When the
-    stage-2 product holds every prime of n, the product after the first
-    giant step that shares a factor with n separates primes caught at
-    different giant steps.  Any other gcd equal to n moves on to the next
-    sigma.
+    x:z Montgomery ladder for kP, one `_xadd` and one `_xdbl` per bit of k,
+    stage 2 is `_ecm_stage2`.  When the stage-2 product holds every prime
+    of n, the product after the first giant step that shares a factor with
+    n separates primes caught at different giant steps.  Any other gcd
+    equal to n moves on to the next sigma.
     """
     chunks = _ecm_tables()[0]
     sigma = 5
@@ -365,19 +365,10 @@ def _ecm(n: int, deadline: float) -> int | None:
         x1, z1 = _xdbl(n, x0, 1, a24)
         for chunk in chunks:
             for bit in chunk:
-                a = (x - z) * (x1 + z1) % n
-                b = (x + z) * (x1 - z1) % n
-                xs, zs = (a + b) ** 2 % n, x0 * (a - b) ** 2 % n
                 if bit == "1":
-                    s = (x1 + z1) ** 2 % n
-                    d = (x1 - z1) ** 2 % n
-                    t = s - d
-                    x, z, x1, z1 = xs, zs, s * d % n, t * (d + a24 * t) % n
+                    x, z, x1, z1 = *_xadd(n, x, z, x1, z1, x0, 1), *_xdbl(n, x1, z1, a24)
                 else:
-                    s = (x + z) ** 2 % n
-                    d = (x - z) ** 2 % n
-                    t = s - d
-                    x, z, x1, z1 = s * d % n, t * (d + a24 * t) % n, xs, zs
+                    x, z, x1, z1 = *_xdbl(n, x, z, a24), *_xadd(n, x, z, x1, z1, x0, 1)
             if time.monotonic() >= deadline:
                 return None
         g = math.gcd(z, n)
@@ -449,12 +440,10 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
     pieces = [rem] if rem > 1 else []
     for g in divisors:
         pieces = _split(pieces, g)
-    leftovers: list[int] = []
+    residual = 1
     stack: list[tuple[int, int]] = [(m, 1) for m in pieces]
     while stack:
         m, mult = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + mult
             continue
@@ -464,13 +453,10 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
             continue
         d = _ecm(m, deadline)
         if d is None:
-            leftovers.append(m**mult)
+            residual *= m**mult
             continue
         stack.append((d, mult))
         stack.append((m // d, mult))
-    residual = 1
-    for m in leftovers:
-        residual *= m
     return Factorization(
         factors=sorted(counts.items()),
         residual=residual,

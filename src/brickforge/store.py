@@ -389,8 +389,9 @@ def import_csv(dirpath) -> Store:
     (csvrows.records) with every row parsed, so a field that is no integer,
     a zero denominator or a factor row with a prime below 2, an exponent
     below 1, is_residual outside {0, 1} or a hit id that names no hit is
-    refused here, naming the row.  Each file's bytes are freed once
-    decoded.
+    refused here, naming the row.  A byte that is not ASCII is refused
+    before either reader runs, naming its offset in the file and its line.
+    Each file's bytes are freed once decoded.
     """
     _unlock_big_decimals()
     data, stats = {}, {}
@@ -399,6 +400,13 @@ def import_csv(dirpath) -> Store:
     digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in data.items()}
     if os.path.exists(os.path.join(dirpath, "manifest.txt")):
         _check_manifest(_read(os.path.join(dirpath, "manifest.txt"))[0], digests)
+    for name, raw in data.items():
+        if not raw.isascii():  # decoded only to name the first such byte
+            try:
+                raw.decode("ascii")
+            except UnicodeDecodeError as err:
+                line = raw.count(b"\n", 0, err.start) + 1
+                raise ValueError(f"{name}: {err} (line {line})") from None
     store = Store()
     tidy = _import_hits(store, data)
     store._next_id = max(1, max(store._hits, default=0) + 1)

@@ -4,9 +4,11 @@ import hashlib
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import audit_tuples
 from brickforge import cli, master
 from brickforge.families import primitive_sorted
 from brickforge.master import MasterTuple
@@ -402,6 +404,95 @@ def test_non_ascii_byte_in_a_store_file_is_operational_error(db, capsys, name):
     path.write_bytes(path.read_bytes() + "caf\u00e9\n".encode("utf-8"))
     assert cli.main(["verify", "consistency"]) == 2
     assert f"error: {name}: 'ascii' codec can't decode byte 0xc3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["master_hits.csv", "f1_factors.csv"])
+def test_non_ascii_byte_deep_in_a_store_file_is_named_where_it_is(db, capsys, name):
+    # csv.reader decodes a chunk at a time; the offset is the file's, not the chunk's
+    store = Store()
+    for t in audit_tuples():
+        store.set_factorization(store.insert_hit(t, "MW-22-17")[0], master.factor_f1(t, 0))
+    export_csv(store, db)
+    (db / "manifest.txt").unlink()
+    path = db / name
+    raw = bytearray(path.read_bytes())
+    assert len(raw) > 50_000
+    raw[20_000] = 0xC3
+    path.write_bytes(raw)
+    line = raw.count(b"\n", 0, 20_000) + 1
+    assert line > 100 and raw.count(b"\n") > line
+    assert cli.main(["verify", "theorem"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {name}: 'ascii' codec can't decode byte 0xc3 in position 20000: "
+        f"ordinal not in range(128) (line {line})\n")
+
+
+def test_verify_theorem_lists_a_violated_record(db, capsys, monkeypatch):
+    bad = seeded_db(db).get(2).tuple
+    monkeypatch.setattr(cli, "verify_blocker_conjecture", lambda t, fact: SimpleNamespace(
+        verdict="violated" if t == bad else "verified"))
+    assert cli.main(["verify", "theorem"]) == 1
+    assert capsys.readouterr().out == ("verified=1 violated=1 undecidable_partial=0 "
+                                       "skipped_not_full=0\nviolated ids: 2\n")
+
+
+def single_blocker_db(db):
+    """The paper's single-blocker row, factored."""
+    store = Store()
+    t = MasterTuple(835, 88, 160, 89)
+    store.set_factorization(store.insert_hit(t, "Exhaustive-Bound-1000")[0],
+                            master.factor_f1(t))
+    export_csv(store, db)
+
+
+def test_verify_single_blocker_counts_the_paper_row(db, capsys):
+    single_blocker_db(db)
+    assert cli.main(["verify", "single-blocker"]) == 0
+    assert capsys.readouterr().out == (
+        "single_blocker=1 strictly_semiscaled=1 fails=0 skipped_not_full=0\n")
+
+
+def test_verify_single_blocker_lists_a_failing_record(db, capsys, monkeypatch):
+    single_blocker_db(db)
+    monkeypatch.setattr(cli, "is_strictly_semiscaled", lambda t: False)
+    assert cli.main(["verify", "single-blocker"]) == 1
+    assert capsys.readouterr().out == (
+        "single_blocker=1 strictly_semiscaled=0 fails=1 skipped_not_full=0\nfailing ids: 1\n")
+
+
+def test_verify_e1_lists_a_failing_record(db, capsys, monkeypatch):
+    bad = seeded_db(db).get(1).tuple
+    monkeypatch.setattr(cli, "verify_E1", lambda t: t != bad)
+    assert cli.main(["verify", "e1"]) == 1
+    assert capsys.readouterr().out == "records=2 e1_failures=1\nfailing ids: 1\n"
+
+
+# every command's stdout on the store of mw run (44,9) at seed height 60, K=3,
+# then factorize, as the commands printed it when each formatted its own line
+SMALL_STORE_STDOUT = (
+    (["mw", "run", "--m", "44", "--n", "9", "--seed-height", "60", "--K", "3"],
+     "fibre=(44,9) torsion=(2, 4) seeds=1 candidates=24 certified=6 skipped_large=0 "
+     "inserted=3\n"),
+    (["factorize", "--budget", "1"], "factored=3 full=3 partial=0 already_full=0\n"),
+    (["verify", "theorem"], "verified=3 violated=0 undecidable_partial=0 skipped_not_full=0\n"),
+    (["verify", "perfect"], "records=3 perfect_cuboids=0\n"),
+    (["verify", "consistency"], "records=3 violations=0\n"),
+    (["verify", "single-blocker"],
+     "single_blocker=0 strictly_semiscaled=0 fails=0 skipped_not_full=0\n"),
+    (["verify", "e1"], "records=3 e1_failures=0\n"),
+    (["report", "--what", "k-distribution"], "k=1 count=2\nk=undefined count=1\n"
+                                             "skipped_not_full=0\n"),
+    (["report", "--what", "blockers"], "num_blockers=4 count=1\nnum_blockers=7 count=1\n"
+                                       "num_blockers=9 count=1\nskipped_not_full=0\n"),
+    (["report", "--what", "fibres"], "44 9 hits=3 torsion=(2, 4)\n55 48 hits=1\n"
+                                     "9343840 548887 hits=1\n"
+                                     "16463161213657264 10922441581030155 hits=1\n"),
+)
+
+
+def test_every_command_prints_the_recorded_lines(db, capsys):
+    for argv, out in SMALL_STORE_STDOUT:
+        assert (cli.main(argv), capsys.readouterr().out) == (0, out), argv
 
 
 def test_factor_field_above_the_csv_field_limit_is_operational_error(db, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -190,6 +191,30 @@ def test_ecm_suyama_denominator_sharing_a_prime_is_a_factor():
     # sigma = 6 gives v = 4 * sigma = 24, which 3 divides
     p = 1000000000039
     assert ntkernel._ecm(3 * p, math.inf) == 3
+
+
+# products of two primes of 10 to 12 digits, each with the factor _ecm
+# returned when stage 1 stepped its ladder without _xadd/_xdbl: the same
+# factor means the same curves and the same arithmetic
+ECM_FACTORS = (
+    (3000000040000000133, 3000000019), (30001108275124292783, 3000104743),
+    (300021116884812617507, 3000209477), (30003563493029496401, 1000108309),
+    (300009472133770330903, 30000418933), (3000060158465998401773, 30000523673),
+    (300108384706706286247, 1000359187), (3000149676877873379729, 300000733163),
+    (30000265461107393913403, 100000605581), (3003200945341779233, 1000752551),
+    (30013220145696457301, 3001047299), (300118485563314314023, 3001152023),
+    (30039913048320147151, 1001288489), (300058581820629654007, 30001361479),
+    (3000198374899244420989, 30001466221), (300591668933018174969, 1001966983),
+    (3000684197118009958841, 10002224789), (30000927583848287447471, 100002498461),
+    (3010254369756141731, 3001885141), (30029185122398571419, 3001989901),
+)
+
+
+@pytest.mark.parametrize("n,p", ECM_FACTORS)
+def test_ecm_returns_the_recorded_factor(n, p):
+    assert n % p == 0 and is_prime(p) and is_prime(n // p)
+    # each takes well under 0.1 s; a broken ladder gives up instead of running on
+    assert ntkernel._ecm(n, time.monotonic() + 10) == p
 
 
 

@@ -129,6 +129,64 @@ def test_validate_flags_bad_factor_rows():
     assert any("multiply back" in p for p in validate_consistency(db))
 
 
+def _set(**fields):
+    def corrupt(db):
+        for name, value in fields.items():
+            setattr(db.get(1), name, value)
+    return corrupt
+
+
+def _split_square(db):
+    # f1 of GOLDEN holds 7^2: two rows of 7^1 multiply back to it
+    rows = db._factors[1]
+    i = rows.index(FactorRow(1, 7, 2, False))
+    rows[i:i + 1] = [FactorRow(1, 7, 1, False)] * 2
+
+
+def _prime_as_residual(db):
+    rows = db._factors[1]
+    i = next(i for i, row in enumerate(rows) if row.exponent == 1)
+    rows[i] = FactorRow(1, rows[i].prime, 1, True)
+
+
+# one corruption each, the one finding validate_consistency gives for it and
+# the exit code of verify consistency on the store as export writes it (a
+# degenerate factor row is refused at import, naming the row)
+CORRUPTIONS = {
+    "inadmissible record": (_set(a=9, b=44), "hit 1: inadmissible (a <= b)", 1),
+    "M not a square": (_set(a=3, b=2, m=3, n=2), "hit 1: M is not a square", 1),
+    "bad provenance": (_set(provenance="Guesswork"), "hit 1: bad provenance 'Guesswork'", 1),
+    "unknown tags": (_set(family_tags={"Bogus"}), "hit 1: unknown family tags", 1),
+    "bad f1_status": (_set(f1_status="maybe"), "hit 1: bad f1_status 'maybe'", 1),
+    "inadmissible fibre": (lambda db: db.upsert_fibre(FibreRow(4, 4, 2, 4)),
+                           "fibre (4,4): inadmissible (a <= b)", 1),
+    "rows without status": (lambda db: db._factors.update({2: [FactorRow(2, 3, 1, False)]}),
+                            "hit 2: factor rows without factorization status", 1),
+    "status without rows": (lambda db: db._factors[1].clear(),
+                            "hit 1: status full but no factor rows", 1),
+    "repeated prime": (_split_square, "hit 1: repeated prime rows", 1),
+    "degenerate row": (lambda db: db._factors[1].append(FactorRow(1, 11, 0, False)),
+                       "hit 1: degenerate factor row (11, 0)", 2),
+    "full with residual": (_prime_as_residual, "hit 1: full status with a residual row", 1),
+    "partial without residual": (_set(f1_status="partial"),
+                                 "hit 1: partial status without a residual row", 1),
+}
+
+
+@pytest.mark.parametrize("corrupt, finding, code", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_validate_flags_each_corruption(tmp_path, capsys, corrupt, finding, code):
+    db = golden_store()
+    corrupt(db)
+    assert validate_consistency(db) == [finding]
+    export_csv(db, tmp_path)
+    assert cli.main(["verify", "consistency", "--db", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out == f"records=2 violations=1\n{finding}\n"
+    else:
+        assert err.startswith("error: f1_factors.csv row ") and "exponent 0" in err
+
+
 def test_fibre_row_upsert_and_validation():
     db = golden_store()
     c, seeds = _fibre_with_seed()
