@@ -197,8 +197,8 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_mw_run(args) -> int:
-    ok, reason = master.is_admissible(args.m, args.n, args.m, args.n)
-    if not ok:
+    reason = master.pair_fault(args.m, args.n, "mn")
+    if reason:
         raise ValueError(f"pair ({args.m},{args.n}) inadmissible ({reason})")
     if args.K < 1:
         raise ValueError("--K must be at least 1")

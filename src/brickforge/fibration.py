@@ -101,58 +101,22 @@ def lift_pairs(c: FibreCurve, u: int, w: int, D: int) -> tuple[EuclidPair | None
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
 
 
-# ---------------------------------------------------------------------------
-# the one-time algebraic identity tau(phi(t, s)) = t^2
-
-
-def _pmul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def _psub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for k, v in g.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _pscale(f: dict, c: int) -> dict:
-    return {k: c * v for k, v in f.items() if c * v}
-
-
-def _reduce_s(f: dict, quartic: dict) -> dict:
-    # rewrite s^2 as the quartic in t until only s-degrees 0 and 1 remain
-    out: dict = {}
-    work = dict(f)
-    while work:
-        (i, j), c = work.popitem()
-        if j < 2:
-            out[(i, j)] = out.get((i, j), 0) + c
-            continue
-        for (qi, _), qc in quartic.items():
-            key = (i + qi, j - 2)
-            work[key] = work.get(key, 0) + c * qc
-    return {k: v for k, v in out.items() if v}
-
-
 def tau_phi_identity(c: FibreCurve) -> bool:
     """Exact check that tau after phi returns t^2 on the whole fibre.
 
-    Works in Z[t, s] modulo s^2 - f(t): the numerator of tau(X(t,s)) - t^2
-    must reduce to zero while the denominator does not.
+    With X = (x0 + x1 s) / t^2, x0 = 2 gamma^2 and x1 = 2 gamma, tau(X) - t^2
+    = N / D where D = (x0 + x1 s)^2 - 4 gamma^4 t^4 and N = t^2 (4 gamma^2
+    (x0 + x1 s + B t^2) - D).  Modulo s^2 - f(t), each is P(t) + Q(t) s with
+    P and Q of degree at most 6, so N is zero once it vanishes at the seven
+    points t = 0, ..., 6, each element a + b s held as the pair (a, b).  D's
+    s-part is the constant 2 x0 x1 = 8 gamma^3, so D is not zero.
     """
     g = c.gamma
-    Xn = {(0, 1): 2 * g, (0, 0): 2 * g * g}  # numerator of X, over t^2
-    Xd = {(2, 0): 1}
-    quartic = {(4, 0): c.A, (2, 0): c.B, (0, 0): c.C}
-    shifted = dict(Xn)  # Xn + B * Xd
-    for k, v in Xd.items():
-        shifted[k] = shifted.get(k, 0) + c.B * v
-    den = _psub(_pmul(Xn, Xn), _pscale(_pmul(Xd, Xd), 4 * g**4))
-    num = _psub(_pscale(_pmul(shifted, Xd), 4 * g * g), _pmul({(2, 0): 1}, den))
-    return _reduce_s(num, quartic) == {} and _reduce_s(den, quartic) != {}
+    x0, x1 = 2 * g * g, 2 * g
+    d1 = 2 * x0 * x1
+    for t in range(7):
+        t2 = t * t
+        d0 = x0 * x0 + x1 * x1 * quartic_rhs(c, t) - 4 * g**4 * t2 * t2
+        if t2 * (4 * g * g * (x0 + c.B * t2) - d0) or t2 * (4 * g * g * x1 - d1):
+            return False
+    return d1 != 0

@@ -50,29 +50,26 @@ class Brick(NamedTuple):
     dyz: int | None = None  # present exactly when the tuple is a hit
 
 
-def is_admissible(a: int, b: int, m: int, n: int):
-    """(True, None) for an admissible quadruple, else (False, reason).
+def pair_fault(x: int, y: int, names: str = "ab") -> str | None:
+    """Why (x, y), its slots called `names`, is no admissible pair: the first
+    it violates of the orderings, coprimality and parity.  None if it is one."""
+    u, v = names
+    if x <= y:
+        return f"{u} <= {v}"
+    if y <= 0:
+        return f"{v} <= 0"
+    if gcd(x, y) != 1:
+        return f"gcd({u},{v}) = {gcd(x, y)}"
+    if (x - y) % 2 == 0:
+        return f"{u} - {v} even"
+    return None
 
-    The reason names the first violated condition: orderings, then
-    coprimality, then parity.
-    """
-    if a <= b:
-        return False, "a <= b"
-    if b <= 0:
-        return False, "b <= 0"
-    if m <= n:
-        return False, "m <= n"
-    if n <= 0:
-        return False, "n <= 0"
-    if gcd(a, b) != 1:
-        return False, f"gcd(a,b) = {gcd(a, b)}"
-    if gcd(m, n) != 1:
-        return False, f"gcd(m,n) = {gcd(m, n)}"
-    if (a - b) % 2 == 0:
-        return False, "a - b even"
-    if (m - n) % 2 == 0:
-        return False, "m - n even"
-    return True, None
+
+def is_admissible(a: int, b: int, m: int, n: int):
+    """(True, None) for an admissible quadruple, else (False, reason): the
+    pair_fault of (a, b), else of (m, n), so a fault in each names (a, b)'s."""
+    reason = pair_fault(a, b) or pair_fault(m, n, "mn")
+    return reason is None, reason
 
 
 def triple_from_pair(p: EuclidPair) -> PythTriple:
@@ -82,7 +79,7 @@ def triple_from_pair(p: EuclidPair) -> PythTriple:
     PythTriple(U=3, V=4, W=5)
     """
     a, b = p
-    if not (a > b > 0 and gcd(a, b) == 1 and (a - b) % 2 == 1):
+    if pair_fault(a, b):
         raise ValueError(f"inadmissible pair ({a}, {b})")
     return PythTriple(a * a - b * b, 2 * a * b, a * a + b * b)
 

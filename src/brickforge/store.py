@@ -234,8 +234,8 @@ def validate_consistency(store: Store) -> list[str]:
             continue
         bad.extend(_check_factor_rows(rec, store.factor_rows(rec.id)))
     for row in store.fibres():
-        ok, reason = master.is_admissible(row.m, row.n, row.m, row.n)
-        if not ok:
+        reason = master.pair_fault(row.m, row.n, "mn")
+        if reason:
             bad.append(f"fibre ({row.m},{row.n}): inadmissible ({reason})")
             continue
         if (row.torsion_d1, row.torsion_d2) != TORSION_STRUCTURE:
@@ -389,8 +389,8 @@ def import_csv(dirpath) -> Store:
     (csvrows.records) with every row parsed, so a field that is no integer,
     a zero denominator or a factor row with a prime below 2, an exponent
     below 1, is_residual outside {0, 1} or a hit id that names no hit is
-    refused here, naming the row.  A byte that is not ASCII is refused
-    before either reader runs, naming its offset in the file and its line.
+    refused here, naming the row.  A byte that is not ASCII, in any of the
+    four files, is refused naming the file, its offset there and its line.
     Each file's bytes are freed once decoded.
     """
     _unlock_big_decimals()
@@ -401,12 +401,7 @@ def import_csv(dirpath) -> Store:
     if os.path.exists(os.path.join(dirpath, "manifest.txt")):
         _check_manifest(_read(os.path.join(dirpath, "manifest.txt"))[0], digests)
     for name, raw in data.items():
-        if not raw.isascii():  # decoded only to name the first such byte
-            try:
-                raw.decode("ascii")
-            except UnicodeDecodeError as err:
-                line = raw.count(b"\n", 0, err.start) + 1
-                raise ValueError(f"{name}: {err} (line {line})") from None
+        _ascii(name, raw)
     store = Store()
     tidy = _import_hits(store, data)
     store._next_id = max(1, max(store._hits, default=0) + 1)
@@ -513,9 +508,20 @@ def _read(path) -> tuple[bytes, tuple]:
         raise OSError(f"import from {path} failed: {err}") from err
 
 
+def _ascii(name: str, raw: bytes) -> bytes:
+    """raw, refused naming the file, offset and line of a byte not ASCII."""
+    if not raw.isascii():  # decoded only to name the first such byte
+        try:
+            raw.decode("ascii")
+        except UnicodeDecodeError as err:
+            line = raw.count(b"\n", 0, err.start) + 1
+            raise ValueError(f"{name}: {err} (line {line})") from None
+    return raw
+
+
 def _check_manifest(text: bytes, digests: dict[str, str]) -> None:
     listed = {}
-    for line in text.decode("ascii").splitlines():
+    for line in _ascii("manifest.txt", text).decode("ascii").splitlines():
         digest, sep, name = line.partition("  ")
         if not sep or name not in digests or name in listed:
             raise ValueError(f"manifest.txt: unexpected line {line!r}")

@@ -173,7 +173,7 @@ def test_criterion_06_tau_phi_identity():
         s = is_square_rational(quartic_rhs(c, tval))
         numeric += s is not None and tau(c, phi(c, tval, s)) == tval ** 2
     _verdict(6, symbolic == 50 and numeric == 8,
-             f"{symbolic}/50 symbolic reductions, {numeric}/8 seed numerics")
+             f"{symbolic}/50 exact identity proofs, {numeric}/8 seed numerics")
 
 
 def test_criterion_07_generator_soundness(tmp_path):

@@ -86,6 +86,10 @@ def test_verify_blocker_conjecture_partial_witness():
     rep = verify_blocker_conjecture(GOLDEN, partial)
     assert rep.verdict == "verified"
     assert rep.exponent_one_outside_P == [61]
+    # a prime outside the parameters that does not divide f1 is no witness
+    assert value % 1000003 and all(member % 1000003 for member in canonical_expressions(GOLDEN))
+    partial = Factorization([(1000003, 1)], value, "partial")
+    assert verify_blocker_conjecture(GOLDEN, partial).verdict == "undecidable_partial"
 
 
 def test_verify_blocker_conjecture_rejects_non_hit():

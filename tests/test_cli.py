@@ -188,6 +188,9 @@ def test_mw_run_rejects_bad_pair_and_bad_K(db, capsys):
     assert cli.main(["mw", "run", "--m", "4", "--n", "2",
                      "--seed-height", "20", "--K", "1"]) == 2
     assert "inadmissible" in capsys.readouterr().err
+    assert cli.main(["mw", "run", "--m", "4", "--n", "4",
+                     "--seed-height", "20", "--K", "1"]) == 2
+    assert capsys.readouterr().err == "error: pair (4,4) inadmissible (m <= n)\n"
     assert cli.main(["mw", "run", "--m", "44", "--n", "9",
                      "--seed-height", "20", "--K", "0"]) == 2
 
@@ -370,6 +373,15 @@ def test_orphan_factor_row_is_operational_error(db, capsys):
     assert "hit id 9, which names no hit" in capsys.readouterr().err
 
 
+def test_hits_file_without_a_column_is_operational_error(db, capsys):
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / "master_hits.csv"
+    path.write_text(path.read_text().replace("g_scale", "scale", 1))
+    assert cli.main(["verify", "consistency"]) == 2
+    assert capsys.readouterr().err == "error: master_hits.csv: no column 'g_scale'\n"
+
+
 def test_zero_denominator_in_a_fibre_row_is_operational_error(db, capsys):
     seeded_db(db)
     (db / "manifest.txt").unlink()
@@ -425,6 +437,18 @@ def test_non_ascii_byte_deep_in_a_store_file_is_named_where_it_is(db, capsys, na
     assert capsys.readouterr().err == (
         f"error: {name}: 'ascii' codec can't decode byte 0xc3 in position 20000: "
         f"ordinal not in range(128) (line {line})\n")
+
+
+def test_non_ascii_byte_in_the_manifest_is_named_where_it_is(db, capsys):
+    seeded_db(db)
+    path = db / "manifest.txt"
+    raw = path.read_bytes()
+    assert raw.count(b"\n") == 3
+    path.write_bytes(raw + b"\xc3")
+    assert cli.main(["verify", "theorem"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest.txt: 'ascii' codec can't decode byte 0xc3 in position {len(raw)}: "
+        f"ordinal not in range(128) (line 4)\n")
 
 
 def test_verify_theorem_lists_a_violated_record(db, capsys, monkeypatch):

@@ -126,6 +126,11 @@ def test_tables_roundtrip(tmp_path):
     tables = build_tables(saunderson_max=50, lenhart_max=30)
     save_tables(tables, tmp_path / "families")
     assert load_tables(tmp_path / "families") == tables
+    # a file that is no .txt table and a blank line are skipped
+    (tmp_path / "families" / "notes.md").write_text("not a table\n")
+    with open(tmp_path / "families" / f"{SAUNDERSON}.txt", "a") as fh:
+        fh.write("\n")
+    assert load_tables(tmp_path / "families") == tables
 
 
 def test_primitive_sorted():

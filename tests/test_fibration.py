@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,15 @@ def test_lift_point_negative_branch():
 def test_tau_phi_identity_named_fibres():
     for mn in ((2, 1), (44, 9), (88, 7)):
         assert tau_phi_identity(build_fibre(*mn))
+
+
+@pytest.mark.parametrize("mn", [(44, 9), (22, 17)])
+def test_tau_phi_identity_fails_off_the_fibre(mn):
+    # the identity holds for any B, and only when A = C = gamma^2
+    c = build_fibre(*mn)
+    assert not tau_phi_identity(replace(c, A=c.A + 1))
+    assert not tau_phi_identity(replace(c, C=c.C - 1))
+    assert tau_phi_identity(replace(c, B=c.B + 1))
 
 
 def test_tau_phi_identity_random_fibres():

@@ -44,6 +44,11 @@ def test_is_admissible_reasons():
     assert not ok and reason == "a <= b"
     ok, reason = is_admissible(2, 1, 3, 0)
     assert not ok and reason == "n <= 0"
+    assert is_admissible(2, 1, 4, 4) == (False, "m <= n")
+    assert is_admissible(2, 1, 9, 3) == (False, "gcd(m,n) = 3")
+    assert is_admissible(2, 1, 5, 3) == (False, "m - n even")
+    # a fault in each pair: the first pair's is named
+    assert is_admissible(4, 2, 3, 3) == (False, "gcd(a,b) = 2")
 
 
 def test_master_norm():

@@ -63,6 +63,13 @@ def test_is_prime_small():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2,...,23
+    # squares of the Wieferich primes pass Miller-Rabin to base 2, and the
+    # Lucas test refuses them by its square check: no Selfridge D has
+    # (D|n) = -1 for a square n = p^2, so without it the D search would
+    # stop only at D = +-p, 2**60 steps for p = 2**61 - 1
+    assert not is_prime(1093**2)
+    assert not is_prime(3511**2)
+    assert not ntkernel._strong_lucas_prp((2**61 - 1) ** 2)
 
 
 def test_is_prime_large():

@@ -93,6 +93,7 @@ def test_set_factorization_rejects_mismatch():
 
 def test_factorization_roundtrip_with_residual():
     db = golden_store()
+    assert db.factorization_of(2) is None  # not factored yet
     f1 = master.f1(db.get(2).tuple)
     partial = Factorization(factors=[(3, 2)], residual=f1 // 9, status="partial")
     db.set_factorization(2, partial)
@@ -159,7 +160,7 @@ CORRUPTIONS = {
     "unknown tags": (_set(family_tags={"Bogus"}), "hit 1: unknown family tags", 1),
     "bad f1_status": (_set(f1_status="maybe"), "hit 1: bad f1_status 'maybe'", 1),
     "inadmissible fibre": (lambda db: db.upsert_fibre(FibreRow(4, 4, 2, 4)),
-                           "fibre (4,4): inadmissible (a <= b)", 1),
+                           "fibre (4,4): inadmissible (m <= n)", 1),
     "rows without status": (lambda db: db._factors.update({2: [FactorRow(2, 3, 1, False)]}),
                             "hit 2: factor rows without factorization status", 1),
     "status without rows": (lambda db: db._factors[1].clear(),
