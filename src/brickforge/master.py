@@ -133,7 +133,7 @@ def f1_divisors(t: MasterTuple) -> tuple[int, ...]:
 
 def factor_f1(t: MasterTuple, budget: float = DEFAULT_BUDGET) -> Factorization:
     """f1 factored within `budget` seconds, its cofactor split along
-    f1_divisors before ECM (see ntkernel.factor)."""
+    f1_divisors before p - 1 and ECM (see ntkernel.factor)."""
     return factor(f1(t), budget, divisors=f1_divisors(t))
 
 

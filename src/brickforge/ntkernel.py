@@ -1,14 +1,14 @@
 """Integer utilities and the staged factorization engine.
 
-Plain Python ints throughout.  The factor() pipeline has three stages:
+Plain Python ints throughout.  The factor() pipeline has four stages:
 trial division by primes below 10**5 (one gcd per run of 256 primes),
 a divisor split (the cofactor is cut by its gcds with integers the
 caller knows to share factors with it, such as the two free divisors of
-f1 in master.f1_divisors), then on each piece the elliptic curve method
-(ECM, Lenstra; Montgomery curves and stage 2 after Montgomery 1987),
-curve after curve until the deadline.  Whatever survives the time
-budget is returned as a composite residual and the result is marked
-partial instead of raising.
+f1 in master.f1_divisors), one Pollard p - 1 pass on each piece, then
+the elliptic curve method (ECM, Lenstra; Montgomery curves) until the
+deadline; both end in one stage-2 product after Montgomery (1987), on
+affine points.  Whatever survives the time budget is returned as a
+composite residual and the result is marked partial instead of raising.
 """
 from __future__ import annotations
 
@@ -20,13 +20,14 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 
 TRIAL_LIMIT = 10**5  # ECM finds the primes above it (see factor)
 DEFAULT_BUDGET = 600.0  # seconds, per factored integer
 _ECM_B1 = 200
 _ECM_B2 = 20_000
 _ECM_D = 210  # giant step of stage 2, 2*3*5*7
+_PM1_B1 = 2_000  # p - 1 shares ECM's stage 2
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -254,41 +255,100 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> tuple[int, int] | None:
-    """(base, k) with base**k == n and k >= 2, or None."""
-    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
-        if (1 << k) > n:
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(base, k) with base**k == m and k prime, or None, for m with no prime
+    factor below TRIAL_LIMIT (a piece of factor()): its base is at least
+    TRIAL_LIMIT, so only the k with TRIAL_LIMIT**k <= m can hold."""
+    r = math.isqrt(m)
+    if r * r == m:
+        return r, 2
+    for k in _trial_primes()[1:]:
+        if TRIAL_LIMIT**k > m:
             break
-        r = _iroot(n, k)
-        if r**k == n:
+        r = _iroot(m, k)
+        if r**k == m:
             return r, k
     return None
 
 
 @functools.cache
-def _ecm_tables() -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+def _ecm_tables() -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The bits of k = prod p**floor(log_p B1) after the leading one, in runs
-    of 16, and for each giant step i = 1, 2, ... the baby steps j < D/2 with
+    of 16; for each giant step i = 1, 2, ... the baby steps j < D/2 with
     i*D +- j a prime in (B1, B2], each as j // 2 (one j serves both signs,
-    as x(jQ) = x(-jQ))."""
+    as x(jQ) = x(-jQ) and V_j = V_-j); and k of p - 1, for its B1 = 2,000,
+    as products of runs of 32 prime powers (about 300 bits)."""
     primes = _trial_primes()
-    lo, hi = bisect_right(primes, _ECM_B1), bisect_right(primes, _ECM_B2)
-    k = 1
-    for p in primes[:lo]:
-        q = p
-        while q * p <= _ECM_B1:
-            q *= p
-        k *= q
-    bits = bin(k)[3:]
+
+    def powers(bound: int) -> list[int]:  # q**floor(log_q bound), q <= bound
+        return [max(q**e for e in range(1, bound.bit_length()) if q**e <= bound)
+                for q in primes[:bisect_right(primes, bound)]]
+
+    bits = bin(math.prod(powers(_ECM_B1)))[3:]
+    pm1 = powers(_PM1_B1)
     # B1 >= D/2, so every prime in (B1, B2] is i*D +- j with i >= 1
     giants: list[set[int]] = [set() for _ in range((_ECM_B2 + _ECM_D // 2) // _ECM_D)]
-    for q in primes[lo:hi]:
+    for q in primes[bisect_right(primes, _ECM_B1):bisect_right(primes, _ECM_B2)]:
         i, j = divmod(q, _ECM_D)
         if j > _ECM_D // 2:
             i, j = i + 1, _ECM_D - j
         giants[i - 1].add(j // 2)
     return (tuple(bits[i:i + 16] for i in range(0, len(bits), 16)),
-            tuple(tuple(sorted(g)) for g in giants))
+            tuple(tuple(sorted(g)) for g in giants),
+            tuple(math.prod(pm1[i:i + 32]) for i in range(0, len(pm1), 32)))
+
+
+def _pair_products(n: int, babies: list[int], giants: list[int], deadline: float) -> list[int] | None:
+    """Stage 2 of p - 1 and ECM: the product of giants[i] - babies[b] over
+    the pairs of `_ecm_tables` after each giant step i, or None at the deadline."""
+    acc, products = 1, []
+    for i, (g, near) in enumerate(zip(giants, _ecm_tables()[1])):
+        if i % 4 == 0 and time.monotonic() >= deadline:
+            return None
+        for b in near:
+            acc = acc * (g - babies[b]) % n
+        products.append(acc)
+    return products
+
+
+def _caught(products: list[int], n: int) -> int:
+    """gcd(products[-1], n), or when that is n the first gcd > 1 of a
+    product with n, which separates primes caught at different steps."""
+    g = math.gcd(products[-1], n)
+    if g == n:
+        g = next(h for h in (math.gcd(acc, n) for acc in products) if h > 1)
+    return g
+
+
+def _pm1(n: int, deadline: float) -> int | None:
+    """A nontrivial factor of n, composite and free of the primes below
+    TRIAL_LIMIT, by Pollard p - 1, or None (none found, or the deadline).
+
+    Stage 1 takes gcd(x - 1, n), x = 3**k with k of `_ecm_tables`, the
+    clock read after each run.  Stage 2 takes `_pair_products` of
+    V_m = x**m + x**-m, as V_iD - V_j = x**-iD (x**(iD+j) - 1) (x**(iD-j) - 1):
+    it finds p when p - 1 is 2,000-smooth times one prime up to 20,000."""
+    x = 3
+    for e in _ecm_tables()[2]:
+        x = pow(x, e, n)
+        if time.monotonic() >= deadline:
+            return None
+    g = math.gcd(x - 1, n)
+    if g == 1:
+        v1 = (x + pow(x, -1, n)) % n
+        v2 = (v1 * v1 - 2) % n
+        babies = [v1, (v1 * v2 - v1) % n]  # V_(2b+1), V_-1 = V_1
+        while len(babies) <= _ECM_D // 4:
+            babies.append((babies[-1] * v2 - babies[-2]) % n)
+        vd = (babies[-1] ** 2 - 2) % n  # V_D = V_(D/2)^2 - 2
+        giants = [vd, (vd * vd - 2) % n]
+        while len(giants) < len(_ecm_tables()[1]):
+            giants.append((giants[-1] * vd - giants[-2]) % n)
+        products = _pair_products(n, babies, giants, deadline)
+        if products is None:
+            return None
+        g = _caught(products, n)
+    return g if 1 < g < n else None
 
 
 def _xdbl(n: int, x: int, z: int, a24: int) -> tuple[int, int]:
@@ -307,30 +367,37 @@ def _xadd(n: int, xp: int, zp: int, xq: int, zq: int, xd: int, zd: int) -> tuple
 
 
 def _ecm_stage2(n: int, x: int, z: int, a24: int, deadline: float) -> list[int] | None:
-    """The product of X_G*Z_j - X_j*Z_G over the baby steps jQ and giant
-    steps G = iDQ with i*D +- j a prime in (B1, B2], for Q = (x:z), as it
-    stands after each giant step; a prime p of n divides the last when the
-    order of Q mod p is such a prime.  None when the deadline passes."""
-    giants = _ecm_tables()[1]
+    """The `_pair_products` of the affine x of the giant steps iDQ and baby
+    steps jQ, Q = (x:z): x_G - x_j is X_G*Z_j - X_j*Z_G over the unit
+    Z_G*Z_j, so a prime p of n divides the last when the order of Q mod p
+    is a prime in (B1, B2].  Montgomery's simultaneous inversion takes the
+    x:z points to z = 1, three reductions a point, the clock read every 16
+    on the way back; the product of the z's alone if it is no unit mod n.
+    None when the deadline passes."""
+    babies, steps = _ECM_D // 4 + 1, len(_ecm_tables()[1])
     x2, z2 = _xdbl(n, x, z, a24)
-    odd = [(x, z), _xadd(n, x2, z2, x, z, x, z)]  # (2i + 1) Q
-    while len(odd) <= _ECM_D // 4:
-        if len(odd) % 16 == 0 and time.monotonic() >= deadline:
+    points = [(x, z), _xadd(n, x2, z2, x, z, x, z)]  # (2b + 1) Q, then iDQ
+    step = x2, z2
+    while len(points) < babies + steps:
+        if len(points) == babies:
+            step = _xdbl(n, *points[-1], a24)  # D Q = 2 (D/2) Q
+            points += [step, _xdbl(n, *step, a24)]
+        elif len(points) % 16 == 0 and time.monotonic() >= deadline:
             return None
-        (xa, za), (xb, zb) = odd[-2:]
-        odd.append(_xadd(n, xb, zb, x2, z2, xa, za))
-    xr, zr = _xdbl(n, *odd[-1], a24)  # D Q = 2 (D/2) Q
-    xg, zg, xh, zh = xr, zr, *_xdbl(n, xr, zr, a24)  # iDQ and (i + 1)DQ, i = 1
-    acc, products = 1, []
-    for i, near in enumerate(giants):
-        if i % 4 == 0 and time.monotonic() >= deadline:
+        else:
+            (xa, za), (xb, zb) = points[-2:]
+            points.append(_xadd(n, xb, zb, *step, xa, za))
+    prefix = list(accumulate((z for _, z in points), lambda a, b: a * b % n, initial=1))
+    if math.gcd(prefix[-1], n) > 1:
+        return [prefix[-1]]
+    inv = pow(prefix[-1], -1, n)  # 1 / (z_0 ... z_i) as i falls
+    affine = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        if i % 16 == 0 and time.monotonic() >= deadline:
             return None
-        for b in near:
-            xj, zj = odd[b]
-            acc = acc * (xg * zj - xj * zg) % n
-        products.append(acc)
-        xg, zg, xh, zh = xh, zh, *_xadd(n, xh, zh, xr, zr, xg, zg)
-    return products
+        affine[i] = points[i][0] * inv * prefix[i] % n
+        inv = inv * points[i][1] % n
+    return _pair_products(n, affine[:babies], affine[babies:], deadline)
 
 
 def _ecm(n: int, deadline: float) -> int | None:
@@ -340,9 +407,7 @@ def _ecm(n: int, deadline: float) -> int | None:
     One curve per sigma = 6, 7, 8, ...: Suyama's parametrisation of a
     Montgomery curve, whose group order is divisible by 12; stage 1 is an
     x:z Montgomery ladder for kP, one `_xadd` and one `_xdbl` per bit of k,
-    stage 2 is `_ecm_stage2`.  When the stage-2 product holds every prime
-    of n, the product after the first giant step that shares a factor with
-    n separates primes caught at different giant steps.  Any other gcd
+    stage 2 is `_ecm_stage2`, whose products `_caught` reads.  Any gcd
     equal to n moves on to the next sigma.
     """
     chunks = _ecm_tables()[0]
@@ -376,9 +441,7 @@ def _ecm(n: int, deadline: float) -> int | None:
             products = _ecm_stage2(n, x, z, a24, deadline)
             if products is None:
                 return None
-            g = math.gcd(products[-1], n)
-            if g == n:  # every prime caught: the first giant step that catches one
-                g = next(h for h in (math.gcd(acc, n) for acc in products) if h > 1)
+            g = _caught(products, n)
         if 1 < g < n:
             return g
     return None
@@ -400,22 +463,21 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
     (`_trial_divide`), run once on n.  Stage 2 cuts the cofactor along
     `divisors`: each g in turn replaces every piece p so far with
     d = gcd(p, g) and p // d when 1 < d < p.  Only gcds are used, so any
-    integers are safe there; one that shares some but not all primes of a
-    piece saves stage 3 work.  Stage 3 splits each composite piece that is
-    not a perfect power, recursively, by ECM until the deadline (`_ecm`),
-    with B1 = 200, B2 = 20,000 and giant step D = 210.  All emitted primes
+    integers are safe there.  Each composite piece that is not a perfect
+    power then gets one Pollard p - 1 pass (`_pm1`) if the deadline has
+    not passed, then ECM curves until it does (`_ecm`, B1 = 200,
+    B2 = 20,000, D = 210), recursively on the parts.  All emitted primes
     pass is_prime.  Budget exhaustion is not an error, the unsplit pieces
     multiply into the residual and the status degrades to "partial".
 
     The constants balance one another at the cost of a modular operation
-    in Python.  One ECM curve costs about 3 ms on a 150-bit piece and
-    finds a prime below 10**6 within a curve or two, so trial division
-    stops at 10**5: above that a prime is cheaper to find in the pieces
-    that hold it than to divide out of every n.  With B1 = 200 and
-    B2 = 100 B1, one curve finds a prime of 10-11 digits about one time in
-    ten and one of 13 digits about one time in a hundred, and a 0.05 s
-    budget runs about fifteen curves; bounds from 150 to 300 for B1 gave
-    the same number of full results on the factor-audit store.
+    in Python.  On a 2-CPU host, one ECM curve costs 3-6 ms at 100-200
+    bits and 10-22 ms at 400-600, and finds a prime below 10**6 within a
+    curve or two, so trial division stops at 10**5.  One curve finds a
+    prime of 10-11 digits about one time in ten and one of 13 digits about
+    one time in a hundred.  A p - 1 pass costs about 0.6 of a curve; on
+    the factor-audit store it splits 260 of the 484 pieces it meets, 170
+    of them in stage 1.
 
     >>> factor(2021).factors
     [(43, 1), (47, 1)]
@@ -441,22 +503,26 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
     for g in divisors:
         pieces = _split(pieces, g)
     residual = 1
-    stack: list[tuple[int, int]] = [(m, 1) for m in pieces]
+    # (piece, exponent, fresh): p - 1 skips a part of a split, as mod the
+    # part it computes the same x and products, catching the same primes
+    stack = [(m, 1, True) for m in pieces]
     while stack:
-        m, mult = stack.pop()
+        m, mult, fresh = stack.pop()
         if is_prime(m):
             counts[m] = counts.get(m, 0) + mult
             continue
         pw = _perfect_power(m)
         if pw is not None:
-            stack.append((pw[0], mult * pw[1]))
+            stack.append((pw[0], mult * pw[1], fresh))
             continue
-        d = _ecm(m, deadline)
+        d = _pm1(m, deadline) if fresh and time.monotonic() < deadline else None
+        if d is None:
+            d = _ecm(m, deadline)
         if d is None:
             residual *= m**mult
             continue
-        stack.append((d, mult))
-        stack.append((m // d, mult))
+        stack.append((d, mult, False))
+        stack.append((m // d, mult, False))
     return Factorization(
         factors=sorted(counts.items()),
         residual=residual,

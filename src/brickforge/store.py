@@ -267,8 +267,11 @@ def _check_factor_rows(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
     residuals = [r for r in rows if r.is_residual]
     if rec.f1_status == "full" and residuals:
         bad.append(f"hit {rec.id}: full status with a residual row")
-    if rec.f1_status == "partial" and not residuals:
-        bad.append(f"hit {rec.id}: partial status without a residual row")
+    if rec.f1_status == "partial":
+        if not residuals:
+            bad.append(f"hit {rec.id}: partial status without a residual row")
+        # factor() gives a piece up only after is_prime refuses it
+        bad.extend(f"hit {rec.id}: residual {r.prime} is prime" for r in residuals if is_prime(r.prime))
     product = 1
     for row in rows:
         product *= row.prime ** row.exponent

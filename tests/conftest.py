@@ -1,6 +1,7 @@
 """Shared helpers: pseudorandom admissible tuples, lists of fibres, the
 hits of the factor-audit store for property tests, and reference rules
-(halving a point, lifting one) the tests check the package against."""
+(halving a point, lifting one, ECM's projective stage 2) the tests check
+the package against."""
 import functools
 from fractions import Fraction
 from math import gcd
@@ -8,6 +9,7 @@ from math import gcd
 from brickforge.ecq import INFINITY, CurvePoint, _triple, add, cubic_rhs, two_torsion
 from brickforge.fibration import FibreCurve, lift_pairs
 from brickforge.master import EuclidPair, MasterTuple
+from brickforge import ntkernel
 from brickforge.ntkernel import is_square_rational
 
 # one line per acceptance criterion, echoed after the test summary so the
@@ -108,3 +110,26 @@ def lift_point(c: FibreCurve, P: CurvePoint) -> EuclidPair | None:
     rule of `fibration.lift_pairs`.  Certification of the hit itself stays
     with the caller."""
     return None if P.is_infinity else lift_pairs(c, *_triple(P))[0]
+
+
+def ecm_stage2_projective(n: int, x: int, z: int, a24: int) -> list[int]:
+    """ECM's stage 2 on x:z points: the product of X_G*Z_j - X_j*Z_G over
+    the baby steps jQ and giant steps G = iDQ paired in
+    `ntkernel._ecm_tables`, for Q = (x:z), as it stands after each giant
+    step.  Each factor is the affine x_G - x_j times the unit Z_G*Z_j."""
+    xdbl, xadd = ntkernel._xdbl, ntkernel._xadd
+    x2, z2 = xdbl(n, x, z, a24)
+    odd = [(x, z), xadd(n, x2, z2, x, z, x, z)]  # (2i + 1) Q
+    while len(odd) <= ntkernel._ECM_D // 4:
+        (xa, za), (xb, zb) = odd[-2:]
+        odd.append(xadd(n, xb, zb, x2, z2, xa, za))
+    xr, zr = xdbl(n, *odd[-1], a24)  # D Q = 2 (D/2) Q
+    xg, zg, xh, zh = xr, zr, *xdbl(n, xr, zr, a24)  # iDQ and (i + 1)DQ, i = 1
+    acc, products = 1, []
+    for near in ntkernel._ecm_tables()[1]:
+        for b in near:
+            xj, zj = odd[b]
+            acc = acc * (xg * zj - xj * zg) % n
+        products.append(acc)
+        xg, zg, xh, zh = xh, zh, *xadd(n, xh, zh, xr, zr, xg, zg)
+    return products

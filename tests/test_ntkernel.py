@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import audit_tuples
+from conftest import audit_tuples, ecm_stage2_projective
 from brickforge import ntkernel
 from brickforge.master import MasterTuple, f1, f1_divisors, factor_f1
 from brickforge.ntkernel import (
@@ -131,6 +131,17 @@ def test_factor_perfect_power_shortcut():
     assert f.status == "full"
 
 
+def test_perfect_power_tries_every_prime_exponent_a_piece_allows():
+    # a piece has no prime below TRIAL_LIMIT, so its base is at least 10**5
+    assert ntkernel._perfect_power(1000003**67) == (1000003, 67)
+    p, q = 100003, 1000003
+    assert ntkernel._perfect_power((p * q) ** 2) == (p * q, 2)
+    assert ntkernel._perfect_power(p**3 * q**3) == (p * q, 3)
+    assert ntkernel._perfect_power(p * q) is None
+    assert ntkernel._perfect_power(p**2 * q) is None
+    assert factor(1000003**67).factors == [(1000003, 67)]
+
+
 def test_factor_budget_exhaustion_degrades():
     n = (2**61 - 1) * (2**89 - 1)
     f = factor(n, budget=0.0)
@@ -185,6 +196,54 @@ def test_factor_deadline_inside_ecm_stages(monkeypatch):
         monkeypatch.setattr(ntkernel, "_ecm_stage2", spy)
         start = clock()
         assert ntkernel._ecm(n, start + budget) is None
+        assert 0 <= clock() - start - budget <= 2 * 128
+
+
+def test_factor_deadline_inside_normalisation_and_pm1_stage2(monkeypatch):
+    # the counting clock of the test above; ECM's stage 2 takes one inverse,
+    # between the prefix products of the z's and the pass back over them
+    Modulus, clock = _counting_clock(monkeypatch)
+    inverses = []
+
+    def recording_pow(base, exp, mod):
+        if exp == -1:
+            inverses.append(clock())
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(ntkernel, "pow", recording_pow, raising=False)
+    n = Modulus((2**61 - 1) * (2**89 - 1))
+    stage2 = ntkernel._ecm_stage2
+    marks = []
+
+    class Stop(Exception):
+        pass
+
+    def first_curve_only(*args):
+        marks.append(clock())
+        assert stage2(*args) is not None
+        raise Stop
+
+    monkeypatch.setattr(ntkernel, "_ecm_stage2", first_curve_only)
+    with pytest.raises(Stop):
+        ntkernel._ecm(n, math.inf)
+    monkeypatch.setattr(ntkernel, "_ecm_stage2", stage2)
+    invert = inverses[-1]
+    assert invert - marks[0] > 500
+    for budget in (invert - 64, invert + 64):  # in the prefix pass, then the pass back
+        start = clock()
+        assert ntkernel._ecm(n, start + budget) is None
+        assert 0 <= clock() - start - budget <= 2 * 128
+
+    # p - 1 stage 1 is pow alone, which the clock does not count; both
+    # primes are safe, so stage 2 runs to its end and finds neither
+    n = Modulus(PM1_SAFE[0] * PM1_SAFE[1])
+    start = clock()
+    assert ntkernel._pm1(n, math.inf) is None
+    whole = clock() - start
+    assert whole > 1000
+    for budget in (whole // 8, whole // 2):
+        start = clock()
+        assert ntkernel._pm1(n, start + budget) is None
         assert 0 <= clock() - start - budget <= 2 * 128
 
 
@@ -245,6 +304,83 @@ def test_ecm_separates_two_primes_caught_in_one_stage2_product(monkeypatch):
     products = stage2(*calls[0])
     assert math.gcd(products[-1], n) == n
     assert [math.gcd(acc, n) for acc in products[13:22]] == [1, p, p, p, p, p, p, p, n]
+
+
+def test_affine_stage2_catches_what_the_projective_rule_catches(monkeypatch):
+    # the stage-2 points of every curve _ecm runs on the products above,
+    # each with the gcds of both rules after every giant step
+    points = []
+    stage2 = ntkernel._ecm_stage2
+
+    def recording(n, x, z, a24, deadline):
+        points.append((n, x, z, a24))
+        return stage2(n, x, z, a24, deadline)
+
+    monkeypatch.setattr(ntkernel, "_ecm_stage2", recording)
+    for n, p in ECM_FACTORS:
+        assert ntkernel._ecm(n, math.inf) == p
+    assert len(points) >= 100
+    caught = 0
+    for n, x, z, a24 in points:
+        gcds = [math.gcd(acc, n) for acc in stage2(n, x, z, a24, math.inf)]
+        assert gcds == [math.gcd(acc, n) for acc in ecm_stage2_projective(n, x, z, a24)]
+        caught += gcds[-1] > 1
+    assert caught >= 5
+
+
+def test_ecm_stage2_returns_a_z_that_is_not_a_unit():
+    # Q = (5 : p) is the point at infinity mod p, and so is every multiple
+    p, q = 1000037, 1000033
+    products = ntkernel._ecm_stage2(p * q, 5, p, 7, math.inf)
+    assert len(products) == 1 and math.gcd(products[0], p * q) % p == 0
+
+
+# Pollard p - 1: p - 1 = 2 3 5 7 17 1997 1999 is 2,000-smooth, and
+# q - 1 = 2 r with r prime for each safe q, so p - 1 never finds q
+PM1_SMOOTH = 14251450711
+PM1_SAFE = (1000667, 1000919, 1001003, 1001159)
+
+
+def test_pm1_stage1_finds_a_prime_with_smooth_p_minus_1():
+    assert is_prime(PM1_SMOOTH) and all(is_prime(q) and is_prime(q // 2) for q in PM1_SAFE)
+    for q in PM1_SAFE:
+        assert ntkernel._pm1(PM1_SMOOTH * q, math.inf) == PM1_SMOOTH
+    assert ntkernel._pm1(PM1_SAFE[0] * PM1_SAFE[1], math.inf) is None
+
+
+@pytest.mark.parametrize("p,s", [(46193071, 19997), (69360061, 15013), (69348511, 10007)])
+def test_pm1_stage2_finds_one_prime_in_b1_to_b2(monkeypatch, p, s):
+    # p - 1 = s times a 2,000-smooth cofactor, s in (2,000, 20,000]
+    assert is_prime(p) and is_prime(s) and (p - 1) % s == 0
+    assert max(f for f, _ in factor((p - 1) // s).factors) <= 2000
+    n = p * PM1_SAFE[0]
+    assert ntkernel._pm1(n, math.inf) == p
+    monkeypatch.setattr(ntkernel, "_pair_products", lambda n, babies, giants, deadline: [1])
+    assert ntkernel._pm1(n, math.inf) is None
+
+
+def test_factor_runs_pm1_once_on_each_fresh_piece(monkeypatch):
+    calls = []
+    pm1 = ntkernel._pm1
+
+    def spy(n, deadline):
+        calls.append(n)
+        return pm1(n, deadline)
+
+    monkeypatch.setattr(ntkernel, "_pm1", spy)
+    q, r, s, t = PM1_SAFE
+    # p - 1 splits off PM1_SMOOTH, and ECM the part q r that it leaves
+    n = PM1_SMOOTH * q * r
+    assert factor(n).factors == [(q, 1), (r, 1), (PM1_SMOOTH, 1)]
+    assert calls == [n]
+    calls.clear()
+    # pieces from the divisor split, one of them through its square root
+    f = factor(7 * (q * r) ** 2 * s * t, divisors=[(q * r) ** 2])
+    assert f.factors == [(7, 1), (q, 2), (r, 2), (s, 1), (t, 1)]
+    assert sorted(calls) == [q * r, s * t]
+    calls.clear()
+    assert factor(n, budget=0).status == "partial"
+    assert calls == []
 
 
 def test_factor_three_primes_near_10_to_11():

@@ -171,6 +171,8 @@ CORRUPTIONS = {
     "full with residual": (_prime_as_residual, "hit 1: full status with a residual row", 1),
     "partial without residual": (_set(f1_status="partial"),
                                  "hit 1: partial status without a residual row", 1),
+    "prime residual": (lambda db: (_prime_as_residual(db), _set(f1_status="partial")(db)),
+                       "hit 1: residual 61 is prime", 1),
 }
 
 
