@@ -1,21 +1,17 @@
 """The text of the rows of the store's CSV files, written as csv.writer
-writes them.  A row export would write back unchanged is kept as its line:
-its integers read 0|-?[1-9][0-9]*, a hit row's tags are sorted, distinct
-and non-empty, a fibre row's fractions are reduced with d > 0.
+writes them, and their two readers.
 
-Each file has two readers.  A file whose every row is in that form is read
-by one findall (`rows_in_export_form`), its rows kept as lines: Python work
-per row is left for the family tags and generators that are not empty.
-Any other file, and every f1_factors.csv, is read by csv.reader with every
-row parsed (`records`)."""
+A file of a store whose manifest.txt carries the export mark (see store)
+holds the bytes export wrote.  Such a file is split into lines and read by
+`export_lines` when a split at line ends and commas reads it as csv.reader
+would; its rows are kept as lines until read.  Any other file is read by
+csv.reader with every row parsed (`records`)."""
 from __future__ import annotations
 
 import csv
 import io
 import itertools
-import re
 from fractions import Fraction
-from math import gcd
 from operator import itemgetter
 
 from .ecq import CurvePoint
@@ -25,35 +21,10 @@ HIT_COLUMNS = ("id", "a", "b", "m", "n", "x", "y", "z", "g_scale",
 FACTOR_COLUMNS = ("hit_id", "prime", "exponent", "is_residual")
 FIBRE_COLUMNS = ("m", "n", "torsion_d1", "torsion_d2", "rank_lb", "generators")
 
-# an integer field export writes back as it is: str(int(s)) == s
-_INT = r"(?:0|-?[1-9][0-9]*)"
-_TEXT = r'[^,"\r\n]*'
-# groups: id, "a,b,m,n" and the family tags
-_HIT_LINE = rf"({_INT}),({_INT}(?:,{_INT}){{3}})(?:,{_INT}){{4}},{_TEXT},({_TEXT}),{_TEXT}"
-_POINT = rf"{_INT}/[1-9][0-9]*:{_INT}/[1-9][0-9]*"
-# groups: m, n and the generators
-_FIBRE_LINE = rf"({_INT}),({_INT}),{_INT},{_INT},{_INT}?,((?:{_POINT}(?:;{_POINT})*)?)"
-# every such line of a file, whole: groups the line, then those above
-HIT_ROWS = re.compile(rf"^({_HIT_LINE})$", re.M)
-FIBRE_ROWS = re.compile(rf"^({_FIBRE_LINE})$", re.M)
-_POINT_SEPARATORS = re.compile("[/:;]")
-
 
 def tuple_key(t) -> str:
     """(a, b, m, n) as a master_hits.csv row holds it: "a,b,m,n"."""
     return ",".join(map(str, t))
-
-
-def kept_tags(tags: str) -> bool:
-    """Whether export writes a hit row's family tags back as they are."""
-    return tags == ";".join(sorted(set(filter(None, tags.split(";")))))
-
-
-def kept_points(generators: str) -> bool:
-    """Whether each fraction of a fibre row's generators, a field FIBRE_ROWS
-    matched, is reduced."""
-    ints = list(map(int, _POINT_SEPARATORS.split(generators)))
-    return set(map(gcd, ints[::2], ints[1::2])) <= {1}
 
 
 def serialize_points(points) -> str:
@@ -101,24 +72,17 @@ def csv_chunks(header, lines) -> list[bytes]:
     return chunks
 
 
-def rows_in_export_form(name: str, data: dict, columns, rows: re.Pattern,
-                        kept) -> tuple | None:
-    """One findall of `rows` over file `name`, popped from `data`, as a
-    tuple per group (the lines first), if the file is in export form: its
-    header is `columns`, each line ends with a line end and is a match, and
-    `kept` holds for each last group that is not empty.  A match count equal
-    to the line count proves the form, as no match spans a line end and the
-    header is none; nor does a match hold a quote or a carriage return, so
-    a line csv.reader would split otherwise is never one.  Else None, and
-    the file's bytes go back into `data` for records."""
-    text = data.pop(name).decode("ascii")  # its bytes freed
-    if text.startswith(",".join(columns) + "\n") and text.endswith("\n"):
-        found = rows.findall(text)
-        if (len(found) == text.count("\n") - 1
-                and all(map(kept, filter(None, map(itemgetter(-1), found))))):
-            del text  # the lines hold what is kept of it
-            return tuple(zip(*found)) or ((),) * rows.groups
-    data[name] = text.encode("ascii")
+def export_lines(name: str, data: dict, columns) -> list[str] | None:
+    """The lines after the header of file `name`, popped from `data` and
+    decoded, if a split at line ends and commas reads the file as csv.reader
+    would: its header is `columns`, it ends with a line end and it holds no
+    quote or carriage return.  Else None, the file left in `data`."""
+    raw = data[name]
+    if (raw.startswith((",".join(columns) + "\n").encode("ascii")) and raw.endswith(b"\n")
+            and b'"' not in raw and b"\r" not in raw):
+        lines = data.pop(name).decode("ascii").split("\n")  # its bytes freed
+        del lines[0], lines[-1]  # the header and the empty tail
+        return lines
     return None
 
 

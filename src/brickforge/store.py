@@ -10,30 +10,34 @@ checks every file against the sha256 listed in manifest.txt, so a torn
 export or a damaged file is rejected rather than loaded.  A store without
 a manifest.txt still loads, unchecked.
 
-A command pays only for the rows it reads and adds.  A hits or fibres
-file whose every row export would write back unchanged (see csvrows) is
-read by one findall, each row kept as its line, known only by its id and
-tuple, or its pair, until get, find, hits, fibres, factorization_of or a
-setter reads it: its import costs a regex pass over its bytes, and Python
-work per row only for the rows whose family tags or generators are not
-empty.  Any other file, and every f1_factors.csv, is read by csv.reader,
-every row parsed once.  Export writes an unread line as it is, skips a
-file still the one this store read or wrote whose bytes would not change,
-and does not even build master_hits.csv while it is the file as loaded, in
-export form (this header, ids ascending, no blank line, a final line end),
-with no hit row read or inserted since.
+The first line of the manifest export writes, EXPORT_MARK, says that every
+file listed below it holds exactly the bytes export would write for its
+rows.  That holds by induction: export formats a parsed row canonically,
+writes a line it kept only if the line came from such a file, and leaves a
+file in place only when its sha256 is the one it would write.  So a command
+pays only for the rows it reads and adds.  Under the mark each hit row is
+kept as its line (csvrows.export_lines), known by its id and tuple, each
+fibre row by its pair and a hit's factor rows as one block, until a getter
+or setter reads them.  Any other file, and every file under a manifest
+without the mark (written before it, or by hand), is read by csv.reader,
+every row parsed once.  Export writes a kept line as it is, skips a file
+still the one this store read or wrote whose bytes would not change, and
+does not build master_hits.csv while it is the file as loaded under the
+mark, ids ascending, with no hit row read or inserted since.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import hashlib
+import itertools
 import operator
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter, methodcaller
 
 from . import csvrows, master
 from .ecq import TORSION_STRUCTURE, on_curve
@@ -45,6 +49,8 @@ from .ntkernel import Factorization, is_prime
 F1_STATUSES = ("none", "partial", "full")
 _PROVENANCE = re.compile(r"Exhaustive-Bound-\d+|Rathbun-Search|Saunderson-Generator|MW-\d+-\d+")
 CSV_NAMES = ("master_hits.csv", "f1_factors.csv", "fibers.csv")
+# the first line of manifest.txt as export writes it: see the module docstring
+EXPORT_MARK = "brickforge-export 1"
 
 
 def _unlock_big_decimals() -> None:
@@ -111,7 +117,8 @@ class Store:
         self._hits: dict[int, HitRecord | str] = {}
         # "a,b,m,n" of a sigma-canonical tuple, as a row holds it -> hit id
         self._by_tuple: dict[str, int] = {}
-        self._factors: dict[int, list[FactorRow]] = {}
+        # a hit's factor rows, or the block of their lines until they are read
+        self._factors: dict[int, list[FactorRow] | str] = {}
         self._fibres: dict[tuple, FibreRow | str] = {}
         self._next_id = 1
         # file name -> (sha256, stat signature) of the file last read or written
@@ -141,7 +148,22 @@ class Store:
         return None if hit_id is None else self._record(hit_id)
 
     def factor_rows(self, hit_id: int) -> list[FactorRow]:
-        return list(self._factors.get(hit_id, ()))
+        return list(self._factor_rows(hit_id)) if hit_id in self._factors else []
+
+    def _factor_rows(self, hit_id: int) -> list[FactorRow]:
+        rows = self._factors[hit_id]
+        if type(rows) is str:
+            parsed = []
+            for i, line in enumerate(rows.split("\n")):
+                try:
+                    parsed.append(_factor_row(line.split(","), self._hits))
+                except ValueError as err:
+                    # the row as loaded: after the rows of every smaller hit id
+                    row = 2 + i + sum(r.count("\n") + 1 if type(r) is str else len(r)
+                                      for h, r in self._factors.items() if h < hit_id)
+                    raise ValueError(f"f1_factors.csv row {row}: {err}") from None
+            rows = self._factors[hit_id] = parsed
+        return rows
 
     def fibres(self) -> list[FibreRow]:
         for key, row in self._fibres.items():
@@ -190,7 +212,7 @@ class Store:
             return None
         factors = []
         residual = 1
-        for row in self._factors[hit_id]:
+        for row in self._factor_rows(hit_id):
             if row.is_residual:
                 residual *= row.prime ** row.exponent
             else:
@@ -313,8 +335,8 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
         manifest.append((name, digest.hexdigest()))
         if known is None or known[0] != manifest[-1][1]:
             files[name] = chunks
-    files = {"manifest.txt": ["".join(f"{d}  {name}\n" for name, d in manifest).encode("ascii")],
-             **files}
+    listed = "".join(f"{d}  {name}\n" for name, d in manifest)
+    files = {"manifest.txt": [f"{EXPORT_MARK}\n{listed}".encode("ascii")], **files}
     os.makedirs(dirpath, exist_ok=True)
     paths = [os.path.join(dirpath, name) for name in files]
     try:
@@ -339,10 +361,9 @@ def _hits_csv(store: Store) -> list[bytes]:
 
 
 def _factors_csv(store: Store) -> list[bytes]:
-    rows = sorted((row for hit_id, group in store._factors.items() if hit_id in store._hits
-                   for row in group), key=lambda r: (r.hit_id, r.is_residual, r.prime))
-    return csvrows.csv_chunks(csvrows.FACTOR_COLUMNS, (
-        _line((r.hit_id, r.prime, r.exponent, int(r.is_residual))) for r in rows))
+    groups = (store._factors[hit_id] for hit_id in sorted(store._factors))
+    return csvrows.csv_chunks(csvrows.FACTOR_COLUMNS, (_line(row) for rows in groups for row in (
+        [rows] if type(rows) is str else sorted(rows, key=lambda r: (r.is_residual, r.prime)))))
 
 
 def _fibres_csv(store: Store) -> list[bytes]:
@@ -372,6 +393,8 @@ def _line(row) -> str:
         rank_lb = "" if row.rank_lb is None else row.rank_lb
         row = (row.m, row.n, row.torsion_d1, row.torsion_d2, rank_lb,
                csvrows.serialize_points(row.generators))
+    elif type(row) is FactorRow:
+        row = (row.hit_id, row.prime, row.exponent, int(row.is_residual))
     return csvrows.csv_line(row)
 
 
@@ -381,91 +404,97 @@ def import_csv(dirpath) -> Store:
     When manifest.txt is present, every CSV must match the digest it lists
     there; a store without a manifest (built by hand) loads unchecked.
     Either way a repeated hit id, a repeated (a, b, m, n) row or a repeated
-    fibre is rejected.  A damaged or inconsistent file raises ValueError
-    naming it, and the row where there is one; a missing one raises
-    OSError.
+    fibre is rejected, and so is a factor row whose hit id names no hit.  A
+    damaged or inconsistent file raises ValueError naming it, and the row
+    where there is one; a missing one raises OSError.
 
-    master_hits.csv and fibers.csv are each read by one findall when every
-    row is in export form (csvrows.rows_in_export_form): each row stays its
-    line, and the dicts are built from the groups with no Python call per
-    row.  Any other file, and every f1_factors.csv, is read by csv.reader
-    (csvrows.records) with every row parsed, so a field that is no integer,
-    a zero denominator or a factor row with a prime below 2, an exponent
-    below 1, is_residual outside {0, 1} or a hit id that names no hit is
-    refused here, naming the row.  A byte that is not ASCII, in any of the
-    four files, is refused naming the file, its offset there and its line.
-    Each file's bytes are freed once decoded.
+    Under EXPORT_MARK a file csvrows.export_lines splits is kept as lines,
+    its ids and keys taken by C-level maps over line.split, with no Python
+    call per row.  Any other file is read by csv.reader (csvrows.records),
+    every row parsed, so a field that is no integer, a zero denominator or
+    a factor row with a prime below 2, an exponent below 1 or is_residual
+    outside {0, 1} is refused here, naming the row.  A byte that is not
+    ASCII, in any of the four files, is refused naming the file, its offset
+    there and its line.  Each file's bytes are freed once decoded.
     """
     _unlock_big_decimals()
     data, stats = {}, {}
     for name in CSV_NAMES:
         data[name], stats[name] = _read(os.path.join(dirpath, name))
     digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in data.items()}
-    if os.path.exists(os.path.join(dirpath, "manifest.txt")):
-        _check_manifest(_read(os.path.join(dirpath, "manifest.txt"))[0], digests)
+    manifest = os.path.join(dirpath, "manifest.txt")
+    marked = os.path.exists(manifest) and _check_manifest(_read(manifest)[0], digests)
     for name, raw in data.items():
         _ascii(name, raw)
     store = Store()
-    tidy = _import_hits(store, data)
+    tidy = _import_hits(store, data, marked)
     store._next_id = max(1, max(store._hits, default=0) + 1)
-    for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS,
-                                lambda fields: _factor_row(fields, store._hits)):
-        store._factors.setdefault(frow.hit_id, []).append(frow)
-    _import_fibres(store, data)
+    _import_factors(store, data, marked)
+    _import_fibres(store, data, marked)
     store._on_disk = {name: (digests[name], stats[name]) for name in CSV_NAMES}
     store._hits_digest = digests["master_hits.csv"] if tidy else None
     return store
 
 
-def _import_hits(store: Store, data: dict) -> bool:
-    """Loads master_hits.csv; True if it is in export form, every row kept
-    and the ids ascending from 1."""
-    found = csvrows.rows_in_export_form("master_hits.csv", data, csvrows.HIT_COLUMNS,
-                                        csvrows.HIT_ROWS, csvrows.kept_tags)
-    if found is None:
-        for rec in csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record):
-            _add_hit(store, rec.id, csvrows.tuple_key(rec.tuple), rec)
-        return False
-    lines, ids, keys, _ = found
-    ids = list(map(int, ids))
-    store._hits, store._by_tuple = dict(zip(ids, lines)), dict(zip(keys, ids))
-    if not len(store._hits) == len(store._by_tuple) == len(ids):
-        store._hits, store._by_tuple = {}, {}
-        for row in zip(ids, keys, lines):
-            _add_hit(store, *row)  # raises, naming the first repeat
-    return all(map(operator.lt, [0, *ids], ids))
+def _import_hits(store: Store, data: dict, marked: bool) -> bool:
+    """Loads master_hits.csv; True if its rows are kept as lines, the ids
+    ascending from 1."""
+    lines = csvrows.export_lines("master_hits.csv", data, csvrows.HIT_COLUMNS) if marked else None
+    if lines is None:
+        rows = list(csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record))
+        ids = [rec.id for rec in rows]
+        keys = [csvrows.tuple_key(rec.tuple) for rec in rows]
+    else:
+        # (id, [a, b, m, n]) of each line: the rest of it is not held
+        heads = list(map(itemgetter(0, slice(1, 5)), map(methodcaller("split", ",", 5), lines)))
+        rows, ids = lines, list(map(int, map(itemgetter(0), heads)))
+        keys = list(map(",".join, map(itemgetter(1), heads)))
+        del heads
+    store._hits, store._by_tuple = dict(zip(ids, rows)), dict(zip(keys, ids))
+    if not len(store._hits) == len(store._by_tuple) == len(ids):  # name the first repeat
+        seen, first = set(), {}
+        for hit_id, key in zip(ids, keys):
+            if hit_id in seen:
+                raise ValueError(f"master_hits.csv: duplicate hit id {hit_id}")
+            if key in first:
+                raise ValueError(f"master_hits.csv: tuple ({key.replace(',', ', ')}) in hits "
+                                 f"{first[key]} and {hit_id}")
+            seen.add(hit_id)
+            first[key] = hit_id
+    return lines is not None and all(map(operator.lt, [0, *ids], ids))
 
 
-def _add_hit(store: Store, hit_id: int, key: str, row) -> None:
-    if hit_id in store._hits:
-        raise ValueError(f"master_hits.csv: duplicate hit id {hit_id}")
-    if key in store._by_tuple:
-        raise ValueError(f"master_hits.csv: tuple ({key.replace(',', ', ')}) in hits "
-                         f"{store._by_tuple[key]} and {hit_id}")
-    store._hits[hit_id] = row
-    store._by_tuple[key] = hit_id
-
-
-def _import_fibres(store: Store, data: dict) -> None:
-    found = csvrows.rows_in_export_form("fibers.csv", data, csvrows.FIBRE_COLUMNS,
-                                        csvrows.FIBRE_ROWS, csvrows.kept_points)
-    if found is None:
-        for row in csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row):
-            _add_fibre(store, (row.m, row.n), row)
+def _import_factors(store: Store, data: dict, marked: bool) -> None:
+    lines = csvrows.export_lines("f1_factors.csv", data, csvrows.FACTOR_COLUMNS) if marked else None
+    if lines is None:
+        for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS,
+                                    lambda fields: _factor_row(fields, store._hits)):
+            store._factors.setdefault(frow.hit_id, []).append(frow)
         return
-    lines, ms, ns, _ = found
-    keys = list(zip(map(int, ms), map(int, ns)))
-    store._fibres = dict(zip(keys, lines))
-    if len(store._fibres) != len(keys):
-        store._fibres = {}
-        for row in zip(keys, lines):
-            _add_fibre(store, *row)  # raises, naming the first repeat
+    ids = list(map(int, map(itemgetter(0), map(methodcaller("split", ",", 1), lines))))
+    # export writes a hit's rows together; the stable sort costs a pass when they are
+    store._factors = {hit_id: "\n".join(map(itemgetter(1), rows)) for hit_id, rows in
+                      itertools.groupby(sorted(zip(ids, lines), key=itemgetter(0)), itemgetter(0))}
+    orphans = store._factors.keys() - store._hits.keys()
+    if orphans:
+        row = min(map(ids.index, orphans))
+        raise ValueError(f"f1_factors.csv row {row + 2}: factor row for hit id {ids[row]}, "
+                         "which names no hit")
 
 
-def _add_fibre(store: Store, key: tuple, row) -> None:
-    if key in store._fibres:
-        raise ValueError(f"fibers.csv: duplicate fibre ({key[0]},{key[1]})")
-    store._fibres[key] = row
+def _import_fibres(store: Store, data: dict, marked: bool) -> None:
+    lines = csvrows.export_lines("fibers.csv", data, csvrows.FIBRE_COLUMNS) if marked else None
+    if lines is None:
+        rows = list(csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row))
+        keys = [(row.m, row.n) for row in rows]
+    else:
+        rows, heads = lines, list(map(itemgetter(0, 1), map(methodcaller("split", ",", 2), lines)))
+        keys = list(zip(map(int, map(itemgetter(0), heads)), map(int, map(itemgetter(1), heads))))
+        del heads
+    store._fibres = dict(zip(keys, rows))
+    if len(store._fibres) != len(keys):  # name the first repeat
+        m, n = next(key for i, key in enumerate(keys) if keys.index(key) < i)
+        raise ValueError(f"fibers.csv: duplicate fibre ({m},{n})")
 
 
 def _hit_record(fields) -> HitRecord:
@@ -522,9 +551,12 @@ def _ascii(name: str, raw: bytes) -> bytes:
     return raw
 
 
-def _check_manifest(text: bytes, digests: dict[str, str]) -> None:
+def _check_manifest(text: bytes, digests: dict[str, str]) -> bool:
+    """Checks every digest the manifest lists; True if its first line is EXPORT_MARK."""
+    lines = _ascii("manifest.txt", text).decode("ascii").splitlines()
+    marked = lines[:1] == [EXPORT_MARK]
     listed = {}
-    for line in _ascii("manifest.txt", text).decode("ascii").splitlines():
+    for line in lines[marked:]:
         digest, sep, name = line.partition("  ")
         if not sep or name not in digests or name in listed:
             raise ValueError(f"manifest.txt: unexpected line {line!r}")
@@ -534,3 +566,4 @@ def _check_manifest(text: bytes, digests: dict[str, str]) -> None:
             raise ValueError(f"manifest.txt does not list {name}")
         if digest != listed[name]:
             raise ValueError(f"{name} does not match its sha256 in manifest.txt")
+    return marked

@@ -1,9 +1,16 @@
 import concurrent.futures
+import contextlib
+import csv
 import functools
 import hashlib
+import io
+import itertools
+import math
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +20,7 @@ from brickforge import cli, master
 from brickforge.families import primitive_sorted
 from brickforge.master import MasterTuple
 from brickforge.ntkernel import Factorization
-from brickforge.store import Store, export_csv, import_csv
+from brickforge.store import CSV_NAMES, EXPORT_MARK, Store, export_csv, import_csv
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
 SCALED_SAUNDERSON = MasterTuple(11, 2, 8, 5)
@@ -443,12 +450,12 @@ def test_non_ascii_byte_in_the_manifest_is_named_where_it_is(db, capsys):
     seeded_db(db)
     path = db / "manifest.txt"
     raw = path.read_bytes()
-    assert raw.count(b"\n") == 3
+    assert raw.count(b"\n") == 4  # the export mark and three files
     path.write_bytes(raw + b"\xc3")
     assert cli.main(["verify", "theorem"]) == 2
     assert capsys.readouterr().err == (
         f"error: manifest.txt: 'ascii' codec can't decode byte 0xc3 in position {len(raw)}: "
-        f"ordinal not in range(128) (line 4)\n")
+        f"ordinal not in range(128) (line 5)\n")
 
 
 def test_verify_theorem_lists_a_violated_record(db, capsys, monkeypatch):
@@ -540,7 +547,8 @@ GUARD_FILES_SHA256 = {
     "master_hits.csv": "e6f3f70e8ec400fb8160fb44d3c5971dbed2ce3bc812f28f3129825315d83115",
     "f1_factors.csv": "c2c73759eb81b7c0cdeeb7aff446a0813c1c25c00789fea819197dd09ac084bc",
     "fibers.csv": "21662e7327eff26122d0075250270c8a1e52f84aa6f884d3b6dcfbc556774ea7",
-    "manifest.txt": "5713666bdf3794a243d746fb7a873e1be2232efbffe24a206cb18005bbdc8ec0",
+    # the export mark, then the digests of the three files above
+    "manifest.txt": "43afc8bc79468047f8ca4a6739b133a0fbfff838032915c969a6d4d12689b6dc",
 }
 
 
@@ -556,6 +564,61 @@ def test_fibre_sweep_output_is_byte_stable(db, capsys):
     assert hashlib.sha256("".join(outs).encode("ascii")).hexdigest() == GUARD_STDOUT_SHA256
     assert {name: hashlib.sha256((db / name).read_bytes()).hexdigest()
             for name in GUARD_FILES_SHA256} == GUARD_FILES_SHA256
+
+
+DATA = Path(__file__).parent / "data"
+# the (22,17) K=2 store after one `factorize --budget 0.05 --jobs 1`, whose
+# factor rows are kept in data/k2_f1_factors.csv
+FACTORED_K2_SHA256 = {
+    "master_hits.csv": "85b780ef65479af52d56eef5bd0346144b1a5b47ce0050e5ac970611218ed018",
+    "f1_factors.csv": "adea3c736fdf162d5748032e62a769605e6834cf9d216791ac46a66041b96720",
+}
+# every read command of the factor-audit workload, in its order
+READS = (["verify", "theorem"], ["verify", "perfect"], ["verify", "consistency"],
+         ["verify", "single-blocker"], ["verify", "e1"], ["families", "build"],
+         ["families", "classify"], ["report", "--what", "k-distribution"],
+         ["report", "--what", "blockers"], ["report", "--what", "fibres"],
+         ["verify", "consistency"])
+
+
+@pytest.fixture(scope="module")
+def factored_k2(tmp_path_factory):
+    db = tmp_path_factory.mktemp("factored_k2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["mw", "run", "--m", "22", "--n", "17", "--seed-height", "80",
+                         "--K", "2", "--db", str(db)]) == 0
+    store = import_csv(db)
+    with open(DATA / "k2_f1_factors.csv", newline="") as fh:
+        rows = [tuple(map(int, row)) for row in itertools.islice(csv.reader(fh), 1, None)]
+    for hit_id, group in itertools.groupby(rows, key=lambda row: row[0]):
+        group = list(group)
+        residual = math.prod(p ** e for _, p, e, is_residual in group if is_residual)
+        store.set_factorization(hit_id, Factorization(
+            factors=[(p, e) for _, p, e, is_residual in group if not is_residual],
+            residual=residual, status="partial" if residual > 1 else "full"))
+    export_csv(store, db)
+    assert {name: hashlib.sha256((db / name).read_bytes()).hexdigest()
+            for name in FACTORED_K2_SHA256} == FACTORED_K2_SHA256
+    return db
+
+
+@pytest.mark.parametrize("marked", [True, False])
+def test_read_commands_print_what_they_printed_on_the_factored_store(factored_k2, tmp_path,
+                                                                     capsys, marked):
+    # stdout recorded while every row was parsed at import; a store under
+    # the export mark keeps its rows as text, one without it is parsed
+    db = tmp_path / "db"
+    shutil.copytree(factored_k2, db)
+    if not marked:
+        (db / "manifest.txt").write_text("".join(
+            f"{hashlib.sha256((db / name).read_bytes()).hexdigest()}  {name}\n"
+            for name in CSV_NAMES))
+    assert ((db / "manifest.txt").read_text().startswith(EXPORT_MARK + "\n")) == marked
+    out = []
+    for argv in READS:
+        rc = cli.main([*argv, "--db", str(db)])
+        out.append(f"$ {' '.join(argv)} -> {rc}\n{capsys.readouterr().out}")
+    assert "".join(out) == (DATA / "k2_factored_reads.txt").read_text()
 
 
 HELP_AND_USAGE = [[], ["--help"], ["nope"], ["verif"], ["--db", "x", "mw"], ["mw"],

@@ -348,6 +348,16 @@ def test_pm1_stage1_finds_a_prime_with_smooth_p_minus_1():
     assert ntkernel._pm1(PM1_SAFE[0] * PM1_SAFE[1], math.inf) is None
 
 
+def test_pm1_stage1_separates_primes_caught_in_different_runs():
+    # p - 1 = 2^2 3 5^2 7 11 13 101 divides the first run of k, q - 1 =
+    # 2 3 103 1999 only the whole k, so the gcd after all runs is p q
+    p, q = 30330301, 1235383
+    first, *_ = runs = ntkernel._ecm_tables()[2]
+    assert is_prime(p) and is_prime(q) and first % (p - 1) == 0
+    assert pow(3, first, q) != 1 and math.prod(runs) % (q - 1) == 0
+    assert ntkernel._pm1(p * q, math.inf) == p
+
+
 @pytest.mark.parametrize("p,s", [(46193071, 19997), (69360061, 15013), (69348511, 10007)])
 def test_pm1_stage2_finds_one_prime_in_b1_to_b2(monkeypatch, p, s):
     # p - 1 = s times a 2,000-smooth cofactor, s in (2,000, 20,000]

@@ -17,6 +17,7 @@ from brickforge.mw import seeds_from_hits
 from brickforge.ntkernel import Factorization, factor
 from brickforge.store import (
     CSV_NAMES,
+    EXPORT_MARK,
     FactorRow,
     FibreRow,
     Store,
@@ -229,7 +230,10 @@ def test_export_is_deterministic(tmp_path):
 def test_manifest_matches_digests(tmp_path):
     manifest = export_csv(golden_store(), tmp_path)
     listed = dict(manifest)
-    for line in (tmp_path / "manifest.txt").read_text().splitlines():
+    mark, *lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert mark == EXPORT_MARK == "brickforge-export 1"
+    assert len(lines) == len(CSV_NAMES)
+    for line in lines:
         digest, name = line.split("  ")
         assert listed[name] == digest
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -354,9 +358,11 @@ def test_import_rejects_truncated_hits(tmp_path):
         import_csv(tmp_path)
 
 
-def _rewrite_manifest(dirpath) -> None:
+def _rewrite_manifest(dirpath, marked=False) -> None:
+    """A manifest of the files as they are, as sha256sum writes one, or
+    under the export mark."""
     lines = [f"{hashlib.sha256((dirpath / n).read_bytes()).hexdigest()}  {n}\n" for n in CSV_NAMES]
-    (dirpath / "manifest.txt").write_text("".join(lines))
+    (dirpath / "manifest.txt").write_text("".join([EXPORT_MARK + "\n"] * marked + lines))
 
 
 def test_import_rejects_duplicated_rows(tmp_path):
@@ -419,7 +425,7 @@ def test_import_rejects_bad_manifest(tmp_path):
     export_csv(full_store(), tmp_path)
     manifest = tmp_path / "manifest.txt"
     lines = manifest.read_text().splitlines(keepends=True)
-    manifest.write_text("".join(lines[:2]))
+    manifest.write_text("".join(lines[:3]))  # the mark, then two of the three files
     with pytest.raises(ValueError, match="does not list fibers.csv"):
         import_csv(tmp_path)
     manifest.write_text("".join(lines) + "0" * 64 + "  extra.csv\n")
@@ -573,18 +579,33 @@ NONCANONICAL = {
 }
 
 
+def _drop_manifest(dirpath) -> None:
+    (dirpath / "manifest.txt").unlink()
+
+
 @pytest.mark.parametrize("case", sorted(NONCANONICAL))
 def test_noncanonical_row_reads_and_exports_as_before(tmp_path, monkeypatch, case):
+    _noncanonical_hits(tmp_path, monkeypatch, case, _drop_manifest)
+
+
+@pytest.mark.parametrize("case", sorted(NONCANONICAL))
+def test_noncanonical_row_under_a_manifest_without_the_mark(tmp_path, monkeypatch, case):
+    _noncanonical_hits(tmp_path, monkeypatch, case, _rewrite_manifest)
+
+
+def _noncanonical_hits(tmp_path, monkeypatch, case, manifest) -> None:
+    """A hit row edited by NONCANONICAL[case], the manifest then dropped or
+    rewritten by `manifest`: read by csv.reader and exported canonically."""
     edit = NONCANONICAL[case]
     export_csv(full_store(), tmp_path / "a")
     want = _tree(tmp_path / "a")
-    (tmp_path / "a" / "manifest.txt").unlink()
     data = edit(want["master_hits.csv"])
     (tmp_path / "a" / "master_hits.csv").write_bytes(data)
+    manifest(tmp_path / "a")
     parse = _Count(store_module._hit_record)
     monkeypatch.setattr(store_module, "_hit_record", parse)
     back = import_csv(tmp_path / "a")
-    assert parse.calls == 2  # a file not in export form: each of its rows parsed once
+    assert parse.calls == 2  # read by csv.reader: each of its rows parsed once
     export_csv(back, tmp_path / "b")
     ref = _reference_rows(data)
     got = _tree(tmp_path / "b")
@@ -850,16 +871,26 @@ def _reference_fibres_csv(rows) -> bytes:
 
 @pytest.mark.parametrize("case", sorted(FIBRE_NONCANONICAL))
 def test_noncanonical_fibre_row_reads_and_exports_as_before(tmp_path, monkeypatch, case):
+    _noncanonical_fibres(tmp_path, monkeypatch, case, _drop_manifest)
+
+
+@pytest.mark.parametrize("case", sorted(FIBRE_NONCANONICAL))
+def test_noncanonical_fibre_row_under_a_manifest_without_the_mark(tmp_path, monkeypatch, case):
+    _noncanonical_fibres(tmp_path, monkeypatch, case, _rewrite_manifest)
+
+
+def _noncanonical_fibres(tmp_path, monkeypatch, case, manifest) -> None:
+    """_noncanonical_hits for a fibre row edited by FIBRE_NONCANONICAL[case]."""
     export_csv(fibre_store(), tmp_path / "a")
     want = _tree(tmp_path / "a")
-    (tmp_path / "a" / "manifest.txt").unlink()
     data = FIBRE_NONCANONICAL[case](want["fibers.csv"])
     assert data != want["fibers.csv"]
     (tmp_path / "a" / "fibers.csv").write_bytes(data)
+    manifest(tmp_path / "a")
     parse = _Count(store_module._fibre_row)
     monkeypatch.setattr(store_module, "_fibre_row", parse)
     back = import_csv(tmp_path / "a")
-    assert parse.calls == 5  # a file not in export form: each of its rows parsed once
+    assert parse.calls == 5  # read by csv.reader: each of its rows parsed once
     export_csv(back, tmp_path / "b")
     ref = _reference_fibres(data)
     got = _tree(tmp_path / "b")
@@ -870,12 +901,12 @@ def test_noncanonical_fibre_row_reads_and_exports_as_before(tmp_path, monkeypatc
 
 
 def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
-    export_csv(fibre_store(), tmp_path / "a")
-    (tmp_path / "a" / "manifest.txt").unlink()
-    # hits not in export form, each row parsed at import; fibres in export
-    # form, each row kept as its line until the steps put records among them
-    hits = tmp_path / "a" / "master_hits.csv"
-    hits.write_bytes(_edit_field(5, lambda x: "0" + x)(hits.read_bytes()))
+    db = fibre_store()
+    db.get(2).provenance = "MW-44-9, by hand"
+    export_csv(db, tmp_path / "a")
+    # hits with a quoted field, each row parsed at import by csv.reader;
+    # fibres split into lines, each row kept until the steps put records among them
+    assert b'"MW-44-9, by hand"' in (tmp_path / "a" / "master_hits.csv").read_bytes()
     back, ref = import_csv(tmp_path / "a"), import_csv(tmp_path / "a")
     assert [type(r) for r in back._hits.values()] == [store_module.HitRecord] * 2
     assert [type(r) for r in back._fibres.values()] == [str] * 5
@@ -896,8 +927,8 @@ def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
 
 
 def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
-    # three chunks of lines and a bit; a leading zero in the rows at the
-    # first chunk boundary takes the file out of export form
+    # three chunks of lines and a bit, with leading zeros in the rows at
+    # the first chunk boundary; no manifest, so csv.reader parses every row
     size = 3 * csvrows._CHUNK_LINES + 5
     edge = {csvrows._CHUNK_LINES - 1, csvrows._CHUNK_LINES, csvrows._CHUNK_LINES + 1}
     rows = [f"{i},{i + 1},{i},{i + 3},{i + 2},{'0' if i in edge else ''}{7 * i},{11 * i},"
@@ -962,7 +993,7 @@ def test_loaded_hits_file_in_export_form_is_not_rebuilt(tmp_path, monkeypatch):
     assert builds.calls == 4
 
 
-# -- a file in export form read by one findall, any other by csv.reader -------
+# -- a file under the export mark split into lines, any other read by csv.reader --
 
 def _renumber(ids: dict):
     """Gives hit i the id text ids[i], in master_hits.csv and f1_factors.csv."""
@@ -1002,8 +1033,9 @@ def _write_files(dirpath, files, order) -> None:
 
 @pytest.mark.parametrize("quirk", sorted(QUIRKS))
 def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
-    # the same rows in export column order (one findall per file, unless a
-    # row is not in export form) and in reversed column order (csv.reader)
+    # the same rows in export column order, under a manifest without the
+    # export mark, and in reversed column order with no manifest: csv.reader
+    # reads both, every row parsed
     export_csv(fibre_store(), tmp_path / "a")
     files = {name: [line.split(",") for line in (tmp_path / "a" / name).read_text().splitlines()]
              for name in CSV_NAMES}
@@ -1011,14 +1043,12 @@ def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
         edit(files)
     _write_files(tmp_path / "export", files, lambda row: row)
     _write_files(tmp_path / "reversed", files, lambda row: row[::-1])
+    _rewrite_manifest(tmp_path / "export")
     hit_parse, fibre_parse = _Count(store_module._hit_record), _Count(store_module._fibre_row)
     monkeypatch.setattr(store_module, "_hit_record", hit_parse)
     monkeypatch.setattr(store_module, "_fibre_row", fibre_parse)
     one = import_csv(tmp_path / "export")
-    # which way each file went: each row parsed only when a row is not in export form
-    assert (hit_parse.calls, fibre_parse.calls) == (
-        2 * (quirk in ("007", "unsorted tags", "all")),
-        5 * (quirk in ("unreduced fraction", "all")))
+    assert (hit_parse.calls, fibre_parse.calls) == (2, 5)
     other = import_csv(tmp_path / "reversed")
     assert one.hits() == other.hits()
     assert one.fibres() == other.fibres()
@@ -1031,28 +1061,24 @@ def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
 
 
 def test_import_in_export_form_makes_no_call_per_row(tmp_path, monkeypatch):
-    db = golden_store()  # no family tags
-    for m, n in ((2, 1), (4, 1), (6, 5)):
+    db = full_store()
+    for m, n in ((4, 1), (6, 5)):
         db.upsert_fibre(FibreRow(m=m, n=n, torsion_d1=2, torsion_d2=4, rank_lb=m // 4 or None))
     export_csv(db, tmp_path)
-    counts = {}
-    for module, name in ((store_module, "_hit_record"), (store_module, "_fibre_row"),
-                         (csvrows, "kept_tags"), (csvrows, "kept_points")):
-        counts[name] = _Count(getattr(module, name))
-        monkeypatch.setattr(module, name, counts[name])
+    rows = len((tmp_path / "f1_factors.csv").read_text().splitlines()) - 1
+    counts = {name: _Count(getattr(store_module, name))
+              for name in ("_hit_record", "_factor_row", "_fibre_row")}
+    for name, count in counts.items():
+        monkeypatch.setattr(store_module, name, count)
     back = import_csv(tmp_path)
     assert {name: count.calls for name, count in counts.items()} == dict.fromkeys(counts, 0)
-    assert len(back) == 2 and len(back._fibres) == 3
-    # the counts are real: with a row of each file not in export form, each
+    assert (len(back), len(back._factors), len(back._fibres)) == (2, 2, 4)
+    # the counts are real: under a manifest without the export mark every
     # file goes through csv.reader, every row parsed once
-    (tmp_path / "manifest.txt").unlink()
-    hits = tmp_path / "master_hits.csv"
-    hits.write_bytes(_edit_field(0, lambda i: "0" + i)(hits.read_bytes()))
-    fibres = tmp_path / "fibers.csv"
-    fibres.write_bytes(_edit_fibre(4, lambda rank: "-0", key=("4", "1"))(fibres.read_bytes()))
+    _rewrite_manifest(tmp_path)
     import_csv(tmp_path)
     assert {name: count.calls for name, count in counts.items()} == {
-        "_hit_record": 2, "_fibre_row": 3, "kept_tags": 0, "kept_points": 0}
+        "_hit_record": 2, "_factor_row": rows, "_fibre_row": 4}
 
 
 def test_store_written_by_the_commands_reimports_with_no_parse_per_row(tmp_path, monkeypatch,
@@ -1087,3 +1113,117 @@ def test_crlf_store_with_a_big_factor_row_loads(tmp_path, capsys):
     assert back.factor_rows(2) == [FactorRow(2, 10 ** 139_999 + 1, 1, True)]
     assert cli.main(["verify", "theorem", "--db", str(tmp_path)]) == 0
     assert "verified=1" in capsys.readouterr().out
+
+
+# -- the export mark: which files are trusted to hold the bytes export writes --
+
+@pytest.mark.parametrize("name", CSV_NAMES)
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_marked_store_with_a_flipped_byte_is_refused(tmp_path, name, where):
+    export_csv(fibre_store(), tmp_path)
+    assert (tmp_path / "manifest.txt").read_text().startswith(EXPORT_MARK + "\n")
+    path = tmp_path / name
+    data = bytearray(path.read_bytes())
+    data[{"first": 0, "middle": len(data) // 2, "last": -1}[where]] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{name} does not match its sha256 in manifest.txt$"):
+        import_csv(tmp_path)
+
+
+def test_store_without_the_mark_reads_the_same_and_its_first_mw_run_marks_it(
+        tmp_path, monkeypatch, capsys):
+    db = tmp_path / "db"
+    db.mkdir()
+    for argv in (_mw_argv(44, 9, 60, 2, db), _mw_argv(6, 5, 60, 1, db),
+                 ["factorize", "--budget", "0.05", "--db", str(db)]):
+        assert cli.main(argv) == 0
+    marked = import_csv(db)
+    want = (marked.hits(), [marked.factor_rows(i) for i in range(1, len(marked) + 1)],
+            marked.fibres())
+    _rewrite_manifest(db)  # the manifest as export wrote it before the mark
+    before = _tree(db)
+    rows = len(before["f1_factors.csv"].splitlines()) - 1
+    counts = {name: _Count(getattr(store_module, name))
+              for name in ("_hit_record", "_factor_row", "_fibre_row")}
+    for name, count in counts.items():
+        monkeypatch.setattr(store_module, name, count)
+    back = import_csv(db)
+    assert {name: count.calls for name, count in counts.items()} == {
+        "_hit_record": 11, "_factor_row": rows, "_fibre_row": 2}
+    assert (back.hits(), [back.factor_rows(i) for i in range(1, len(back) + 1)],
+            back.fibres()) == want
+    assert cli.main(_mw_argv(44, 9, 60, 2, db)) == 0
+    assert "inserted=0" in capsys.readouterr().out
+    after = _tree(db)
+    assert [after[name] for name in CSV_NAMES[:2]] == [before[name] for name in CSV_NAMES[:2]]
+    assert after["manifest.txt"] == before["manifest.txt"].replace(
+        b"", (EXPORT_MARK + "\n").encode("ascii"), 1)
+    monkeypatch.undo()
+    assert validate_consistency(import_csv(db)) == []
+
+
+def test_factorization_of_parses_only_the_rows_of_its_record(tmp_path, monkeypatch):
+    db = full_store()
+    export_csv(db, tmp_path)
+    back = import_csv(tmp_path)
+    parse = _Count(store_module._factor_row)
+    monkeypatch.setattr(store_module, "_factor_row", parse)
+    sizes = [len(db.factor_rows(hit_id)) for hit_id in (1, 2)]
+    assert min(sizes) >= 2
+    assert back.factorization_of(2) == db.factorization_of(2)
+    assert parse.calls == sizes[1]
+    assert back.factorization_of(2) == db.factorization_of(2)  # parsed once
+    assert parse.calls == sizes[1]
+    assert back.factor_rows(1) == db.factor_rows(1)
+    assert parse.calls == sum(sizes)
+
+
+def _refuse_csv_reader(monkeypatch) -> None:
+    def refuse(name, *args):
+        raise AssertionError(f"{name} read by csv.reader")
+    monkeypatch.setattr(csvrows, "records", refuse)
+
+
+def test_marked_store_refuses_repeats_and_orphans_it_keeps_as_lines(tmp_path, monkeypatch):
+    export_csv(full_store(), tmp_path)
+    want = _tree(tmp_path)
+    _refuse_csv_reader(monkeypatch)
+    header, first, second = want["master_hits.csv"].decode("ascii").splitlines()
+    fibre = want["fibers.csv"].decode("ascii").splitlines()[1]
+    for name, text, message in (
+        ("master_hits.csv", [header, first, second, first], "master_hits.csv: duplicate hit id 1"),
+        ("master_hits.csv", [header, first, second, "3" + first[1:]],
+         r"master_hits.csv: tuple \(44, 9, 55, 48\) in hits 1 and 3"),
+        ("fibers.csv", [*want["fibers.csv"].decode("ascii").splitlines(), fibre],
+         r"fibers.csv: duplicate fibre \(2,1\)"),
+        ("f1_factors.csv", [*want["f1_factors.csv"].decode("ascii").splitlines(), "7,3,1,0"],
+         "f1_factors.csv row 9: factor row for hit id 7, which names no hit"),
+    ):
+        (tmp_path / name).write_text("\n".join(text) + "\n")
+        _rewrite_manifest(tmp_path, marked=True)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            import_csv(tmp_path)
+        (tmp_path / name).write_bytes(want[name])
+    _rewrite_manifest(tmp_path, marked=True)
+    assert _tree(tmp_path) == want
+    import_csv(tmp_path)
+
+
+@pytest.mark.parametrize("hit_id", [1, 2])
+def test_a_factor_row_kept_as_text_is_refused_naming_its_row_when_read(tmp_path, hit_id):
+    # export writes a degenerate row it holds; parsed at import under no
+    # mark, and when its record is read under the mark, with the same message
+    db = full_store()
+    db._factors[hit_id].append(FactorRow(hit_id, 11, 0, False))
+    export_csv(db, tmp_path)
+    lines = (tmp_path / "f1_factors.csv").read_text().splitlines()
+    row = lines.index(f"{hit_id},11,0,0") + 1
+    message = (f"f1_factors.csv row {row}: prime 11, exponent 0, is_residual 0; "
+               "a factor row needs prime >= 2, exponent >= 1, is_residual 0 or 1")
+    back = import_csv(tmp_path)
+    assert back.factor_rows(3 - hit_id) == db.factor_rows(3 - hit_id)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        back.factor_rows(hit_id)
+    _rewrite_manifest(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        import_csv(tmp_path)
