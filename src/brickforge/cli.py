@@ -2,7 +2,9 @@
 
 Exit codes are uniform across commands: 0 all checks pass, 1 a
 mathematical violation was found, 2 operational error (bad usage,
-unreadable store, malformed input).
+unreadable store, malformed input), 141 (128 + SIGPIPE, as a shell
+reports a writer a closed pipe ended) the reader of stdout closed it
+early, as `head` does; nothing more is printed then.
 """
 from __future__ import annotations
 
@@ -31,7 +33,13 @@ def main(argv=None) -> int:
         print("error: no store directory (pass --db or set BRICKFORGE_DB)", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output, and the flush at exit, go to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

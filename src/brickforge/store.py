@@ -210,6 +210,8 @@ class Store:
         rec = self._record(hit_id)
         if rec.f1_status == "none":
             return None
+        if hit_id not in self._factors:  # the fault `validate_consistency` names
+            raise ValueError(f"hit {hit_id}: status {rec.f1_status} but no factor rows")
         factors = []
         residual = 1
         for row in self._factor_rows(hit_id):

@@ -526,6 +526,37 @@ def test_every_command_prints_the_recorded_lines(db, capsys):
         assert (cli.main(argv), capsys.readouterr().out) == (0, out), argv
 
 
+def test_a_record_without_its_factor_rows_is_operational_error(db, capsys):
+    # a full record whose rows are gone: exit 2 naming the hit, as verify
+    # consistency words it, not a KeyError traceback and exit 1
+    for argv in (["mw", "run", "--m", "44", "--n", "9", "--seed-height", "60", "--K", "2"],
+                 ["factorize", "--budget", "1"]):
+        assert cli.main(argv) == 0
+    first = next(rec.id for rec in import_csv(db).hits() if rec.f1_status == "full")
+    path = db / "f1_factors.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    (db / "manifest.txt").unlink()
+    capsys.readouterr()
+    for argv in (["verify", "theorem"], ["verify", "single-blocker"],
+                 ["report", "--what", "blockers"]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: hit {first}: status full but no factor rows\n"), argv
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(db):
+    seeded_db(db)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "brickforge.cli", "report", "--what", "fibres"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": path}) as proc:
+        proc.stdout.close()  # before the command has printed anything
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
 def test_factor_field_above_the_csv_field_limit_is_operational_error(db, capsys):
     seeded_db(db)
     (db / "manifest.txt").unlink()

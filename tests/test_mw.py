@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -55,6 +55,48 @@ def test_naive_quartic_search_matches_master_norm():
         c = build_fibre(m, n)
         for H in (2, 3, 60, 80):
             assert naive_quartic_search(c, H) == _reference_quartic_search(c, H), (m, n, H)
+
+
+def _loop_quartic_search(c, height_bound):
+    """The scan without the sieve: M tested for every admissible (a, b)."""
+    U2, V2, _ = master.triple_from_pair(EuclidPair(c.m, c.n))
+    out = []
+    for a in range(2, height_bound + 1):
+        for b in range(1 + (a % 2), a, 2):  # opposite parity to a
+            if gcd(a, b) != 1:
+                continue
+            p, q = 2 * a * b * U2, (a * a - b * b) * V2
+            M = p * p + q * q
+            r = isqrt(M)
+            if r * r == M:
+                out.append((a, b))
+    return out
+
+
+def test_sieve_matches_the_loop_on_fibres_with_m_below_100():
+    fibres = [(m, n) for m, n in admissible_fibres(2040) if m < 100][::6]
+    assert len(fibres) >= 300
+    for m, n in fibres:
+        c = build_fibre(m, n)
+        for H in (2, 3, 60, 150):
+            assert naive_quartic_search(c, H) == _loop_quartic_search(c, H), (m, n, H)
+
+
+def test_sieve_matches_the_loop_at_height_2000():
+    for m, n in ((88, 7), (59, 40), (96, 91)):
+        c = build_fibre(m, n)
+        hits = naive_quartic_search(c, 2000)
+        assert hits and hits == _loop_quartic_search(c, 2000), (m, n)
+
+
+def test_sieve_matches_the_loop_where_a_prime_divides_U2_or_V2():
+    # U2 V2 is 3 * 4, 5 * 12, 7 * 24, 11 * 60 and 13 * 84: the mask of l
+    # would pass every ratio, from 3, which never sieves, up to 13
+    for (m, n), l in (((2, 1), 3), ((3, 2), 5), ((4, 3), 7), ((6, 5), 11), ((7, 6), 13)):
+        c = build_fibre(m, n)
+        assert c.U2 * c.V2 % l == 0
+        for H in (2, 3, 60, 150, 600):
+            assert naive_quartic_search(c, H) == _loop_quartic_search(c, H), (m, n, H)
 
 
 def test_naive_quartic_search_gates_its_inputs():
