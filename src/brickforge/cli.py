@@ -199,7 +199,7 @@ def _cmd_factorize(args) -> int:
     for rec, fact in zip(todo, results):
         db.set_factorization(rec.id, fact)
     export_csv(db, args.db)
-    full = sum(1 for rec in todo if rec.f1_status == "full")
+    full = sum(fact.status == "full" for fact in results)
     return _summary({"factored": len(todo), "full": full, "partial": len(todo) - full,
                      "already_full": len(db) - len(todo)})
 
@@ -244,7 +244,10 @@ def _cmd_families_build(args) -> int:
 
 def _cmd_families_classify(args) -> int:
     db = _load(args.db)
-    tables = load_tables(os.path.join(args.db, "families"))
+    path = os.path.join(args.db, "families")
+    if not os.path.isdir(path):
+        raise OSError(f"no family tables directory {path}: `families build` makes it")
+    tables = load_tables(path)
     hist: Counter = Counter()
     for rec in db.hits():
         tags = classify(rec.x, rec.y, rec.z, tables)

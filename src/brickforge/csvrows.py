@@ -1,18 +1,18 @@
-"""The text of the rows of the store's CSV files, written as csv.writer
-writes them, and their two readers.
+"""The text of the rows of the store's CSV files, and their one reader.
 
-A file of a store whose manifest.txt carries the export mark (see store)
-holds the bytes export wrote.  Such a file is split into lines and read by
-`export_lines` when a split at line ends and commas reads it as csv.reader
-would; its rows are kept as lines until read.  Any other file is read by
-csv.reader with every row parsed (`records`)."""
+A row is one line of fields joined by commas: no field holds a comma, a
+quote or a line break, and `csv_line` refuses one that would.  `read_lines`
+splits a file into the lines after its header.  A file whose manifest.txt
+carries the export mark (see store) must hold exactly the bytes export
+writes; any other may also have CRLF line ends, blank lines and no final
+line end, which are normalised, and each of its rows is parsed once by
+`parse_rows`, naming the row of a fault.  Either way a file whose header is
+not export's, or that holds a quote or a bare carriage return, is refused
+naming it."""
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from fractions import Fraction
-from operator import itemgetter
 
 from .ecq import CurvePoint
 
@@ -47,13 +47,12 @@ def parse_points(text: str) -> tuple:
 
 
 def csv_line(fields) -> str:
-    """One row as csv.writer writes it, without the line end."""
-    # the rare row with a comma, quote or line break in a field goes to csv.writer
+    """One row as export writes it, without the line end; a field holding a
+    comma, quote or line break is refused, as `read_lines` could not read it back."""
     line = ",".join(map(str, fields))
     if line.count(",") != len(fields) - 1 or '"' in line or "\r" in line or "\n" in line:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(fields)
-        line = buf.getvalue()[:-1]
+        bad = next(text for text in map(str, fields) if any(c in text for c in ',"\r\n'))
+        raise ValueError(f"store field {bad!r} holds a comma, quote or line break")
     return line
 
 
@@ -72,44 +71,43 @@ def csv_chunks(header, lines) -> list[bytes]:
     return chunks
 
 
-def export_lines(name: str, data: dict, columns) -> list[str] | None:
-    """The lines after the header of file `name`, popped from `data` and
-    decoded, if a split at line ends and commas reads the file as csv.reader
-    would: its header is `columns`, it ends with a line end and it holds no
-    quote or carriage return.  Else None, the file left in `data`."""
-    raw = data[name]
-    if (raw.startswith((",".join(columns) + "\n").encode("ascii")) and raw.endswith(b"\n")
-            and b'"' not in raw and b"\r" not in raw):
-        lines = data.pop(name).decode("ascii").split("\n")  # its bytes freed
-        del lines[0], lines[-1]  # the header and the empty tail
-        return lines
-    return None
+def read_lines(name: str, data: dict, columns, marked: bool) -> list[str]:
+    """The lines after the header of file `name`, its ASCII bytes popped
+    from `data`; `marked` if it is under the export mark.  A refused file
+    raises ValueError naming it: see the module docstring."""
+    text = data.pop(name).decode("ascii")  # its bytes freed
+    if not marked:
+        text = text.replace("\r\n", "\n").rstrip("\n") + "\n"
+    for char in ('"', "\r"):
+        at = text.find(char)
+        if at >= 0:
+            line = text.count("\n", 0, at) + 1
+            raise ValueError(f"{name} line {line}: a quote or a carriage return, "
+                             "which no store field holds")
+    header = ",".join(columns)
+    if not text.startswith(header + "\n"):
+        raise ValueError(f"{name}: the header is not {header}")
+    rows = text.split("\n")
+    if marked and rows.count("") != 1:  # a blank line, or none at the end
+        raise ValueError(f"{name}: not the bytes export writes, though manifest.txt "
+                         "carries the export mark")
+    del rows[0], rows[-1]  # the header and the empty tail
+    return rows
 
 
-def records(name: str, data: dict, columns, parse):
-    """`parse` of the named columns of each row of file `name`, popped from
-    `data` and read by csv.reader, a blank line skipped; an error in a row,
-    from csv.reader or from `parse`, is raised again as a ValueError naming
-    the file and the row (for csv.reader, the line it stopped at)."""
-    # decoded a chunk at a time: a StringIO of the whole file costs 4 bytes a character
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data.pop(name)), encoding="ascii",
-                                       newline=""))
-    try:
-        header = next(rows, [])
-        for col in columns:
-            if col not in header:
-                raise ValueError(f"{name}: no column {col!r}")
-        pick = itemgetter(*(header.index(col) for col in columns))
-        for number, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                if not row:  # a blank line
-                    continue
-                raise ValueError(f"{name} row {number}: {len(row)} fields, "
-                                 f"expected {len(header)}")
-            try:
-                parsed = parse(pick(row))
-            except ValueError as err:
-                raise ValueError(f"{name} row {number}: {err}") from None
-            yield parsed
-    except csv.Error as err:
-        raise ValueError(f"{name} line {rows.line_num}: {err}") from None
+def parse_rows(name: str, lines, columns, parse):
+    """`parse` of the fields of each of the `lines` of file `name`, a blank
+    line skipped; a row with other than len(columns) fields, or one `parse`
+    refuses, raises ValueError naming the file and the row."""
+    for number, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(f"{name} row {number}: {len(fields)} fields, "
+                             f"expected {len(columns)}")
+        try:
+            row = parse(fields)
+        except ValueError as err:
+            raise ValueError(f"{name} row {number}: {err}") from None
+        yield row

@@ -2,40 +2,34 @@
 
 Records are keyed by the slot-swap canonical form of their tuple, so a
 rediscovery under sigma never creates a second row and never overwrites
-the first writer's provenance.  Export ordering and number formatting
-are fixed to make repeated exports byte-identical.
+the first writer's provenance.  Every row is held as its line of export
+text, from import to export.  A read parses the lines it needs at each
+call and returns frozen snapshots; the four setters (`insert_hit`,
+`set_factorization`, `set_family_tags`, `upsert_fibre`) are the only way a
+row changes.
 
 An export replaces each file atomically, manifest.txt first, and an import
 checks every file against the sha256 listed in manifest.txt, so a torn
 export or a damaged file is rejected rather than loaded.  A store without
-a manifest.txt still loads, unchecked.
-
-The first line of the manifest export writes, EXPORT_MARK, says that every
-file listed below it holds exactly the bytes export would write for its
-rows.  That holds by induction: export formats a parsed row canonically,
-writes a line it kept only if the line came from such a file, and leaves a
-file in place only when its sha256 is the one it would write.  So a command
-pays only for the rows it reads and adds.  Under the mark each hit row is
-kept as its line (csvrows.export_lines), known by its id and tuple, each
-fibre row by its pair and a hit's factor rows as one block, until a getter
-or setter reads them.  Any other file, and every file under a manifest
-without the mark (written before it, or by hand), is read by csv.reader,
-every row parsed once.  Export writes a kept line as it is, skips a file
-still the one this store read or wrote whose bytes would not change, and
-does not build master_hits.csv while it is the file as loaded under the
-mark, ids ascending, with no hit row read or inserted since.
+a manifest.txt still loads, unchecked.  The first line of the manifest
+export writes, EXPORT_MARK, says that every file listed below it holds
+exactly the bytes export would write for its lines.  Under it a file's
+lines are kept as they are; without it each row is parsed once at import
+and kept as the line export writes for it.  Export builds and writes a CSV
+only when a setter put a different line into it since this store read or
+wrote it, or when it was not known at import to hold export's bytes: no
+mark, or keys not ascending.  So the mark holds by induction.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import itertools
 import operator
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import gcd
 from operator import itemgetter, methodcaller
 
@@ -53,15 +47,7 @@ CSV_NAMES = ("master_hits.csv", "f1_factors.csv", "fibers.csv")
 EXPORT_MARK = "brickforge-export 1"
 
 
-def _unlock_big_decimals() -> None:
-    # CPython caps int<->str conversion length; lifted tuples exceed it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
-    # and csv.reader caps a field's length
-    csv.field_size_limit(max(csv.field_size_limit(), 2_000_000))
-
-
-@dataclass
+@dataclass(frozen=True)
 class HitRecord:
     id: int
     a: int
@@ -73,7 +59,7 @@ class HitRecord:
     z: int
     g_scale: int
     provenance: str
-    family_tags: set = field(default_factory=set)
+    family_tags: frozenset = frozenset()
     f1_status: str = "none"
 
     @property
@@ -101,7 +87,7 @@ class FactorRow:
     is_residual: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class FibreRow:
     m: int
     n: int
@@ -113,63 +99,53 @@ class FibreRow:
 
 class Store:
     def __init__(self):
-        # a loaded row stays its CSV line until it is read
-        self._hits: dict[int, HitRecord | str] = {}
+        # CPython caps int<->str conversion length; lifted tuples exceed it
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+        # each row as its line of export text: a hit's by its id
+        self._hits: dict[int, str] = {}
         # "a,b,m,n" of a sigma-canonical tuple, as a row holds it -> hit id
         self._by_tuple: dict[str, int] = {}
-        # a hit's factor rows, or the block of their lines until they are read
-        self._factors: dict[int, list[FactorRow] | str] = {}
-        self._fibres: dict[tuple, FibreRow | str] = {}
+        # a hit's factor rows as their lines joined by "\n", a fibre's by its pair
+        self._factors: dict[int, str] = {}
+        self._fibres: dict[tuple, str] = {}
         self._next_id = 1
-        # file name -> (sha256, stat signature) of the file last read or written
+        # file name -> (sha256, stat signature) of a file known to hold the bytes
+        # export would write: last read or written here, no line of it changed since
         self._on_disk: dict[str, tuple[str, tuple]] = {}
-        # sha256 of the master_hits.csv export would write, known while it is
-        # the file as loaded: no hit row read or inserted since
-        self._hits_digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._hits)
 
-    def _record(self, hit_id: int) -> HitRecord:
-        rec = self._hits[hit_id]
-        if type(rec) is str:
-            rec = self._hits[hit_id] = _hit_record(rec.split(","))
-            self._hits_digest = None
-        return rec
+    def _put(self, name: str, rows: dict, key, line: str) -> None:
+        """Sets rows[key], a line of file `name`, which export then builds again."""
+        if rows.get(key) != line:
+            rows[key] = line
+            self._on_disk.pop(name, None)
 
     def hits(self) -> list[HitRecord]:
-        return [self._record(i) for i in sorted(self._hits)]
+        return [self.get(i) for i in sorted(self._hits)]
 
     def get(self, hit_id: int) -> HitRecord:
-        return self._record(hit_id)
+        return _hit_record(self._hits[hit_id].split(","))
 
     def find(self, t: MasterTuple):
         hit_id = self._by_tuple.get(csvrows.tuple_key(master.sigma_canonical(t)))
-        return None if hit_id is None else self._record(hit_id)
+        return None if hit_id is None else self.get(hit_id)
 
     def factor_rows(self, hit_id: int) -> list[FactorRow]:
-        return list(self._factor_rows(hit_id)) if hit_id in self._factors else []
-
-    def _factor_rows(self, hit_id: int) -> list[FactorRow]:
-        rows = self._factors[hit_id]
-        if type(rows) is str:
-            parsed = []
-            for i, line in enumerate(rows.split("\n")):
-                try:
-                    parsed.append(_factor_row(line.split(","), self._hits))
-                except ValueError as err:
-                    # the row as loaded: after the rows of every smaller hit id
-                    row = 2 + i + sum(r.count("\n") + 1 if type(r) is str else len(r)
-                                      for h, r in self._factors.items() if h < hit_id)
-                    raise ValueError(f"f1_factors.csv row {row}: {err}") from None
-            rows = self._factors[hit_id] = parsed
+        rows, lines = [], self._factors[hit_id].split("\n") if hit_id in self._factors else []
+        for i, line in enumerate(lines):
+            try:
+                rows.append(_factor_row(line.split(","), self._hits))
+            except ValueError as err:
+                # the row as loaded: after the rows of every smaller hit id
+                row = 2 + i + sum(r.count("\n") + 1 for h, r in self._factors.items() if h < hit_id)
+                raise ValueError(f"f1_factors.csv row {row}: {err}") from None
         return rows
 
     def fibres(self) -> list[FibreRow]:
-        for key, row in self._fibres.items():
-            if type(row) is str:
-                self._fibres[key] = _fibre_row(row.split(","))
-        return [self._fibres[key] for key in sorted(self._fibres)]
+        return [_fibre_row(self._fibres[key].split(",")) for key in sorted(self._fibres)]
 
     def insert_hit(self, t: MasterTuple, provenance: str) -> tuple[int, bool]:
         """Returns (id, created); created is False for a sigma-duplicate,
@@ -190,42 +166,43 @@ class Store:
             g_scale=gcd(gcd(brick.x, brick.y), brick.z),
             provenance=provenance,
         )
-        self._hits[rec.id] = rec
+        self._put("master_hits.csv", self._hits, rec.id, _line(rec))
         self._by_tuple[key] = rec.id
         self._next_id += 1
-        self._hits_digest = None
         return rec.id, True
 
     def set_factorization(self, hit_id: int, fact: Factorization) -> None:
-        rec = self._record(hit_id)
+        rec = self.get(hit_id)
         if fact.product() != master.f1(rec.tuple):
             raise ValueError(f"factorization does not multiply back to f1 of hit {hit_id}")
         rows = [FactorRow(hit_id, p, e, False) for p, e in fact.factors]
         if fact.residual > 1:
             rows.append(FactorRow(hit_id, fact.residual, 1, True))
-        self._factors[hit_id] = rows
-        rec.f1_status = fact.status
+        block = "\n".join(map(_line, sorted(rows, key=_factor_order)))
+        line = _line(replace(rec, f1_status=fact.status))
+        self._put("f1_factors.csv", self._factors, hit_id, block)
+        self._put("master_hits.csv", self._hits, hit_id, line)
 
     def factorization_of(self, hit_id: int) -> Factorization | None:
-        rec = self._record(hit_id)
-        if rec.f1_status == "none":
+        status = self.get(hit_id).f1_status
+        if status == "none":
             return None
         if hit_id not in self._factors:  # the fault `validate_consistency` names
-            raise ValueError(f"hit {hit_id}: status {rec.f1_status} but no factor rows")
-        factors = []
-        residual = 1
-        for row in self._factor_rows(hit_id):
+            raise ValueError(f"hit {hit_id}: status {status} but no factor rows")
+        factors, residual = [], 1
+        for row in self.factor_rows(hit_id):
             if row.is_residual:
                 residual *= row.prime ** row.exponent
             else:
                 factors.append((row.prime, row.exponent))
-        return Factorization(factors=factors, residual=residual, status=rec.f1_status)
+        return Factorization(factors=factors, residual=residual, status=status)
 
     def set_family_tags(self, hit_id: int, tags) -> None:
-        self._record(hit_id).family_tags = set(tags)
+        line = _line(replace(self.get(hit_id), family_tags=frozenset(tags)))
+        self._put("master_hits.csv", self._hits, hit_id, line)
 
     def upsert_fibre(self, row: FibreRow) -> None:
-        self._fibres[(row.m, row.n)] = row
+        self._put("fibers.csv", self._fibres, (row.m, row.n), _line(row))
 
 
 def validate_consistency(store: Store) -> list[str]:
@@ -283,11 +260,9 @@ def _check_factor_rows(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
     primes = [r.prime for r in rows if not r.is_residual]
     if len(set(primes)) != len(primes):
         bad.append(f"hit {rec.id}: repeated prime rows")
-    for row in rows:
-        if row.exponent < 1 or row.prime < 2:
-            bad.append(f"hit {rec.id}: degenerate factor row ({row.prime}, {row.exponent})")
-        elif not row.is_residual and not is_prime(row.prime):
-            bad.append(f"hit {rec.id}: composite {row.prime} marked prime")
+    # every row has prime >= 2 and exponent >= 1: a read refuses any other
+    bad.extend(f"hit {rec.id}: composite {row.prime} marked prime"
+               for row in rows if not row.is_residual and not is_prime(row.prime))
     residuals = [r for r in rows if r.is_residual]
     if rec.f1_status == "full" and residuals:
         bad.append(f"hit {rec.id}: full status with a residual row")
@@ -309,34 +284,29 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     pairs.  Ordering and formatting are fixed, so equal stores export
     byte-identical trees.
 
-    Each file is built in memory as chunks of encoded lines, hashed chunk
-    by chunk, written to `<name>.tmp` and moved over the old file with
-    os.replace, manifest.txt first.  A crash at the manifest leaves the old
-    store; a crash after it leaves old files that do not match the new
-    manifest, which import_csv rejects, whether or not the old store had a
-    manifest.  A CSV is not written at all when the file there is still the
-    one this store last read or wrote (same device, inode, size and mtime)
-    and its sha256 would not change; it already matches the new manifest,
-    so the rule above still holds (nor is master_hits.csv built while its
-    sha256 is known: see the module docstring).
+    A CSV not built under the rule of the module docstring is still the
+    file this store last read or wrote (same device, inode, size and
+    mtime), and its known sha256 is listed.  A built file is chunks of
+    encoded lines, hashed chunk by chunk, written to `<name>.tmp` and moved
+    over the old file with os.replace, manifest.txt first.  A crash at the
+    manifest leaves the old store; a crash after it leaves old files that
+    do not match the new manifest, which import_csv rejects.
     """
-    _unlock_big_decimals()
     on_disk, store._on_disk = store._on_disk, {}  # a failed export leaves nothing known
     manifest, files = [], {}
-    for name, build in zip(CSV_NAMES, (_hits_csv, _factors_csv, _fibres_csv)):
+    for name, columns, rows in zip(CSV_NAMES, (csvrows.HIT_COLUMNS, csvrows.FACTOR_COLUMNS,
+                                               csvrows.FIBRE_COLUMNS),
+                                   (store._hits, store._factors, store._fibres)):
         known = on_disk.get(name)
-        if known is not None and known[1] != _stat(os.path.join(dirpath, name)):
-            known = None  # replaced since
-        if known is not None and name == "master_hits.csv" and known[0] == store._hits_digest:
+        if known is not None and known[1] == _stat(os.path.join(dirpath, name)):
             manifest.append((name, known[0]))
             continue
-        chunks = build(store)
+        chunks = csvrows.csv_chunks(columns, map(rows.__getitem__, sorted(rows)))
         digest = hashlib.sha256()
         for chunk in chunks:
             digest.update(chunk)
         manifest.append((name, digest.hexdigest()))
-        if known is None or known[0] != manifest[-1][1]:
-            files[name] = chunks
+        files[name] = chunks
     listed = "".join(f"{d}  {name}\n" for name, d in manifest)
     files = {"manifest.txt": [f"{EXPORT_MARK}\n{listed}".encode("ascii")], **files}
     os.makedirs(dirpath, exist_ok=True)
@@ -357,22 +327,6 @@ def export_csv(store: Store, dirpath) -> list[tuple[str, str]]:
     return manifest
 
 
-def _hits_csv(store: Store) -> list[bytes]:
-    return csvrows.csv_chunks(csvrows.HIT_COLUMNS,
-                              (_line(store._hits[i]) for i in sorted(store._hits)))
-
-
-def _factors_csv(store: Store) -> list[bytes]:
-    groups = (store._factors[hit_id] for hit_id in sorted(store._factors))
-    return csvrows.csv_chunks(csvrows.FACTOR_COLUMNS, (_line(row) for rows in groups for row in (
-        [rows] if type(rows) is str else sorted(rows, key=lambda r: (r.is_residual, r.prime)))))
-
-
-def _fibres_csv(store: Store) -> list[bytes]:
-    return csvrows.csv_chunks(csvrows.FIBRE_COLUMNS,
-                              (_line(store._fibres[key]) for key in sorted(store._fibres)))
-
-
 def _stat(path) -> tuple | None:
     try:
         return _signature(os.stat(path))
@@ -385,19 +339,22 @@ def _signature(st) -> tuple:
 
 
 def _line(row) -> str:
-    """A row as export writes it: a kept line as it is, else its fields."""
-    if type(row) is str:
-        return row
+    """A row as export writes it."""
     if type(row) is HitRecord:
-        row = (row.id, row.a, row.b, row.m, row.n, row.x, row.y, row.z, row.g_scale,
-               row.provenance, ";".join(sorted(row.family_tags)), row.f1_status)
+        fields = (row.id, row.a, row.b, row.m, row.n, row.x, row.y, row.z, row.g_scale,
+                  row.provenance, ";".join(sorted(row.family_tags)), row.f1_status)
     elif type(row) is FibreRow:
-        rank_lb = "" if row.rank_lb is None else row.rank_lb
-        row = (row.m, row.n, row.torsion_d1, row.torsion_d2, rank_lb,
-               csvrows.serialize_points(row.generators))
-    elif type(row) is FactorRow:
-        row = (row.hit_id, row.prime, row.exponent, int(row.is_residual))
-    return csvrows.csv_line(row)
+        fields = (row.m, row.n, row.torsion_d1, row.torsion_d2,
+                  "" if row.rank_lb is None else row.rank_lb,
+                  csvrows.serialize_points(row.generators))
+    else:
+        fields = (row.hit_id, row.prime, row.exponent, int(row.is_residual))
+    return csvrows.csv_line(fields)
+
+
+def _factor_order(row: FactorRow) -> tuple:
+    """Where export writes a factor row: by hit, primes before the residual."""
+    return row.hit_id, row.is_residual, row.prime
 
 
 def import_csv(dirpath) -> Store:
@@ -410,16 +367,13 @@ def import_csv(dirpath) -> Store:
     damaged or inconsistent file raises ValueError naming it, and the row
     where there is one; a missing one raises OSError.
 
-    Under EXPORT_MARK a file csvrows.export_lines splits is kept as lines,
-    its ids and keys taken by C-level maps over line.split, with no Python
-    call per row.  Any other file is read by csv.reader (csvrows.records),
-    every row parsed, so a field that is no integer, a zero denominator or
-    a factor row with a prime below 2, an exponent below 1 or is_residual
-    outside {0, 1} is refused here, naming the row.  A byte that is not
-    ASCII, in any of the four files, is refused naming the file, its offset
-    there and its line.  Each file's bytes are freed once decoded.
+    Under EXPORT_MARK ids and keys are taken by C-level maps over
+    line.split, with no Python call per row.  Without it every row is
+    parsed once, so a field that is no integer, a zero denominator or an
+    impossible factor row is refused here, naming the row.  A byte that is
+    not ASCII, in any of the four files, is refused naming the file, its
+    offset there and its line.
     """
-    _unlock_big_decimals()
     data, stats = {}, {}
     for name in CSV_NAMES:
         data[name], stats[name] = _read(os.path.join(dirpath, name))
@@ -429,30 +383,35 @@ def import_csv(dirpath) -> Store:
     for name, raw in data.items():
         _ascii(name, raw)
     store = Store()
-    tidy = _import_hits(store, data, marked)
+    ascending = (_import_hits(store, data, marked), _import_factors(store, data, marked),
+                 _import_fibres(store, data, marked))
     store._next_id = max(1, max(store._hits, default=0) + 1)
-    _import_factors(store, data, marked)
-    _import_fibres(store, data, marked)
-    store._on_disk = {name: (digests[name], stats[name]) for name in CSV_NAMES}
-    store._hits_digest = digests["master_hits.csv"] if tidy else None
+    # a marked file whose keys ascend holds the bytes export would write
+    store._on_disk = {name: (digests[name], stats[name])
+                      for name, known in zip(CSV_NAMES, ascending) if marked and known}
     return store
 
 
+def _lines(name: str, data: dict, columns, marked: bool, parse, order=None) -> list[str]:
+    """The rows of file `name` as lines: as they are under the mark, else
+    each parsed once by `parse`, sorted by `order` if given, and written as
+    export writes it."""
+    lines = csvrows.read_lines(name, data, columns, marked)
+    if marked:
+        return lines
+    rows = csvrows.parse_rows(name, lines, columns, parse)
+    return list(map(_line, rows if order is None else sorted(rows, key=order)))
+
+
 def _import_hits(store: Store, data: dict, marked: bool) -> bool:
-    """Loads master_hits.csv; True if its rows are kept as lines, the ids
-    ascending from 1."""
-    lines = csvrows.export_lines("master_hits.csv", data, csvrows.HIT_COLUMNS) if marked else None
-    if lines is None:
-        rows = list(csvrows.records("master_hits.csv", data, csvrows.HIT_COLUMNS, _hit_record))
-        ids = [rec.id for rec in rows]
-        keys = [csvrows.tuple_key(rec.tuple) for rec in rows]
-    else:
-        # (id, [a, b, m, n]) of each line: the rest of it is not held
-        heads = list(map(itemgetter(0, slice(1, 5)), map(methodcaller("split", ",", 5), lines)))
-        rows, ids = lines, list(map(int, map(itemgetter(0), heads)))
-        keys = list(map(",".join, map(itemgetter(1), heads)))
-        del heads
-    store._hits, store._by_tuple = dict(zip(ids, rows)), dict(zip(keys, ids))
+    """Loads master_hits.csv; True if its ids ascend."""
+    lines = _lines("master_hits.csv", data, csvrows.HIT_COLUMNS, marked, _hit_record)
+    # (id, [a, b, m, n]) of each line: the rest of it is not held
+    heads = list(map(itemgetter(0, slice(1, 5)), map(methodcaller("split", ",", 5), lines)))
+    ids = list(map(int, map(itemgetter(0), heads)))
+    keys = list(map(",".join, map(itemgetter(1), heads)))
+    del heads
+    store._hits, store._by_tuple = dict(zip(ids, lines)), dict(zip(keys, ids))
     if not len(store._hits) == len(store._by_tuple) == len(ids):  # name the first repeat
         seen, first = set(), {}
         for hit_id, key in zip(ids, keys):
@@ -463,40 +422,34 @@ def _import_hits(store: Store, data: dict, marked: bool) -> bool:
                                  f"{first[key]} and {hit_id}")
             seen.add(hit_id)
             first[key] = hit_id
-    return lines is not None and all(map(operator.lt, [0, *ids], ids))
+    return all(map(operator.lt, ids, ids[1:]))
 
 
-def _import_factors(store: Store, data: dict, marked: bool) -> None:
-    lines = csvrows.export_lines("f1_factors.csv", data, csvrows.FACTOR_COLUMNS) if marked else None
-    if lines is None:
-        for frow in csvrows.records("f1_factors.csv", data, csvrows.FACTOR_COLUMNS,
-                                    lambda fields: _factor_row(fields, store._hits)):
-            store._factors.setdefault(frow.hit_id, []).append(frow)
-        return
+def _import_factors(store: Store, data: dict, marked: bool) -> bool:
+    """Loads f1_factors.csv; True if its hit ids do not descend."""
+    lines = _lines("f1_factors.csv", data, csvrows.FACTOR_COLUMNS, marked,
+                   lambda fields: _factor_row(fields, store._hits), _factor_order)
     ids = list(map(int, map(itemgetter(0), map(methodcaller("split", ",", 1), lines))))
     # export writes a hit's rows together; the stable sort costs a pass when they are
     store._factors = {hit_id: "\n".join(map(itemgetter(1), rows)) for hit_id, rows in
                       itertools.groupby(sorted(zip(ids, lines), key=itemgetter(0)), itemgetter(0))}
     orphans = store._factors.keys() - store._hits.keys()
-    if orphans:
+    if orphans:  # under the mark: `_factor_row` refused any other at import
         row = min(map(ids.index, orphans))
         raise ValueError(f"f1_factors.csv row {row + 2}: factor row for hit id {ids[row]}, "
                          "which names no hit")
+    return all(map(operator.le, ids, ids[1:]))
 
 
-def _import_fibres(store: Store, data: dict, marked: bool) -> None:
-    lines = csvrows.export_lines("fibers.csv", data, csvrows.FIBRE_COLUMNS) if marked else None
-    if lines is None:
-        rows = list(csvrows.records("fibers.csv", data, csvrows.FIBRE_COLUMNS, _fibre_row))
-        keys = [(row.m, row.n) for row in rows]
-    else:
-        rows, heads = lines, list(map(itemgetter(0, 1), map(methodcaller("split", ",", 2), lines)))
-        keys = list(zip(map(int, map(itemgetter(0), heads)), map(int, map(itemgetter(1), heads))))
-        del heads
-    store._fibres = dict(zip(keys, rows))
+def _import_fibres(store: Store, data: dict, marked: bool) -> bool:
+    """Loads fibers.csv; True if its pairs ascend."""
+    lines = _lines("fibers.csv", data, csvrows.FIBRE_COLUMNS, marked, _fibre_row)
+    keys = [tuple(map(int, line.split(",", 2)[:2])) for line in lines]  # one row a fibre
+    store._fibres = dict(zip(keys, lines))
     if len(store._fibres) != len(keys):  # name the first repeat
         m, n = next(key for i, key in enumerate(keys) if keys.index(key) < i)
         raise ValueError(f"fibers.csv: duplicate fibre ({m},{n})")
+    return all(map(operator.lt, keys, keys[1:]))
 
 
 def _hit_record(fields) -> HitRecord:
@@ -506,7 +459,7 @@ def _hit_record(fields) -> HitRecord:
         id=int(i), a=int(a), b=int(b), m=int(m), n=int(n),
         x=int(x), y=int(y), z=int(z), g_scale=int(g),
         provenance=provenance,
-        family_tags=set(filter(None, tags.split(";"))),
+        family_tags=frozenset(filter(None, tags.split(";"))),
         f1_status=status,
     )
 

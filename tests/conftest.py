@@ -1,7 +1,7 @@
 """Shared helpers: pseudorandom admissible tuples, lists of fibres, the
-hits of the factor-audit store for property tests, and reference rules
-(halving a point, lifting one, ECM's projective stage 2) the tests check
-the package against."""
+hits of the factor-audit store for property tests, a fault written into
+a store as its lines, and reference rules (halving a point, lifting one,
+ECM's projective stage 2) the tests check the package against."""
 import functools
 from fractions import Fraction
 from math import gcd
@@ -11,6 +11,7 @@ from brickforge.fibration import FibreCurve, lift_pairs
 from brickforge.master import EuclidPair, MasterTuple
 from brickforge import ntkernel
 from brickforge.ntkernel import is_square_rational
+from brickforge.store import _line
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive pytest's output capture
@@ -36,6 +37,19 @@ def random_admissible(rng, lo=2, hi=1000) -> MasterTuple:
     a, b = random_pair(rng, lo, hi)
     m, n = random_pair(rng, lo, hi)
     return MasterTuple(a, b, m, n)
+
+
+def put_lines(db, hit_id: int, rec=None, factors=None) -> None:
+    """Writes a (corrupted) record and factor rows of hit `hit_id` into the
+    store `db` as the lines export writes for them, past every check of the
+    setters; factors=[] removes the hit's factor rows."""
+    if rec is not None:
+        db._hits[hit_id] = _line(rec)
+    if factors == []:
+        del db._factors[hit_id]
+    elif factors is not None:
+        db._factors[hit_id] = "\n".join(map(_line, factors))
+    db._on_disk.clear()  # as a setter that changed a line: export builds the files again
 
 
 def admissible_fibres(how_many: int) -> list[tuple[int, int]]:

@@ -10,12 +10,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import audit_tuples
+from conftest import audit_tuples, put_lines
 from brickforge import cli, master
 from brickforge.families import primitive_sorted
 from brickforge.master import MasterTuple
@@ -84,8 +85,7 @@ def test_verify_suite_on_seeded_store(db, capsys):
 
 def test_verify_perfect_flags_fake_square_record(db, capsys):
     store = seeded_db(db)
-    rec = store.get(1)
-    rec.x, rec.y, rec.z = 1, 2, 2
+    put_lines(store, 1, rec=replace(store.get(1), x=1, y=2, z=2))
     export_csv(store, db)
     assert cli.main(["verify", "perfect"]) == 1
     assert "perfect ids: 1" in capsys.readouterr().out
@@ -235,9 +235,13 @@ def test_families_build_and_classify(db, capsys):
     assert store.find(GOLDEN).family_tags == {"Sporadic"}
 
 
-def test_families_classify_without_tables(db):
+def test_families_classify_without_tables(db, capsys):
     seeded_db(db)
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
     assert cli.main(["families", "classify"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: no family tables directory {db / 'families'}: `families build` makes it\n")
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
 
 
 def test_families_classify_rejects_unknown_table(db, capsys):
@@ -386,7 +390,30 @@ def test_hits_file_without_a_column_is_operational_error(db, capsys):
     path = db / "master_hits.csv"
     path.write_text(path.read_text().replace("g_scale", "scale", 1))
     assert cli.main(["verify", "consistency"]) == 2
-    assert capsys.readouterr().err == "error: master_hits.csv: no column 'g_scale'\n"
+    assert capsys.readouterr().err == (
+        "error: master_hits.csv: the header is not "
+        "id,a,b,m,n,x,y,z,g_scale,provenance,family_tags,f1_status\n")
+
+
+@pytest.mark.parametrize("edit", ["quoted field", "reversed columns"])
+def test_a_hand_built_hits_file_only_csv_reader_reads_is_refused(db, capsys, edit):
+    # a quoted field, or columns in another order than export's: no command
+    # writes either, so a store file holding one is refused naming it
+    seeded_db(db)
+    (db / "manifest.txt").unlink()
+    path = db / "master_hits.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    if edit == "quoted field":
+        rows[2][9] = f'"{rows[2][9]}"'
+    else:
+        rows = [row[::-1] for row in rows]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert cli.main(["verify", "consistency"]) == 2
+    assert capsys.readouterr().err == {
+        "quoted field": "error: master_hits.csv line 3: a quote or a carriage return, "
+                        "which no store field holds\n",
+        "reversed columns": "error: master_hits.csv: the header is not "
+                            "id,a,b,m,n,x,y,z,g_scale,provenance,family_tags,f1_status\n"}[edit]
 
 
 def test_zero_denominator_in_a_fibre_row_is_operational_error(db, capsys):
@@ -427,7 +454,7 @@ def test_non_ascii_byte_in_a_store_file_is_operational_error(db, capsys, name):
 
 @pytest.mark.parametrize("name", ["master_hits.csv", "f1_factors.csv"])
 def test_non_ascii_byte_deep_in_a_store_file_is_named_where_it_is(db, capsys, name):
-    # csv.reader decodes a chunk at a time; the offset is the file's, not the chunk's
+    # the offset is the file's, wherever in it the byte is
     store = Store()
     for t in audit_tuples():
         store.set_factorization(store.insert_hit(t, "MW-22-17")[0], master.factor_f1(t, 0))
@@ -558,14 +585,16 @@ def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(db):
 
 
 def test_factor_field_above_the_csv_field_limit_is_operational_error(db, capsys):
+    # the store's field limit is int()'s cap on the digits of a decimal, 2,000,000
     seeded_db(db)
     (db / "manifest.txt").unlink()
     path = db / "f1_factors.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join([*lines, "1," + "7" * 2_000_001 + ",1,1", ""]))
     assert cli.main(["verify", "theorem"]) == 2
-    assert (f"error: f1_factors.csv line {len(lines) + 1}: field larger than field limit "
-            "(2000000)") in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: f1_factors.csv row {len(lines) + 1}: Exceeds the limit (2000000 digits) "
+        "for integer string conversion")
 
 
 # mw run (22,17) H=80 K=2, then these fibres at H=60 K=2: inserts, fibres without

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shutil
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -25,7 +26,7 @@ from brickforge.store import (
     import_csv,
     validate_consistency,
 )
-from conftest import random_admissible
+from conftest import put_lines, random_admissible
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
 STORE_FILES = (*CSV_NAMES, "manifest.txt")
@@ -109,51 +110,52 @@ def test_validate_clean_store():
 
 def test_validate_flags_corrupted_edge():
     db = golden_store()
-    db.get(2).y += 1
+    put_lines(db, 2, rec=replace(db.get(2), y=db.get(2).y + 1))
     problems = validate_consistency(db)
     assert len(problems) == 1 and problems[0].startswith("hit 2: y")
 
 
 def test_validate_flags_noncanonical_record():
     db = golden_store()
-    rec = db.get(1)
-    rec.a, rec.b, rec.m, rec.n = 55, 48, 44, 9
+    put_lines(db, 1, rec=replace(db.get(1), a=55, b=48, m=44, n=9))
     problems = validate_consistency(db)
     assert any("sigma" in p for p in problems)
 
 
 def test_validate_flags_bad_factor_rows():
     db = golden_store()
-    db._factors[1][0] = FactorRow(1, 49, 1, False)
+    put_lines(db, 1, factors=[FactorRow(1, 49, 1, False), *db.factor_rows(1)[1:]])
     assert any("composite 49" in p for p in validate_consistency(db))
     db = golden_store()
-    db._factors[1].pop()
+    put_lines(db, 1, factors=db.factor_rows(1)[:-1])
     assert any("multiply back" in p for p in validate_consistency(db))
 
 
 def _set(**fields):
     def corrupt(db):
-        for name, value in fields.items():
-            setattr(db.get(1), name, value)
+        put_lines(db, 1, rec=replace(db.get(1), **fields))
     return corrupt
 
 
 def _split_square(db):
     # f1 of GOLDEN holds 7^2: two rows of 7^1 multiply back to it
-    rows = db._factors[1]
+    rows = db.factor_rows(1)
     i = rows.index(FactorRow(1, 7, 2, False))
     rows[i:i + 1] = [FactorRow(1, 7, 1, False)] * 2
+    put_lines(db, 1, factors=rows)
 
 
 def _prime_as_residual(db):
-    rows = db._factors[1]
+    rows = db.factor_rows(1)
     i = next(i for i, row in enumerate(rows) if row.exponent == 1)
     rows[i] = FactorRow(1, rows[i].prime, 1, True)
+    put_lines(db, 1, factors=rows)
 
 
 # one corruption each, the one finding validate_consistency gives for it and
-# the exit code of verify consistency on the store as export writes it (a
-# degenerate factor row is refused at import, naming the row)
+# the exit code of verify consistency on the store as export writes it; a
+# degenerate factor row is refused by every read of it instead, naming the row
+# as verify consistency prints it (exit 2), in memory as on disk
 CORRUPTIONS = {
     "inadmissible record": (_set(a=9, b=44), "hit 1: inadmissible (a <= b)", 1),
     "M not a square": (_set(a=3, b=2, m=3, n=2), "hit 1: M is not a square", 1),
@@ -162,13 +164,15 @@ CORRUPTIONS = {
     "bad f1_status": (_set(f1_status="maybe"), "hit 1: bad f1_status 'maybe'", 1),
     "inadmissible fibre": (lambda db: db.upsert_fibre(FibreRow(4, 4, 2, 4)),
                            "fibre (4,4): inadmissible (m <= n)", 1),
-    "rows without status": (lambda db: db._factors.update({2: [FactorRow(2, 3, 1, False)]}),
+    "rows without status": (lambda db: put_lines(db, 2, factors=[FactorRow(2, 3, 1, False)]),
                             "hit 2: factor rows without factorization status", 1),
-    "status without rows": (lambda db: db._factors[1].clear(),
+    "status without rows": (lambda db: put_lines(db, 1, factors=[]),
                             "hit 1: status full but no factor rows", 1),
     "repeated prime": (_split_square, "hit 1: repeated prime rows", 1),
-    "degenerate row": (lambda db: db._factors[1].append(FactorRow(1, 11, 0, False)),
-                       "hit 1: degenerate factor row (11, 0)", 2),
+    "degenerate row": (lambda db: put_lines(db, 1, factors=[*db.factor_rows(1),
+                                                             FactorRow(1, 11, 0, False)]),
+                       "f1_factors.csv row 7: prime 11, exponent 0, is_residual 0; a factor row "
+                       "needs prime >= 2, exponent >= 1, is_residual 0 or 1", 2),
     "full with residual": (_prime_as_residual, "hit 1: full status with a residual row", 1),
     "partial without residual": (_set(f1_status="partial"),
                                  "hit 1: partial status without a residual row", 1),
@@ -181,14 +185,18 @@ CORRUPTIONS = {
 def test_validate_flags_each_corruption(tmp_path, capsys, corrupt, finding, code):
     db = golden_store()
     corrupt(db)
-    assert validate_consistency(db) == [finding]
+    if code == 1:
+        assert validate_consistency(db) == [finding]
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(finding)}$"):
+            validate_consistency(db)
     export_csv(db, tmp_path)
     assert cli.main(["verify", "consistency", "--db", str(tmp_path)]) == code
     out, err = capsys.readouterr()
     if code == 1:
         assert out == f"records=2 violations=1\n{finding}\n"
     else:
-        assert err.startswith("error: f1_factors.csv row ") and "exponent 0" in err
+        assert err == f"error: {finding}\n"
 
 
 def test_fibre_row_upsert_and_validation():
@@ -307,22 +315,21 @@ def test_export_matches_csv_writer(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["a,b", 'c"d', "e\nf", 'g,"h"', "i\rj"])
-def test_export_quotes_text_fields_like_csv_writer(tmp_path, text):
-    # import_csv accepts any text in these fields (validate_consistency flags
-    # it); a row with a comma, quote or line break in one goes through
-    # csv.writer, so it is written exactly as before
-    for field in ("provenance", "family_tags", "f1_status"):
-        db = full_store()
-        setattr(db.get(2), field, {text} if field == "family_tags" else text)
-        export_csv(db, tmp_path / "a")
-        assert _tree(tmp_path / "a")["master_hits.csv"] == \
-            _csv_writer_export(db)["master_hits.csv"], field
-        if "\r" in text:
-            continue  # csv.writer leaves a lone CR unquoted, so it does not read back
-        back = import_csv(tmp_path / "a")
-        assert getattr(back.get(2), field) == getattr(db.get(2), field)
-        export_csv(back, tmp_path / "b")
-        assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+def test_a_field_with_a_comma_quote_or_line_break_is_refused(tmp_path, monkeypatch, text):
+    # no store file holds such a field, as a split at line ends and commas
+    # could not read it back: a setter refuses it before any line changes,
+    # and so does the line of a record that would hold one
+    export_csv(full_store(), tmp_path)
+    before = _tree(tmp_path)
+    db = import_csv(tmp_path)
+    with pytest.raises(ValueError, match=f"^store field {re.escape(repr('Euler;' + text))} holds a comma"):
+        db.set_family_tags(1, {"Euler", text})
+    for field in ("provenance", "f1_status"):
+        with pytest.raises(ValueError, match="holds a comma, quote or line break$"):
+            store_module._line(replace(db.get(2), **{field: text}))
+    replaced = _record_replaces(monkeypatch)
+    export_csv(db, tmp_path)
+    assert replaced == ["manifest.txt"] and _tree(tmp_path) == before
 
 
 def test_imported_record_exposes_primitive_edges(tmp_path):
@@ -490,7 +497,7 @@ def test_roundtrip_random_hits(tmp_path):
     assert validate_consistency(back) == []
 
 
-# -- rows kept as their fields until read, files left alone when unchanged -----
+# -- rows kept as their lines, parsed when read, files left alone when unchanged --
 
 def _mw_argv(m, n, height, K, db):
     return ["mw", "run", "--m", str(m), "--n", str(n), "--seed-height", str(height),
@@ -508,11 +515,20 @@ def k2_store(tmp_path_factory):
 
 class _Count:
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.args = fn, []
+
+    @property
+    def calls(self) -> int:
+        return len(self.args)
 
     def __call__(self, *args):
-        self.calls += 1
+        self.args.append(args)
         return self.fn(*args)
+
+
+def _hits_builds(count: _Count) -> int:
+    """How many of the csv_chunks calls `count` saw built master_hits.csv."""
+    return sum(args[0] == csvrows.HIT_COLUMNS for args in count.args)
 
 
 def test_mw_run_parses_no_loaded_row(k2_store, tmp_path, monkeypatch, capsys):
@@ -525,9 +541,9 @@ def test_mw_run_parses_no_loaded_row(k2_store, tmp_path, monkeypatch, capsys):
     assert parse.calls == 0
     back = import_csv(db)
     assert parse.calls == 0 and len(back) == 376
-    back.hits()  # the count is real: every row parses once, when read
+    back.hits()  # the count is real: every row parses at each read
     back.hits()
-    assert parse.calls == 376
+    assert parse.calls == 2 * 376
 
 
 def _reference_rows(data: bytes) -> list[tuple]:
@@ -577,6 +593,10 @@ NONCANONICAL = {
     "blank lines": lambda text: text.replace(b"\n", b"\n\n"),
     "quoted provenance": _edit_field(9, lambda p: f'"{p}"'),
 }
+# only csv.reader read a quoted field, and no command writes one: such a file
+# is refused at import, naming the file and the line
+REFUSED = {"quoted provenance": "master_hits.csv line 3: a quote or a carriage return, "
+                                "which no store field holds"}
 
 
 def _drop_manifest(dirpath) -> None:
@@ -595,17 +615,22 @@ def test_noncanonical_row_under_a_manifest_without_the_mark(tmp_path, monkeypatc
 
 def _noncanonical_hits(tmp_path, monkeypatch, case, manifest) -> None:
     """A hit row edited by NONCANONICAL[case], the manifest then dropped or
-    rewritten by `manifest`: read by csv.reader and exported canonically."""
+    rewritten by `manifest`: each row parsed at import and exported
+    canonically, or the file refused for a case in REFUSED."""
     edit = NONCANONICAL[case]
     export_csv(full_store(), tmp_path / "a")
     want = _tree(tmp_path / "a")
     data = edit(want["master_hits.csv"])
     (tmp_path / "a" / "master_hits.csv").write_bytes(data)
     manifest(tmp_path / "a")
+    if case in REFUSED:
+        with pytest.raises(ValueError, match=f"^{re.escape(REFUSED[case])}$"):
+            import_csv(tmp_path / "a")
+        return
     parse = _Count(store_module._hit_record)
     monkeypatch.setattr(store_module, "_hit_record", parse)
     back = import_csv(tmp_path / "a")
-    assert parse.calls == 2  # read by csv.reader: each of its rows parsed once
+    assert parse.calls == 2  # each of its rows parsed once
     export_csv(back, tmp_path / "b")
     ref = _reference_rows(data)
     got = _tree(tmp_path / "b")
@@ -615,25 +640,24 @@ def _noncanonical_hits(tmp_path, monkeypatch, case, manifest) -> None:
 
 
 def test_record_changed_in_place_is_exported(tmp_path):
+    # a record of the store changed by its setters, not a snapshot a read returned
     export_csv(full_store(), tmp_path)
     before = (tmp_path / "master_hits.csv").read_bytes()
     back = import_csv(tmp_path)
     export_csv(back, tmp_path)  # nothing changed: nothing rewritten
     assert (tmp_path / "master_hits.csv").read_bytes() == before
-    back.get(2).y += 1
-    back.hits()[0].family_tags.add("Lenhart")
-    back.find(GOLDEN).provenance = "MW-44-9"
+    back.set_family_tags(1, back.hits()[0].family_tags | {"Lenhart"})
+    f1 = master.f1(back.get(2).tuple)
+    back.set_factorization(2, Factorization(factors=[], residual=f1, status="partial"))
     export_csv(back, tmp_path)
     assert (tmp_path / "master_hits.csv").read_bytes() == \
         _csv_writer_export(back)["master_hits.csv"] != before
     again = import_csv(tmp_path)
-    assert again.get(2).y == back.get(2).y
     assert again.get(1).family_tags == {"Euler", "Lenhart", "Sporadic"}
-    assert again.get(1).provenance == "MW-44-9"
+    assert again.factorization_of(2).residual == f1
     # changed back, the file goes back too, though the store last wrote other bytes
-    again.get(2).y -= 1
-    again.get(1).family_tags.discard("Lenhart")
-    again.get(1).provenance = "Rathbun-Search"
+    again.set_family_tags(1, {"Euler", "Sporadic"})
+    again.set_factorization(2, Factorization(factors=[(3, 2)], residual=f1 // 9, status="partial"))
     export_csv(again, tmp_path)
     assert (tmp_path / "master_hits.csv").read_bytes() == before
 
@@ -779,17 +803,17 @@ def _tree_of(store: Store, dirpath) -> dict[str, bytes]:
 def test_mw_run_that_inserts_nothing_builds_no_hits_file(k2_store, tmp_path, monkeypatch,
                                                          capsys):
     db = shutil.copytree(k2_store, tmp_path / "db")
-    builds = _Count(store_module._hits_csv)
+    builds = _Count(csvrows.csv_chunks)
     parses = _Count(csvrows.parse_points)
-    monkeypatch.setattr(store_module, "_hits_csv", builds)
+    monkeypatch.setattr(csvrows, "csv_chunks", builds)
     monkeypatch.setattr(csvrows, "parse_points", parses)
     assert cli.main(_mw_argv(6, 5, 60, 2, db)) == 0  # inserts, and adds generators
     assert "inserted=30" in capsys.readouterr().out
-    assert (builds.calls, parses.calls) == (1, 0)
+    assert (_hits_builds(builds), parses.calls) == (1, 0)
     for m, n, height in ((6, 5, 60), (2, 1, 60), (22, 17, 30)):
         assert cli.main(_mw_argv(m, n, height, 2, db)) == 0
         assert "inserted=0" in capsys.readouterr().out
-    assert (builds.calls, parses.calls) == (1, 0)
+    assert (_hits_builds(builds), parses.calls) == (1, 0)
     assert len(import_csv(db).fibres()) == 3
     assert parses.calls == 3  # the count is real: each kept row parses when read
     assert validate_consistency(import_csv(db)) == []
@@ -890,7 +914,7 @@ def _noncanonical_fibres(tmp_path, monkeypatch, case, manifest) -> None:
     parse = _Count(store_module._fibre_row)
     monkeypatch.setattr(store_module, "_fibre_row", parse)
     back = import_csv(tmp_path / "a")
-    assert parse.calls == 5  # read by csv.reader: each of its rows parsed once
+    assert parse.calls == 5  # each of its rows parsed once
     export_csv(back, tmp_path / "b")
     ref = _reference_fibres(data)
     got = _tree(tmp_path / "b")
@@ -901,34 +925,31 @@ def _noncanonical_fibres(tmp_path, monkeypatch, case, manifest) -> None:
 
 
 def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
-    db = fibre_store()
-    db.get(2).provenance = "MW-44-9, by hand"
-    export_csv(db, tmp_path / "a")
-    # hits with a quoted field, each row parsed at import by csv.reader;
-    # fibres split into lines, each row kept until the steps put records among them
-    assert b'"MW-44-9, by hand"' in (tmp_path / "a" / "master_hits.csv").read_bytes()
-    back, ref = import_csv(tmp_path / "a"), import_csv(tmp_path / "a")
-    assert [type(r) for r in back._hits.values()] == [store_module.HitRecord] * 2
-    assert [type(r) for r in back._fibres.values()] == [str] * 5
+    # lines kept from a file under the mark, lines of rows parsed from one
+    # without it, and lines the setters put among them
+    export_csv(fibre_store(), tmp_path / "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "u")
+    _rewrite_manifest(tmp_path / "u")
+    kept, parsed, ref = import_csv(tmp_path / "a"), import_csv(tmp_path / "u"), fibre_store()
     steps = [
         lambda db: None,
-        lambda db: setattr(db.get(2), "y", db.get(2).y + 1),  # an in-place edit
+        lambda db: db.set_family_tags(2, {"Euler"}),
         lambda db: db.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32"),
         lambda db: db.upsert_fibre(FibreRow(m=4, n=1, torsion_d1=2, torsion_d2=4)),
         lambda db: db.upsert_fibre(FibreRow(m=13, n=2, torsion_d1=2, torsion_d2=8)),
     ]
     for i, step in enumerate(steps):
-        step(back)
-        step(ref)
-        export_csv(back, tmp_path / f"b{i}")
-        assert type(back._fibres[(6, 5)]) is str
-        got = _tree(tmp_path / f"b{i}")
-        assert {name: got[name] for name in CSV_NAMES} == _csv_writer_export(ref), i
+        for db in (kept, parsed, ref):
+            step(db)
+        want = _csv_writer_export(ref)
+        for name, db in (("kept", kept), ("parsed", parsed)):
+            got = _tree_of(db, tmp_path / f"{name}{i}")
+            assert {name: got[name] for name in CSV_NAMES} == want, (name, i)
 
 
 def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
     # three chunks of lines and a bit, with leading zeros in the rows at
-    # the first chunk boundary; no manifest, so csv.reader parses every row
+    # the first chunk boundary; no manifest, so every row is parsed at import
     size = 3 * csvrows._CHUNK_LINES + 5
     edge = {csvrows._CHUNK_LINES - 1, csvrows._CHUNK_LINES, csvrows._CHUNK_LINES + 1}
     rows = [f"{i},{i + 1},{i},{i + 3},{i + 2},{'0' if i in edge else ''}{7 * i},{11 * i},"
@@ -939,7 +960,7 @@ def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
     (tmp_path / "a" / "f1_factors.csv").write_text(",".join(csvrows.FACTOR_COLUMNS) + "\n")
     (tmp_path / "a" / "fibers.csv").write_text(",".join(csvrows.FIBRE_COLUMNS) + "\n")
     back = import_csv(tmp_path / "a")
-    assert all(type(r) is store_module.HitRecord for r in back._hits.values())
+    assert all(type(r) is str for r in back._hits.values())
     manifest = dict(export_csv(back, tmp_path / "b"))
     got = (tmp_path / "b" / "master_hits.csv").read_bytes()
     assert got == _reference_hits_csv(_reference_rows(data))
@@ -956,8 +977,8 @@ def test_export_of_several_chunks_writes_the_bytes_csv_writer_writes(tmp_path):
     ("fibers.csv", "4,1,2,4,,1/2", "not enough values to unpack"),
 ])
 def test_import_reports_bad_rows_the_same_either_way(tmp_path, form, name, row, message):
-    # the same bad row with line ends \n and \r\n: csv.reader reads both,
-    # and the errors read the same
+    # the same bad row with line ends \n and (form "csv.reader") \r\n: both
+    # are read, and the errors read the same
     export_csv(full_store(), tmp_path)
     (tmp_path / "manifest.txt").unlink()
     path = tmp_path / name
@@ -971,29 +992,29 @@ def test_import_reports_bad_rows_the_same_either_way(tmp_path, form, name, row, 
 
 def test_loaded_hits_file_in_export_form_is_not_rebuilt(tmp_path, monkeypatch):
     export_csv(full_store(), tmp_path)
-    builds = _Count(store_module._hits_csv)
-    monkeypatch.setattr(store_module, "_hits_csv", builds)
-    export_csv(import_csv(tmp_path), tmp_path)
-    assert builds.calls == 0
+    builds = _Count(csvrows.csv_chunks)
+    monkeypatch.setattr(csvrows, "csv_chunks", builds)
     back = import_csv(tmp_path)
-    back.find(GOLDEN)  # a row read may be changed in place: built again
+    back.find(GOLDEN)  # a read changes no line
     export_csv(back, tmp_path)
-    assert builds.calls == 1
+    assert builds.calls == 0
     path = tmp_path / "master_hits.csv"
     want = path.read_bytes()
     header, *rows = want.decode("ascii").splitlines()
-    for text in ("\n".join([header, *rows]),  # no final line end
-                 "\n".join([header, *reversed(rows), ""]),  # ids out of order
-                 "\n".join([header, rows[0], "", *rows[1:], ""])):  # a blank line
+    # not known to hold export's bytes: no export mark, or ids out of order
+    for text, marked in (("\n".join([header, *rows]), False),  # no final line end
+                         ("\n".join([header, *reversed(rows), ""]), False),
+                         ("\n".join([header, rows[0], "", *rows[1:], ""]), False),  # a blank line
+                         ("\n".join([header, *reversed(rows), ""]), True)):
         path.write_text(text)
-        _rewrite_manifest(tmp_path)
+        _rewrite_manifest(tmp_path, marked)
         back = import_csv(tmp_path)
         export_csv(back, tmp_path)
         assert path.read_bytes() == want
-    assert builds.calls == 4
+    assert _hits_builds(builds) == 4
 
 
-# -- a file under the export mark split into lines, any other read by csv.reader --
+# -- a file under the export mark kept as its lines, any other parsed row by row --
 
 def _renumber(ids: dict):
     """Gives hit i the id text ids[i], in master_hits.csv and f1_factors.csv."""
@@ -1033,23 +1054,22 @@ def _write_files(dirpath, files, order) -> None:
 
 @pytest.mark.parametrize("quirk", sorted(QUIRKS))
 def test_import_reads_the_same_rows_either_way(tmp_path, monkeypatch, quirk):
-    # the same rows in export column order, under a manifest without the
-    # export mark, and in reversed column order with no manifest: csv.reader
-    # reads both, every row parsed
+    # the same rows under a manifest without the export mark, and with CRLF
+    # line ends and no manifest: every row parsed either way
     export_csv(fibre_store(), tmp_path / "a")
     files = {name: [line.split(",") for line in (tmp_path / "a" / name).read_text().splitlines()]
              for name in CSV_NAMES}
     for edit in QUIRKS[quirk]:
         edit(files)
     _write_files(tmp_path / "export", files, lambda row: row)
-    _write_files(tmp_path / "reversed", files, lambda row: row[::-1])
+    _write_files(tmp_path / "crlf", files, lambda row: [*row[:-1], row[-1] + "\r"])
     _rewrite_manifest(tmp_path / "export")
     hit_parse, fibre_parse = _Count(store_module._hit_record), _Count(store_module._fibre_row)
     monkeypatch.setattr(store_module, "_hit_record", hit_parse)
     monkeypatch.setattr(store_module, "_fibre_row", fibre_parse)
     one = import_csv(tmp_path / "export")
     assert (hit_parse.calls, fibre_parse.calls) == (2, 5)
-    other = import_csv(tmp_path / "reversed")
+    other = import_csv(tmp_path / "crlf")
     assert one.hits() == other.hits()
     assert one.fibres() == other.fibres()
     for t in (*(rec.tuple for rec in one.hits()), GOLDEN, MasterTuple(40, 33, 41, 32)):
@@ -1074,7 +1094,7 @@ def test_import_in_export_form_makes_no_call_per_row(tmp_path, monkeypatch):
     assert {name: count.calls for name, count in counts.items()} == dict.fromkeys(counts, 0)
     assert (len(back), len(back._factors), len(back._fibres)) == (2, 2, 4)
     # the counts are real: under a manifest without the export mark every
-    # file goes through csv.reader, every row parsed once
+    # row is parsed once
     _rewrite_manifest(tmp_path)
     import_csv(tmp_path)
     assert {name: count.calls for name, count in counts.items()} == {
@@ -1099,11 +1119,11 @@ def test_store_written_by_the_commands_reimports_with_no_parse_per_row(tmp_path,
     assert {name: count.calls for name, count in counts.items()} == {
         "_hit_record": 0, "_fibre_row": 0}
     assert (len(back), len(back._fibres)) == (11, 2)
-    assert back._hits_digest is not None  # export need not even build master_hits.csv
+    assert set(back._on_disk) == set(CSV_NAMES)  # export need not build any of them
 
 
 def test_crlf_store_with_a_big_factor_row_loads(tmp_path, capsys):
-    # csv.reader refuses a field above its limit, 131,072 characters by default
+    # a field above csv.reader's default limit, 131,072 characters
     export_csv(golden_store(), tmp_path)
     (tmp_path / "manifest.txt").unlink()
     path = tmp_path / "f1_factors.csv"
@@ -1166,28 +1186,24 @@ def test_factorization_of_parses_only_the_rows_of_its_record(tmp_path, monkeypat
     db = full_store()
     export_csv(db, tmp_path)
     back = import_csv(tmp_path)
-    parse = _Count(store_module._factor_row)
-    monkeypatch.setattr(store_module, "_factor_row", parse)
+    want, rows = db.factorization_of(2), db.factor_rows(1)
     sizes = [len(db.factor_rows(hit_id)) for hit_id in (1, 2)]
     assert min(sizes) >= 2
-    assert back.factorization_of(2) == db.factorization_of(2)
+    parse = _Count(store_module._factor_row)
+    monkeypatch.setattr(store_module, "_factor_row", parse)
+    assert back.factorization_of(2) == want
     assert parse.calls == sizes[1]
-    assert back.factorization_of(2) == db.factorization_of(2)  # parsed once
-    assert parse.calls == sizes[1]
-    assert back.factor_rows(1) == db.factor_rows(1)
-    assert parse.calls == sum(sizes)
-
-
-def _refuse_csv_reader(monkeypatch) -> None:
-    def refuse(name, *args):
-        raise AssertionError(f"{name} read by csv.reader")
-    monkeypatch.setattr(csvrows, "records", refuse)
+    assert back.factorization_of(2) == want  # parsed again: no parsed row is held
+    assert parse.calls == 2 * sizes[1]
+    assert back.factor_rows(1) == rows
+    assert parse.calls == 2 * sizes[1] + sizes[0]
 
 
 def test_marked_store_refuses_repeats_and_orphans_it_keeps_as_lines(tmp_path, monkeypatch):
     export_csv(full_store(), tmp_path)
     want = _tree(tmp_path)
-    _refuse_csv_reader(monkeypatch)
+    for name in ("_hit_record", "_factor_row", "_fibre_row"):  # no row is parsed
+        monkeypatch.setattr(store_module, name, None)
     header, first, second = want["master_hits.csv"].decode("ascii").splitlines()
     fibre = want["fibers.csv"].decode("ascii").splitlines()[1]
     for name, text, message in (
@@ -1214,12 +1230,14 @@ def test_a_factor_row_kept_as_text_is_refused_naming_its_row_when_read(tmp_path,
     # export writes a degenerate row it holds; parsed at import under no
     # mark, and when its record is read under the mark, with the same message
     db = full_store()
-    db._factors[hit_id].append(FactorRow(hit_id, 11, 0, False))
+    put_lines(db, hit_id, factors=[*db.factor_rows(hit_id), FactorRow(hit_id, 11, 0, False)])
     export_csv(db, tmp_path)
     lines = (tmp_path / "f1_factors.csv").read_text().splitlines()
     row = lines.index(f"{hit_id},11,0,0") + 1
     message = (f"f1_factors.csv row {row}: prime 11, exponent 0, is_residual 0; "
                "a factor row needs prime >= 2, exponent >= 1, is_residual 0 or 1")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        db.factor_rows(hit_id)
     back = import_csv(tmp_path)
     assert back.factor_rows(3 - hit_id) == db.factor_rows(3 - hit_id)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1227,3 +1245,90 @@ def test_a_factor_row_kept_as_text_is_refused_naming_its_row_when_read(tmp_path,
     _rewrite_manifest(tmp_path)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         import_csv(tmp_path)
+
+
+# -- one form: every row a line, reads return frozen snapshots, setters change rows --
+
+def _held_lines(db) -> list:
+    return [*db._hits.values(), *db._factors.values(), *db._fibres.values()]
+
+
+def test_every_row_is_held_as_a_line(tmp_path):
+    export_csv(fibre_store(), tmp_path / "marked")
+    shutil.copytree(tmp_path / "marked", tmp_path / "unmarked")
+    _rewrite_manifest(tmp_path / "unmarked")
+    for name in ("marked", "unmarked"):
+        db = import_csv(tmp_path / name)
+        assert len(_held_lines(db)) == 9 and all(type(v) is str for v in _held_lines(db)), name
+        hit_id, _ = db.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32")
+        db.set_factorization(hit_id, factor(master.f1(db.get(hit_id).tuple)))
+        db.set_family_tags(hit_id, {"Sporadic"})
+        db.upsert_fibre(FibreRow(m=4, n=1, torsion_d1=2, torsion_d2=4))
+        assert len(_held_lines(db)) == 12 and all(type(v) is str for v in _held_lines(db)), name
+
+
+def test_a_read_returns_a_frozen_snapshot():
+    db = full_store()
+    rec, fibre = db.get(2), db.fibres()[1]
+    with pytest.raises(FrozenInstanceError):
+        rec.y += 1
+    with pytest.raises(FrozenInstanceError):
+        db.find(GOLDEN).provenance = "MW-44-9"
+    with pytest.raises(FrozenInstanceError):
+        fibre.generators = ()
+    with pytest.raises(AttributeError):
+        rec.family_tags.add("Lenhart")
+    assert (db.get(2), db.fibres()[1]) == (rec, fibre)
+
+
+def test_export_after_reading_every_record_builds_no_file(tmp_path, monkeypatch):
+    export_csv(fibre_store(), tmp_path)
+    before = _tree(tmp_path)
+    builds = _Count(csvrows.csv_chunks)
+    monkeypatch.setattr(csvrows, "csv_chunks", builds)
+    back = import_csv(tmp_path)
+    for rec in back.hits():
+        assert back.find(rec.tuple) == back.get(rec.id) == rec
+        back.factorization_of(rec.id)
+    assert back.fibres() and validate_consistency(back) == []
+    export_csv(back, tmp_path)
+    assert builds.calls == 0
+    assert _tree(tmp_path) == before
+
+
+def test_a_setter_that_writes_the_same_line_rebuilds_no_file(tmp_path, monkeypatch):
+    export_csv(fibre_store(), tmp_path)
+    before = _tree(tmp_path)
+    back = import_csv(tmp_path)
+    builds = _Count(csvrows.csv_chunks)
+    monkeypatch.setattr(csvrows, "csv_chunks", builds)
+    replaced = _record_replaces(monkeypatch)
+    assert back.insert_hit(GOLDEN, "MW-44-9") == (1, False)
+    for rec in back.hits():
+        back.set_factorization(rec.id, back.factorization_of(rec.id))
+        back.set_family_tags(rec.id, set(rec.family_tags))
+    for row in back.fibres():
+        back.upsert_fibre(row)
+    export_csv(back, tmp_path)
+    assert (builds.calls, replaced) == (0, ["manifest.txt"])
+    assert _tree(tmp_path) == before
+    back.set_family_tags(2, {"Euler"})  # the count is real: a different line is built
+    export_csv(back, tmp_path)
+    assert (_hits_builds(builds), replaced) == (1, ["manifest.txt"] * 2 + ["master_hits.csv"])
+
+
+@pytest.mark.parametrize("edit", ["blank line", "no final line end", "crlf"])
+def test_marked_file_not_as_export_writes_it_is_refused(tmp_path, edit):
+    export_csv(fibre_store(), tmp_path)
+    path = tmp_path / "fibers.csv"
+    text = path.read_text()
+    path.write_text({"blank line": text.replace("\n", "\n\n", 2), "no final line end": text[:-1],
+                     "crlf": text.replace("\n", "\r\n")}[edit], newline="")
+    _rewrite_manifest(tmp_path, marked=True)
+    message = {"crlf": "fibers.csv line 1: a quote or a carriage return, which no store field holds"
+               }.get(edit, "fibers.csv: not the bytes export writes, though manifest.txt carries "
+                           "the export mark")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        import_csv(tmp_path)
+    _rewrite_manifest(tmp_path)  # without the mark the same bytes load
+    assert len(import_csv(tmp_path).fibres()) == 5
