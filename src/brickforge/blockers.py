@@ -19,8 +19,6 @@ VALID_MODIFIERS = (1, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
 @dataclass
 class BlockerReport:
-    hit: MasterTuple
-    f1_fact: Factorization
     blockers: list[tuple[int, int]]
     exponent_one_outside_P: list[int]
     verdict: str  # verified | violated | undecidable_partial
@@ -75,7 +73,7 @@ def verify_blocker_conjecture(t: MasterTuple, f: Factorization) -> BlockerReport
         verdict = "undecidable_partial"
     else:
         verdict = "violated"
-    return BlockerReport(t, f, blist, witnesses, verdict)
+    return BlockerReport(blist, witnesses, verdict)
 
 
 def canonical_decomposition(t: MasterTuple) -> CanonicalDecomposition:

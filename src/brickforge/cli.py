@@ -121,10 +121,10 @@ def _pmap(jobs, fn, items):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
-def _full_records(db: Store) -> list:
-    """The records whose f1 is fully factored: the only ones a verdict on
-    the blockers examines; each command prints how many it skipped."""
-    return [rec for rec in db.hits() if rec.f1_status == "full"]
+def _factored(db: Store) -> list:
+    """(record, factorization) of each record whose f1 is fully factored: the
+    only ones a verdict on the blockers examines; each command prints how many it skipped."""
+    return [(rec, db.factorization_of(rec)) for rec in db.hits() if rec.f1_status == "full"]
 
 
 def _summary(counts: dict, failing: str = "", ids=()) -> int:
@@ -139,11 +139,11 @@ def _summary(counts: dict, failing: str = "", ids=()) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     db = _load(args.db)
-    full = _full_records(db)
+    full = _factored(db)
     counts = dict.fromkeys(("verified", "violated", "undecidable_partial"), 0)
     violated = []
-    for rec in full:
-        verdict = verify_blocker_conjecture(rec.tuple, db.factorization_of(rec.id)).verdict
+    for rec, fact in full:
+        verdict = verify_blocker_conjecture(rec.tuple, fact).verdict
         counts[verdict] += 1
         if verdict == "violated":
             violated.append(rec.id)
@@ -169,8 +169,8 @@ def _cmd_verify_consistency(args) -> int:
 
 def _cmd_verify_single_blocker(args) -> int:
     db = _load(args.db)
-    full = _full_records(db)
-    single = [rec for rec in full if len(blockers(db.factorization_of(rec.id))) == 1]
+    full = _factored(db)
+    single = [rec for rec, fact in full if len(blockers(fact)) == 1]
     fails = [rec.id for rec in single if not is_strictly_semiscaled(rec.tuple)]
     return _summary({"single_blocker": len(single),
                      "strictly_semiscaled": len(single) - len(fails),
@@ -268,15 +268,15 @@ def _cmd_report(args) -> int:
             extra = f" torsion={torsion[pair]}" if pair in torsion else ""
             print(f"{pair[0]} {pair[1]} hits={hist[pair]}{extra}")
         return 0
-    full = _full_records(db)
+    full = _factored(db)
     if args.what == "k-distribution":
         hist = Counter()
-        for rec in full:
-            split = k_invariant(rec.tuple, db.factorization_of(rec.id))
+        for rec, fact in full:
+            split = k_invariant(rec.tuple, fact)
             hist[str(split[2]) if split else "undefined"] += 1
         _print_table("k", hist, key=lambda k: (k == "undefined", len(k), k))
     else:
-        hist = Counter(len(blockers(db.factorization_of(rec.id))) for rec in full)
+        hist = Counter(len(blockers(fact)) for _, fact in full)
         _print_table("num_blockers", hist, key=int)
     return _summary({"skipped_not_full": len(db) - len(full)})
 

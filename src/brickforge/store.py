@@ -66,18 +66,6 @@ class HitRecord:
     def tuple(self) -> MasterTuple:
         return MasterTuple(self.a, self.b, self.m, self.n)
 
-    @property
-    def x_prim(self) -> int:
-        return self.x // self.g_scale
-
-    @property
-    def y_prim(self) -> int:
-        return self.y // self.g_scale
-
-    @property
-    def z_prim(self) -> int:
-        return self.z // self.g_scale
-
 
 @dataclass(frozen=True)
 class FactorRow:
@@ -172,33 +160,47 @@ class Store:
         return rec.id, True
 
     def set_factorization(self, hit_id: int, fact: Factorization) -> None:
+        """Refuses, naming the hit, a product other than f1, a status other than
+        full with residual 1 or partial with a residual above 1, and a line a read refuses."""
         rec = self.get(hit_id)
         if fact.product() != master.f1(rec.tuple):
             raise ValueError(f"factorization does not multiply back to f1 of hit {hit_id}")
+        want = "full" if fact.residual == 1 else "partial" if fact.residual > 1 else None
+        if fact.status != want:
+            raise ValueError(f"hit {hit_id}: status {fact.status} with residual {fact.residual}; "
+                             "full needs residual 1, partial a residual above 1")
         rows = [FactorRow(hit_id, p, e, False) for p, e in fact.factors]
         if fact.residual > 1:
             rows.append(FactorRow(hit_id, fact.residual, 1, True))
-        block = "\n".join(map(_line, sorted(rows, key=_factor_order)))
-        line = _line(replace(rec, f1_status=fact.status))
-        self._put("f1_factors.csv", self._factors, hit_id, block)
-        self._put("master_hits.csv", self._hits, hit_id, line)
+        lines = list(map(_line, sorted(rows, key=_factor_order)))
+        try:  # a line a read would refuse
+            for line in lines:
+                _factor_row(line.split(","), self._hits)
+        except ValueError as err:
+            raise ValueError(f"hit {hit_id}: {err}") from None
+        self._put("f1_factors.csv", self._factors, hit_id, "\n".join(lines))
+        self._put("master_hits.csv", self._hits, hit_id, _line(replace(rec, f1_status=fact.status)))
 
-    def factorization_of(self, hit_id: int) -> Factorization | None:
-        status = self.get(hit_id).f1_status
-        if status == "none":
+    def factorization_of(self, rec: HitRecord) -> Factorization | None:
+        """The factorization of `rec`, whose status is read from it, not parsed again."""
+        if rec.f1_status == "none":
             return None
-        if hit_id not in self._factors:  # the fault `validate_consistency` names
-            raise ValueError(f"hit {hit_id}: status {status} but no factor rows")
+        if rec.id not in self._factors:  # the fault `validate_consistency` names
+            raise ValueError(f"hit {rec.id}: status {rec.f1_status} but no factor rows")
         factors, residual = [], 1
-        for row in self.factor_rows(hit_id):
+        for row in self.factor_rows(rec.id):
             if row.is_residual:
                 residual *= row.prime ** row.exponent
             else:
                 factors.append((row.prime, row.exponent))
-        return Factorization(factors=factors, residual=residual, status=status)
+        return Factorization(factors=factors, residual=residual, status=rec.f1_status)
 
     def set_family_tags(self, hit_id: int, tags) -> None:
-        line = _line(replace(self.get(hit_id), family_tags=frozenset(tags)))
+        tags = frozenset(tags)
+        bad = sorted(tag for tag in tags if not tag or ";" in tag)
+        if bad:  # it would not read back: ";" separates tags
+            raise ValueError(f"hit {hit_id}: family tag {bad[0]!r} is empty or holds ';'")
+        line = _line(replace(self.get(hit_id), family_tags=tags))
         self._put("master_hits.csv", self._hits, hit_id, line)
 
     def upsert_fibre(self, row: FibreRow) -> None:
@@ -220,7 +222,6 @@ def validate_consistency(store: Store) -> list[str]:
         if brick.dyz is None:
             bad.append(f"hit {rec.id}: M is not a square")
             continue
-        # the primitive edges are derived from these, so they agree too
         derived = (brick.x, brick.y, brick.z, gcd(gcd(brick.x, brick.y), brick.z))
         stored = (rec.x, rec.y, rec.z, rec.g_scale)
         for name, want, got in zip(("x", "y", "z", "g_scale"), derived, stored):

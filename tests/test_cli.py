@@ -18,6 +18,7 @@ import pytest
 
 from conftest import audit_tuples, put_lines
 from brickforge import cli, master
+from brickforge import store as store_module
 from brickforge.families import primitive_sorted
 from brickforge.master import MasterTuple
 from brickforge.ntkernel import Factorization
@@ -679,6 +680,21 @@ def test_read_commands_print_what_they_printed_on_the_factored_store(factored_k2
         rc = cli.main([*argv, "--db", str(db)])
         out.append(f"$ {' '.join(argv)} -> {rc}\n{capsys.readouterr().out}")
     assert "".join(out) == (DATA / "k2_factored_reads.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [["verify", "theorem"], ["verify", "single-blocker"],
+                                  ["report", "--what", "k-distribution"],
+                                  ["report", "--what", "blockers"]], ids=" ".join)
+def test_a_verdict_command_parses_each_record_once(factored_k2, monkeypatch, capsys, argv):
+    # the record read for its status is the one whose factorization is read
+    store = import_csv(factored_k2)
+    assert 0 < sum(rec.f1_status == "full" for rec in store.hits()) < len(store)
+    parse, calls = store_module._hit_record, []
+    monkeypatch.setattr(store_module, "_hit_record",
+                        lambda fields: calls.append(1) or parse(fields))
+    assert cli.main([*argv, "--db", str(factored_k2)]) == 0
+    assert "skipped_not_full=" in capsys.readouterr().out
+    assert len(calls) == len(store)
 
 
 HELP_AND_USAGE = [[], ["--help"], ["nope"], ["verif"], ["--db", "x", "mw"], ["mw"],

@@ -75,7 +75,8 @@ def test_derived_fields():
     assert (rec.a, rec.b, rec.m, rec.n) == (44, 9, 55, 48)
     assert (rec.x, rec.y, rec.z) == (1337455, 571032, 9794400)
     assert rec.g_scale == 7
-    assert (rec.x_prim, rec.y_prim, rec.z_prim) == (191065, 81576, 1399200)
+    assert (rec.x // rec.g_scale, rec.y // rec.g_scale,
+            rec.z // rec.g_scale) == (191065, 81576, 1399200)
 
 
 def test_factor_rows_and_status():
@@ -93,13 +94,41 @@ def test_set_factorization_rejects_mismatch():
         db.set_factorization(2, Factorization(factors=[(3, 1)], residual=1, status="full"))
 
 
+@pytest.mark.parametrize("factors, residual, status, message", [
+    ([(11, 0)], 1, "full",
+     "prime 11, exponent 0, is_residual 0; a factor row needs prime >= 2, exponent >= 1, "
+     "is_residual 0 or 1"),
+    ([(1, 5)], 1, "full",
+     "prime 1, exponent 5, is_residual 0; a factor row needs prime >= 2, exponent >= 1, "
+     "is_residual 0 or 1"),
+    ([], 1, "partial", "status partial with residual 1; full needs residual 1, "
+                       "partial a residual above 1"),
+    ([], 1597, "full", "status full with residual 1597; full needs residual 1, "
+                       "partial a residual above 1"),
+])
+def test_set_factorization_refuses_what_a_read_would_refuse(factors, residual, status, message):
+    # a product that still multiplies back to f1, but a line every later
+    # read, or verify consistency, would refuse: the store is left as it was
+    db = golden_store()
+    fact = db.factorization_of(db.get(1))
+    if residual > 1:
+        fact.factors.remove((residual, 1))
+    fact = Factorization(factors=sorted(fact.factors + factors), residual=residual, status=status)
+    assert fact.product() == master.f1(GOLDEN)
+    state = (dict(db._hits), dict(db._factors), dict(db._on_disk))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'hit 1: {message}')}$"):
+        db.set_factorization(1, fact)
+    assert (db._hits, db._factors, db._on_disk) == state
+    assert validate_consistency(db) == []
+
+
 def test_factorization_roundtrip_with_residual():
     db = golden_store()
-    assert db.factorization_of(2) is None  # not factored yet
+    assert db.factorization_of(db.get(2)) is None  # not factored yet
     f1 = master.f1(db.get(2).tuple)
     partial = Factorization(factors=[(3, 2)], residual=f1 // 9, status="partial")
     db.set_factorization(2, partial)
-    assert db.factorization_of(2) == partial
+    assert db.factorization_of(db.get(2)) == partial
     assert db.factor_rows(2)[-1].is_residual
 
 
@@ -302,7 +331,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     assert sorted(os.listdir(tmp_path / "a")) == sorted(STORE_FILES)  # no .tmp left
     assert validate_consistency(back) == []
     assert back.get(2).family_tags == {"Sporadic"}
-    assert back.factorization_of(2) == db.factorization_of(2)
+    assert back.factorization_of(back.get(2)) == db.factorization_of(db.get(2))
     assert [row.rank_lb for row in back.fibres()] == [None, 1]
     assert back.fibres()[1].generators == db.fibres()[1].generators != ()
 
@@ -332,10 +361,27 @@ def test_a_field_with_a_comma_quote_or_line_break_is_refused(tmp_path, monkeypat
     assert replaced == ["manifest.txt"] and _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("tags, bad", [({"Saunderson;Euler"}, "Saunderson;Euler"),
+                                       ({""}, ""), ({"Euler", ""}, "")])
+def test_a_family_tag_that_would_not_read_back_is_refused(tmp_path, monkeypatch, tags, bad):
+    # ";" separates the tags of a row, and an empty tag is dropped on read
+    export_csv(full_store(), tmp_path)
+    before = _tree(tmp_path)
+    db = import_csv(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'hit 1: family tag {bad!r} is empty')} "
+                                          "or holds ';'$"):
+        db.set_family_tags(1, tags)
+    assert db.get(1).family_tags == {"Euler", "Sporadic"}
+    replaced = _record_replaces(monkeypatch)
+    export_csv(db, tmp_path)
+    assert replaced == ["manifest.txt"] and _tree(tmp_path) == before
+
+
 def test_imported_record_exposes_primitive_edges(tmp_path):
     export_csv(golden_store(), tmp_path)
     rec = import_csv(tmp_path).get(1)
-    assert (rec.x_prim, rec.y_prim, rec.z_prim) == (191065, 81576, 1399200)
+    assert (rec.x // rec.g_scale, rec.y // rec.g_scale,
+            rec.z // rec.g_scale) == (191065, 81576, 1399200)
     assert (rec.x, rec.y, rec.z) == (7 * 191065, 7 * 81576, 7 * 1399200)
 
 
@@ -654,7 +700,7 @@ def test_record_changed_in_place_is_exported(tmp_path):
         _csv_writer_export(back)["master_hits.csv"] != before
     again = import_csv(tmp_path)
     assert again.get(1).family_tags == {"Euler", "Lenhart", "Sporadic"}
-    assert again.factorization_of(2).residual == f1
+    assert again.factorization_of(again.get(2)).residual == f1
     # changed back, the file goes back too, though the store last wrote other bytes
     again.set_family_tags(1, {"Euler", "Sporadic"})
     again.set_factorization(2, Factorization(factors=[(3, 2)], residual=f1 // 9, status="partial"))
@@ -1186,14 +1232,14 @@ def test_factorization_of_parses_only_the_rows_of_its_record(tmp_path, monkeypat
     db = full_store()
     export_csv(db, tmp_path)
     back = import_csv(tmp_path)
-    want, rows = db.factorization_of(2), db.factor_rows(1)
+    want, rows = db.factorization_of(db.get(2)), db.factor_rows(1)
     sizes = [len(db.factor_rows(hit_id)) for hit_id in (1, 2)]
     assert min(sizes) >= 2
     parse = _Count(store_module._factor_row)
     monkeypatch.setattr(store_module, "_factor_row", parse)
-    assert back.factorization_of(2) == want
+    assert back.factorization_of(back.get(2)) == want
     assert parse.calls == sizes[1]
-    assert back.factorization_of(2) == want  # parsed again: no parsed row is held
+    assert back.factorization_of(back.get(2)) == want  # parsed again: no parsed row is held
     assert parse.calls == 2 * sizes[1]
     assert back.factor_rows(1) == rows
     assert parse.calls == 2 * sizes[1] + sizes[0]
@@ -1289,7 +1335,7 @@ def test_export_after_reading_every_record_builds_no_file(tmp_path, monkeypatch)
     back = import_csv(tmp_path)
     for rec in back.hits():
         assert back.find(rec.tuple) == back.get(rec.id) == rec
-        back.factorization_of(rec.id)
+        back.factorization_of(rec)
     assert back.fibres() and validate_consistency(back) == []
     export_csv(back, tmp_path)
     assert builds.calls == 0
@@ -1305,7 +1351,7 @@ def test_a_setter_that_writes_the_same_line_rebuilds_no_file(tmp_path, monkeypat
     replaced = _record_replaces(monkeypatch)
     assert back.insert_hit(GOLDEN, "MW-44-9") == (1, False)
     for rec in back.hits():
-        back.set_factorization(rec.id, back.factorization_of(rec.id))
+        back.set_factorization(rec.id, back.factorization_of(rec))
         back.set_family_tags(rec.id, set(rec.family_tags))
     for row in back.fibres():
         back.upsert_fibre(row)
