@@ -30,7 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter, methodcaller
 
 from . import csvrows, master
@@ -105,10 +105,12 @@ class Store:
     def __len__(self) -> int:
         return len(self._hits)
 
-    def _put(self, name: str, rows: dict, key, line: str) -> None:
-        """Sets rows[key], a line of file `name`, which export then builds again."""
+    def _put(self, name: str, rows: dict, key, line: str | None) -> None:
+        """Sets rows[key], a line of file `name` (None drops it), which export then builds again."""
         if rows.get(key) != line:
             rows[key] = line
+            if line is None:  # a hit set to status none holds no factor rows
+                del rows[key]
             self._on_disk.pop(name, None)
 
     def hits(self) -> list[HitRecord]:
@@ -160,55 +162,42 @@ class Store:
         return rec.id, True
 
     def set_factorization(self, hit_id: int, fact: Factorization) -> None:
-        """Refuses, naming the hit, a product other than f1, a status other than
-        full with residual 1 or partial with a residual above 1, and a line a read refuses."""
-        rec = self.get(hit_id)
-        if fact.product() != master.f1(rec.tuple):
-            raise ValueError(f"factorization does not multiply back to f1 of hit {hit_id}")
-        want = "full" if fact.residual == 1 else "partial" if fact.residual > 1 else None
-        if fact.status != want:
-            raise ValueError(f"hit {hit_id}: status {fact.status} with residual {fact.residual}; "
-                             "full needs residual 1, partial a residual above 1")
-        rows = [FactorRow(hit_id, p, e, False) for p, e in fact.factors]
-        if fact.residual > 1:
-            rows.append(FactorRow(hit_id, fact.residual, 1, True))
-        lines = list(map(_line, sorted(rows, key=_factor_order)))
-        try:  # a line a read would refuse
-            for line in lines:
-                _factor_row(line.split(","), self._hits)
+        """Refuses, changing nothing, a row a read refuses (naming the hit) and
+        the first finding of `_factor_faults` on the rows and status."""
+        rec = replace(self.get(hit_id), f1_status=fact.status)
+        pieces = [(p, e, 0) for p, e in fact.factors] + [(fact.residual, 1, 1)] * (fact.residual > 1)
+        try:
+            rows = sorted((_factor_row((hit_id, *piece), self._hits) for piece in pieces), key=_factor_order)
         except ValueError as err:
             raise ValueError(f"hit {hit_id}: {err}") from None
-        self._put("f1_factors.csv", self._factors, hit_id, "\n".join(lines))
-        self._put("master_hits.csv", self._hits, hit_id, _line(replace(rec, f1_status=fact.status)))
+        _refuse(_factor_faults(rec, rows))
+        self._put("f1_factors.csv", self._factors, hit_id, "\n".join(map(_line, rows)) or None)
+        self._put("master_hits.csv", self._hits, hit_id, _line(rec))
 
     def factorization_of(self, rec: HitRecord) -> Factorization | None:
-        """The factorization of `rec`, whose status is read from it, not parsed again."""
+        """The factorization of `rec`, its status read from it; refused as `_read_faults` finds."""
         if rec.f1_status == "none":
             return None
-        if rec.id not in self._factors:  # the fault `validate_consistency` names
-            raise ValueError(f"hit {rec.id}: status {rec.f1_status} but no factor rows")
-        factors, residual = [], 1
-        for row in self.factor_rows(rec.id):
-            if row.is_residual:
-                residual *= row.prime ** row.exponent
-            else:
-                factors.append((row.prime, row.exponent))
-        return Factorization(factors=factors, residual=residual, status=rec.f1_status)
+        rows = self.factor_rows(rec.id)
+        _refuse(_read_faults(rec, rows))
+        return Factorization(factors=[(r.prime, r.exponent) for r in rows if not r.is_residual],
+                             residual=prod(r.prime ** r.exponent for r in rows if r.is_residual),
+                             status=rec.f1_status)
 
     def set_family_tags(self, hit_id: int, tags) -> None:
-        tags = frozenset(tags)
-        bad = sorted(tag for tag in tags if not tag or ";" in tag)
-        if bad:  # it would not read back: ";" separates tags
-            raise ValueError(f"hit {hit_id}: family tag {bad[0]!r} is empty or holds ';'")
-        line = _line(replace(self.get(hit_id), family_tags=tags))
-        self._put("master_hits.csv", self._hits, hit_id, line)
+        """Refuses a tag `_tag_faults` finds; changes only the tags field of the hit's line."""
+        tags = sorted(set(tags))
+        _refuse(_tag_faults(hit_id, tags))
+        head, _, status = self._hits[hit_id].rsplit(",", 2)
+        self._put("master_hits.csv", self._hits, hit_id, f"{head},{';'.join(tags)},{status}")
 
     def upsert_fibre(self, row: FibreRow) -> None:
+        _refuse(_fibre_faults(row))
         self._put("fibers.csv", self._fibres, (row.m, row.n), _line(row))
 
 
 def validate_consistency(store: Store) -> list[str]:
-    """Re-derives every identity field and lists violations by id."""
+    """Re-derives every identity field and lists violations by id; rows by the setters' rules."""
     bad: list[str] = []
     for rec in store.hits():
         t = rec.tuple
@@ -229,38 +218,39 @@ def validate_consistency(store: Store) -> list[str]:
                 bad.append(f"hit {rec.id}: {name} is {got}, derived {want}")
         if not _PROVENANCE.fullmatch(rec.provenance):
             bad.append(f"hit {rec.id}: bad provenance {rec.provenance!r}")
-        if not set(rec.family_tags) <= set(FAMILY_TAGS):
-            bad.append(f"hit {rec.id}: unknown family tags")
-        if rec.f1_status not in F1_STATUSES:
-            bad.append(f"hit {rec.id}: bad f1_status {rec.f1_status!r}")
-            continue
-        bad.extend(_check_factor_rows(rec, store.factor_rows(rec.id)))
+        bad += _tag_faults(rec.id, rec.family_tags) + _factor_faults(rec, store.factor_rows(rec.id))
     for row in store.fibres():
-        reason = master.pair_fault(row.m, row.n, "mn")
-        if reason:
-            bad.append(f"fibre ({row.m},{row.n}): inadmissible ({reason})")
-            continue
-        if (row.torsion_d1, row.torsion_d2) != TORSION_STRUCTURE:
-            bad.append(f"fibre ({row.m},{row.n}): bad torsion ({row.torsion_d1},{row.torsion_d2})")
-        c = build_fibre(row.m, row.n)
-        for pt in row.generators:
-            if not on_curve(c, pt):
-                bad.append(f"fibre ({row.m},{row.n}): generator off curve")
+        bad.extend(_fibre_faults(row))
     return bad
 
 
-def _check_factor_rows(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
-    bad: list[str] = []
-    if rec.f1_status == "none":
-        if rows:
-            bad.append(f"hit {rec.id}: factor rows without factorization status")
-        return bad
+def _refuse(faults: list[str]) -> None:
+    """A setter's refusal: the first finding of its rule, as `verify consistency` prints it."""
+    if faults:
+        raise ValueError(faults[0])
+
+
+def _tag_faults(hit_id: int, tags) -> list[str]:
+    # no name in FAMILY_TAGS is empty or holds ";" or ",": every tag reads back
+    return [] if set(tags) <= set(FAMILY_TAGS) else [f"hit {hit_id}: unknown family tags"]
+
+
+def _read_faults(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
+    """The faults of `_factor_faults` that a read refuses: those that cost no is_prime."""
     if not rows:
-        bad.append(f"hit {rec.id}: status {rec.f1_status} but no factor rows")
-        return bad
+        return [f"hit {rec.id}: status {rec.f1_status} but no factor rows"]
     primes = [r.prime for r in rows if not r.is_residual]
-    if len(set(primes)) != len(primes):
-        bad.append(f"hit {rec.id}: repeated prime rows")
+    return [f"hit {rec.id}: repeated prime rows"] if len(set(primes)) != len(primes) else []
+
+
+def _factor_faults(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
+    if rec.f1_status not in F1_STATUSES:
+        return [f"hit {rec.id}: bad f1_status {rec.f1_status!r}"]
+    if rec.f1_status == "none":
+        return [f"hit {rec.id}: factor rows without factorization status"] if rows else []
+    bad = _read_faults(rec, rows)
+    if not rows:
+        return bad
     # every row has prime >= 2 and exponent >= 1: a read refuses any other
     bad.extend(f"hit {rec.id}: composite {row.prime} marked prime"
                for row in rows if not row.is_residual and not is_prime(row.prime))
@@ -272,11 +262,21 @@ def _check_factor_rows(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
             bad.append(f"hit {rec.id}: partial status without a residual row")
         # factor() gives a piece up only after is_prime refuses it
         bad.extend(f"hit {rec.id}: residual {r.prime} is prime" for r in residuals if is_prime(r.prime))
-    product = 1
-    for row in rows:
-        product *= row.prime ** row.exponent
-    if product != master.f1(rec.tuple):
+    if prod(row.prime ** row.exponent for row in rows) != master.f1(rec.tuple):
         bad.append(f"hit {rec.id}: factor rows do not multiply back to f1")
+    return bad
+
+
+def _fibre_faults(row: FibreRow) -> list[str]:
+    reason = master.pair_fault(row.m, row.n, "mn")
+    if reason:
+        return [f"fibre ({row.m},{row.n}): inadmissible ({reason})"]
+    bad = []
+    if (row.torsion_d1, row.torsion_d2) != TORSION_STRUCTURE:
+        bad.append(f"fibre ({row.m},{row.n}): bad torsion ({row.torsion_d1},{row.torsion_d2})")
+    c = build_fibre(row.m, row.n)
+    bad.extend(f"fibre ({row.m},{row.n}): generator off curve"
+               for pt in row.generators if not on_curve(c, pt))
     return bad
 
 

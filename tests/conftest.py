@@ -39,16 +39,18 @@ def random_admissible(rng, lo=2, hi=1000) -> MasterTuple:
     return MasterTuple(a, b, m, n)
 
 
-def put_lines(db, hit_id: int, rec=None, factors=None) -> None:
-    """Writes a (corrupted) record and factor rows of hit `hit_id` into the
-    store `db` as the lines export writes for them, past every check of the
-    setters; factors=[] removes the hit's factor rows."""
+def put_lines(db, hit_id: int | None = None, rec=None, factors=None, fibre=None) -> None:
+    """Writes a (corrupted) record and factor rows of hit `hit_id`, or a
+    fibre row, into the store `db` as the lines export writes for them, past
+    every check of the setters; factors=[] removes the hit's factor rows."""
     if rec is not None:
         db._hits[hit_id] = _line(rec)
     if factors == []:
         del db._factors[hit_id]
     elif factors is not None:
         db._factors[hit_id] = "\n".join(map(_line, factors))
+    if fibre is not None:
+        db._fibres[fibre.m, fibre.n] = _line(fibre)
     db._on_disk.clear()  # as a setter that changed a line: export builds the files again
 
 

@@ -236,6 +236,16 @@ def test_families_build_and_classify(db, capsys):
     assert store.find(GOLDEN).family_tags == {"Sporadic"}
 
 
+def test_families_classify_parses_each_record_once(db, monkeypatch, capsys):
+    seeded_db(db)
+    assert cli.main(["families", "build", "--saunderson-max", "50", "--lenhart-max", "13"]) == 0
+    parse, calls = store_module._hit_record, []
+    monkeypatch.setattr(store_module, "_hit_record", lambda fields: calls.append(1) or parse(fields))
+    assert cli.main(["families", "classify"]) == 0
+    assert "Saunderson: 1" in capsys.readouterr().out
+    assert len(calls) == 2
+
+
 def test_families_classify_without_tables(db, capsys):
     seeded_db(db)
     before = {path.name: path.read_bytes() for path in db.iterdir()}
@@ -570,6 +580,23 @@ def test_a_record_without_its_factor_rows_is_operational_error(db, capsys):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err == (
             f"error: hit {first}: status full but no factor rows\n"), argv
+
+
+@pytest.mark.parametrize("argv", [["verify", "theorem"], ["verify", "single-blocker"],
+                                  ["report", "--what", "k-distribution"],
+                                  ["report", "--what", "blockers"]], ids=" ".join)
+def test_a_verdict_command_refuses_repeated_prime_rows(db, capsys, argv):
+    # 7^2 of f1 as two rows of 7: a factorization no factor() gives, which
+    # verify consistency reports (exit 1) and a verdict refuses to read (exit 2)
+    store = seeded_db(db)
+    rows = store.factor_rows(1)
+    assert (rows[0].prime, rows[0].exponent) == (7, 2)
+    put_lines(store, 1, factors=[replace(rows[0], exponent=1)] * 2 + rows[1:])
+    export_csv(store, db)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: hit 1: repeated prime rows\n"
+    assert cli.main(["verify", "consistency"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["hit 1: repeated prime rows"]
 
 
 def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(db):

@@ -13,6 +13,7 @@ import pytest
 from brickforge import cli, csvrows, master
 from brickforge import store as store_module
 from brickforge.ecq import CurvePoint
+from brickforge.families import FAMILY_TAGS
 from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
 from brickforge.ntkernel import Factorization, factor
@@ -101,18 +102,12 @@ def test_set_factorization_rejects_mismatch():
     ([(1, 5)], 1, "full",
      "prime 1, exponent 5, is_residual 0; a factor row needs prime >= 2, exponent >= 1, "
      "is_residual 0 or 1"),
-    ([], 1, "partial", "status partial with residual 1; full needs residual 1, "
-                       "partial a residual above 1"),
-    ([], 1597, "full", "status full with residual 1597; full needs residual 1, "
-                       "partial a residual above 1"),
 ])
 def test_set_factorization_refuses_what_a_read_would_refuse(factors, residual, status, message):
     # a product that still multiplies back to f1, but a line every later
-    # read, or verify consistency, would refuse: the store is left as it was
+    # read would refuse, naming the hit: the store is left as it was
     db = golden_store()
     fact = db.factorization_of(db.get(1))
-    if residual > 1:
-        fact.factors.remove((residual, 1))
     fact = Factorization(factors=sorted(fact.factors + factors), residual=residual, status=status)
     assert fact.product() == master.f1(GOLDEN)
     state = (dict(db._hits), dict(db._factors), dict(db._on_disk))
@@ -174,6 +169,12 @@ def _split_square(db):
     put_lines(db, 1, factors=rows)
 
 
+def _merge_primes(db):
+    # 61 * 1597 = 97417 as one row marked prime
+    rows = [row for row in db.factor_rows(1) if row.prime not in (61, 1597)]
+    put_lines(db, 1, factors=[*rows, FactorRow(1, 97417, 1, False)])
+
+
 def _prime_as_residual(db):
     rows = db.factor_rows(1)
     i = next(i for i, row in enumerate(rows) if row.exponent == 1)
@@ -191,13 +192,14 @@ CORRUPTIONS = {
     "bad provenance": (_set(provenance="Guesswork"), "hit 1: bad provenance 'Guesswork'", 1),
     "unknown tags": (_set(family_tags={"Bogus"}), "hit 1: unknown family tags", 1),
     "bad f1_status": (_set(f1_status="maybe"), "hit 1: bad f1_status 'maybe'", 1),
-    "inadmissible fibre": (lambda db: db.upsert_fibre(FibreRow(4, 4, 2, 4)),
+    "inadmissible fibre": (lambda db: put_lines(db, fibre=FibreRow(4, 4, 2, 4)),
                            "fibre (4,4): inadmissible (m <= n)", 1),
     "rows without status": (lambda db: put_lines(db, 2, factors=[FactorRow(2, 3, 1, False)]),
                             "hit 2: factor rows without factorization status", 1),
     "status without rows": (lambda db: put_lines(db, 1, factors=[]),
                             "hit 1: status full but no factor rows", 1),
     "repeated prime": (_split_square, "hit 1: repeated prime rows", 1),
+    "composite marked prime": (_merge_primes, "hit 1: composite 97417 marked prime", 1),
     "degenerate row": (lambda db: put_lines(db, 1, factors=[*db.factor_rows(1),
                                                              FactorRow(1, 11, 0, False)]),
                        "f1_factors.csv row 7: prime 11, exponent 0, is_residual 0; a factor row "
@@ -228,23 +230,82 @@ def test_validate_flags_each_corruption(tmp_path, capsys, corrupt, finding, code
         assert err == f"error: {finding}\n"
 
 
-def test_fibre_row_upsert_and_validation():
+GOLDEN_FACTORS = [(7, 2), (13, 3), (61, 1), (1597, 1), (9349, 1)]
+
+
+def _factorize(hit_id, factors, residual=1, status="full"):
+    return lambda db: db.set_factorization(hit_id, Factorization(factors, residual, status))
+
+
+# each corruption of CORRUPTIONS a setter can write, as its call
+BY_SETTER = {
+    "unknown tags": lambda db: db.set_family_tags(1, {"Bogus"}),
+    "bad f1_status": _factorize(1, GOLDEN_FACTORS, status="maybe"),
+    "inadmissible fibre": lambda db: db.upsert_fibre(FibreRow(4, 4, 2, 4)),
+    "rows without status": _factorize(2, [(3, 1)], status="none"),
+    "status without rows": _factorize(1, []),
+    "repeated prime": _factorize(1, [(7, 1), (7, 1), *GOLDEN_FACTORS[1:]]),
+    "composite marked prime": _factorize(1, [(7, 2), (13, 3), (97417, 1), (9349, 1)]),
+    "full with residual": _factorize(1, GOLDEN_FACTORS[:2] + GOLDEN_FACTORS[3:], 61),
+    "partial without residual": _factorize(1, GOLDEN_FACTORS, status="partial"),
+    "prime residual": _factorize(1, GOLDEN_FACTORS[:2] + GOLDEN_FACTORS[3:], 61, "partial"),
+}
+
+
+def _refused_unchanged(db, dirpath, monkeypatch, setter, finding) -> None:
+    """`setter(db)` raises exactly `finding` and changes no line of `db`, last
+    exported to `dirpath`: the next export rewrites only manifest.txt."""
+    before = _tree(dirpath)
+    state = (dict(db._hits), dict(db._factors), dict(db._fibres), dict(db._on_disk))
+    with pytest.raises(ValueError, match=f"^{re.escape(finding)}$"):
+        setter(db)
+    assert (db._hits, db._factors, db._fibres, db._on_disk) == state
+    replaced = _record_replaces(monkeypatch)
+    export_csv(db, dirpath)
+    assert replaced == ["manifest.txt"] and _tree(dirpath) == before
+
+
+@pytest.mark.parametrize("name", BY_SETTER)
+def test_a_setter_refuses_what_verify_consistency_reports(tmp_path, monkeypatch, name):
     db = golden_store()
-    c, seeds = _fibre_with_seed()
-    db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4,
-                             generators=tuple(seeds)))
-    assert validate_consistency(db) == []
+    export_csv(db, tmp_path)
+    _refused_unchanged(db, tmp_path, monkeypatch, BY_SETTER[name], CORRUPTIONS[name][1])
+
+
+def test_status_none_drops_the_factor_rows(tmp_path):
+    db = golden_store()
+    _factorize(1, [], status="none")(db)
+    assert (db.get(1).f1_status, db.factor_rows(1), validate_consistency(db)) == ("none", [], [])
+    export_csv(db, tmp_path)
+    assert (tmp_path / "f1_factors.csv").read_text() == "hit_id,prime,exponent,is_residual\n"
+    assert validate_consistency(import_csv(tmp_path)) == []
+
+
+def test_fibre_row_upsert_and_validation():
+    _, seeds = _fibre_with_seed()
+    good = FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4, generators=tuple(seeds))
     P = seeds[0]
     off = CurvePoint(P.X, P.Y + 1)
-    db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=4, generators=(P, off)))
-    assert validate_consistency(db) == ["fibre (44,9): generator off curve"]
-    db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=2, torsion_d2=3))
-    assert len(db.fibres()) == 1
-    assert any("bad torsion" in p for p in validate_consistency(db))
-    # every fibre's torsion is Z/2 x Z/4 (ecq.torsion_subgroup)
-    for d1, d2 in ((2, 8), (1, 4), (4, 4), (2, 2)):
-        db.upsert_fibre(FibreRow(m=44, n=9, torsion_d1=d1, torsion_d2=d2))
-        assert validate_consistency(db) == [f"fibre (44,9): bad torsion ({d1},{d2})"]
+    # every fibre's torsion is Z/2 x Z/4 (ecq.torsion_subgroup): a row
+    # otherwise is refused by upsert_fibre, and reported once written
+    for row, finding in [
+        (replace(good, generators=(P, off)), "fibre (44,9): generator off curve"),
+        (FibreRow(m=4, n=2, torsion_d1=2, torsion_d2=4), "fibre (4,2): inadmissible (gcd(m,n) = 2)"),
+        *((replace(good, torsion_d1=d1, torsion_d2=d2, generators=()),
+           f"fibre (44,9): bad torsion ({d1},{d2})")
+          for d1, d2 in ((2, 3), (2, 8), (1, 4), (4, 4), (2, 2))),
+        (replace(good, torsion_d2=8, generators=(off,)), "fibre (44,9): bad torsion (2,8)"),
+    ]:
+        db = golden_store()
+        db.upsert_fibre(good)
+        assert validate_consistency(db) == []
+        with pytest.raises(ValueError, match=f"^{re.escape(finding)}$"):
+            db.upsert_fibre(row)
+        assert db.fibres() == [good]
+        put_lines(db, fibre=row)
+        assert validate_consistency(db)[0] == finding
+    db.upsert_fibre(replace(good, rank_lb=1))  # an upsert replaces the row of its pair
+    assert db.fibres() == [replace(good, rank_lb=1)]
 
 
 def _fibre_with_seed():
@@ -346,35 +407,28 @@ def test_export_matches_csv_writer(tmp_path):
 @pytest.mark.parametrize("text", ["a,b", 'c"d', "e\nf", 'g,"h"', "i\rj"])
 def test_a_field_with_a_comma_quote_or_line_break_is_refused(tmp_path, monkeypatch, text):
     # no store file holds such a field, as a split at line ends and commas
-    # could not read it back: a setter refuses it before any line changes,
-    # and so does the line of a record that would hold one
+    # could not read it back: the line of a record that would hold one is
+    # refused, and a setter refuses it, as no family tag holds one
     export_csv(full_store(), tmp_path)
-    before = _tree(tmp_path)
     db = import_csv(tmp_path)
-    with pytest.raises(ValueError, match=f"^store field {re.escape(repr('Euler;' + text))} holds a comma"):
-        db.set_family_tags(1, {"Euler", text})
     for field in ("provenance", "f1_status"):
         with pytest.raises(ValueError, match="holds a comma, quote or line break$"):
             store_module._line(replace(db.get(2), **{field: text}))
-    replaced = _record_replaces(monkeypatch)
-    export_csv(db, tmp_path)
-    assert replaced == ["manifest.txt"] and _tree(tmp_path) == before
+    _refused_unchanged(db, tmp_path, monkeypatch, lambda db: db.set_family_tags(1, {"Euler", text}),
+                       "hit 1: unknown family tags")
 
 
 @pytest.mark.parametrize("tags, bad", [({"Saunderson;Euler"}, "Saunderson;Euler"),
                                        ({""}, ""), ({"Euler", ""}, "")])
 def test_a_family_tag_that_would_not_read_back_is_refused(tmp_path, monkeypatch, tags, bad):
-    # ";" separates the tags of a row, and an empty tag is dropped on read
+    # ";" separates the tags of a row, and an empty tag is dropped on read:
+    # no family tag is empty or holds ";"
+    assert bad not in FAMILY_TAGS
     export_csv(full_store(), tmp_path)
-    before = _tree(tmp_path)
     db = import_csv(tmp_path)
-    with pytest.raises(ValueError, match=f"^{re.escape(f'hit 1: family tag {bad!r} is empty')} "
-                                          "or holds ';'$"):
-        db.set_family_tags(1, tags)
+    _refused_unchanged(db, tmp_path, monkeypatch, lambda db: db.set_family_tags(1, tags),
+                       "hit 1: unknown family tags")
     assert db.get(1).family_tags == {"Euler", "Sporadic"}
-    replaced = _record_replaces(monkeypatch)
-    export_csv(db, tmp_path)
-    assert replaced == ["manifest.txt"] and _tree(tmp_path) == before
 
 
 def test_imported_record_exposes_primitive_edges(tmp_path):
@@ -982,7 +1036,7 @@ def test_mixed_kept_and_parsed_rows_export_like_csv_writer(tmp_path):
         lambda db: db.set_family_tags(2, {"Euler"}),
         lambda db: db.insert_hit(MasterTuple(40, 33, 41, 32), "MW-41-32"),
         lambda db: db.upsert_fibre(FibreRow(m=4, n=1, torsion_d1=2, torsion_d2=4)),
-        lambda db: db.upsert_fibre(FibreRow(m=13, n=2, torsion_d1=2, torsion_d2=8)),
+        lambda db: db.upsert_fibre(FibreRow(m=13, n=2, torsion_d1=2, torsion_d2=4, rank_lb=1)),
     ]
     for i, step in enumerate(steps):
         for db in (kept, parsed, ref):
