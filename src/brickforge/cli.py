@@ -114,7 +114,7 @@ def _load(dirpath) -> Store:
 def _pmap(jobs, fn, items):
     items = list(items)
     if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
+        return map(fn, items)  # each result made as the caller takes it, and then freed
     from concurrent.futures import ProcessPoolExecutor  # imported here: no other command needs it
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -196,10 +196,11 @@ def _cmd_factorize(args) -> int:
     todo = [rec for rec in db.hits() if rec.f1_status != "full"]
     results = _pmap(args.jobs, functools.partial(master.factor_f1, budget=args.budget),
                     [rec.tuple for rec in todo])
+    full = 0
     for rec, fact in zip(todo, results):
         db.set_factorization(rec.id, fact)
+        full += fact.status == "full"
     export_csv(db, args.db)
-    full = sum(fact.status == "full" for fact in results)
     return _summary({"factored": len(todo), "full": full, "partial": len(todo) - full,
                      "already_full": len(db) - len(todo)})
 

@@ -5,7 +5,9 @@ it generates the primitive triple (a^2 - b^2, 2ab, a^2 + b^2).  Two
 such pairs form a tuple (a, b, m, n), and the tuple is a hit when the
 coupling norm M = (V1*U2)^2 + (U1*V2)^2 is a perfect square, in which
 case the edges x = U1*U2, y = V1*U2, z = U1*V2 form a box with integer
-face diagonals.
+face diagonals.  `edges` is the one derivation of that box and certifies
+the hit (dyz is the root of M); it, `master_norm` and `f1` read the
+triples' entries as plain ints, admissibility tested once per pair.
 """
 from __future__ import annotations
 
@@ -72,26 +74,30 @@ def is_admissible(a: int, b: int, m: int, n: int):
     return reason is None, reason
 
 
+def _pair_entries(a: int, b: int) -> tuple[int, int, int]:
+    """(U, V, W) as plain ints: the admissibility gate of every triple and norm."""
+    if pair_fault(a, b):
+        raise ValueError(f"inadmissible pair ({a}, {b})")
+    return a * a - b * b, 2 * a * b, a * a + b * b
+
+
 def triple_from_pair(p: EuclidPair) -> PythTriple:
     """Primitive Pythagorean triple (a^2 - b^2, 2ab, a^2 + b^2).
 
     >>> triple_from_pair(EuclidPair(2, 1))
     PythTriple(U=3, V=4, W=5)
     """
-    a, b = p
-    if pair_fault(a, b):
-        raise ValueError(f"inadmissible pair ({a}, {b})")
-    return PythTriple(a * a - b * b, 2 * a * b, a * a + b * b)
+    return PythTriple(*_pair_entries(*p))
 
 
 def triples(t: MasterTuple) -> tuple[PythTriple, PythTriple]:
-    """Both triples; the admissibility gate of every tuple function."""
+    """Both triples, each pair gated once."""
     return triple_from_pair(t.first), triple_from_pair(t.second)
 
 
 def master_norm(t: MasterTuple) -> int:
-    t1, t2 = triples(t)
-    return (t1.V * t2.U) ** 2 + (t1.U * t2.V) ** 2
+    (U1, V1, _), (U2, V2, _) = _pair_entries(t[0], t[1]), _pair_entries(t[2], t[3])
+    return (V1 * U2) ** 2 + (U1 * V2) ** 2
 
 
 def is_master_hit(t: MasterTuple) -> int | None:
@@ -101,8 +107,8 @@ def is_master_hit(t: MasterTuple) -> int | None:
 
 def f1(t: MasterTuple) -> int:
     """The space-diagonal norm (W1*U2)^2 + (U1*V2)^2.  Always odd."""
-    t1, t2 = triples(t)
-    return (t1.W * t2.U) ** 2 + (t1.U * t2.V) ** 2
+    (U1, _, W1), (U2, V2, _) = _pair_entries(t[0], t[1]), _pair_entries(t[2], t[3])
+    return (W1 * U2) ** 2 + (U1 * V2) ** 2
 
 
 def f1_divisors(t: MasterTuple) -> tuple[int, ...]:
@@ -138,16 +144,9 @@ def factor_f1(t: MasterTuple, budget: float = DEFAULT_BUDGET) -> Factorization:
 
 
 def edges(t: MasterTuple) -> Brick:
-    t1, t2 = triples(t)
-    y, z = t1.V * t2.U, t1.U * t2.V
-    return Brick(
-        x=t1.U * t2.U,
-        y=y,
-        z=z,
-        dxy=t1.W * t2.U,
-        dxz=t1.U * t2.W,
-        dyz=is_perfect_square(y * y + z * z),
-    )
+    (U1, V1, W1), (U2, V2, W2) = _pair_entries(t[0], t[1]), _pair_entries(t[2], t[3])
+    y, z = V1 * U2, U1 * V2
+    return Brick(U1 * U2, y, z, W1 * U2, U1 * W2, is_perfect_square(y * y + z * z))
 
 
 def is_perfect_cuboid(t: MasterTuple) -> bool:

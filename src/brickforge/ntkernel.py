@@ -186,6 +186,8 @@ class Factorization:
     factors: list[tuple[int, int]] = field(default_factory=list)
     residual: int = 1
     status: str = "full"
+    # the primes factor() proved, none when built by hand; equality ignores it
+    proved: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def product(self) -> int:
         out = self.residual
@@ -529,4 +531,5 @@ def factor(n: int, budget: float = DEFAULT_BUDGET, divisors: Iterable[int] = ())
         factors=sorted(counts.items()),
         residual=residual,
         status="full" if residual == 1 else "partial",
+        proved=tuple(counts),
     )

@@ -6,7 +6,8 @@ the first writer's provenance.  Every row is held as its line of export
 text, from import to export.  A read parses the lines it needs at each
 call and returns frozen snapshots; the four setters (`insert_hit`,
 `set_factorization`, `set_family_tags`, `upsert_fibre`) are the only way a
-row changes.
+row changes.  `insert_hit` forms a new hit's line from its canonical tuple,
+as the key's text, and its brick, with no record built to be formatted.
 
 An export replaces each file atomically, manifest.txt first, and an import
 checks every file against the sha256 listed in manifest.txt, so a torn
@@ -140,37 +141,31 @@ class Store:
     def insert_hit(self, t: MasterTuple, provenance: str) -> tuple[int, bool]:
         """Returns (id, created); created is False for a sigma-duplicate,
         whose original provenance is retained untouched."""
-        if not _PROVENANCE.fullmatch(provenance):
-            raise ValueError(f"unrecognized provenance {provenance!r}")
         canon = master.sigma_canonical(t)
-        brick = master.edges(canon)
-        if brick.dyz is None:
-            raise ValueError(f"{tuple(t)} is not a Master-Hit")
         key = csvrows.tuple_key(canon)
+        hit_id = self._by_tuple.get(key, self._next_id)
+        _refuse(_provenance_faults(hit_id, provenance))
+        x, y, z, _, _, dyz = master.edges(canon)
+        if dyz is None:
+            raise ValueError(f"{tuple(t)} is not a Master-Hit")
         if key in self._by_tuple:
-            return self._by_tuple[key], False
-        rec = HitRecord(
-            id=self._next_id,
-            a=canon.a, b=canon.b, m=canon.m, n=canon.n,
-            x=brick.x, y=brick.y, z=brick.z,
-            g_scale=gcd(gcd(brick.x, brick.y), brick.z),
-            provenance=provenance,
-        )
-        self._put("master_hits.csv", self._hits, rec.id, _line(rec))
-        self._by_tuple[key] = rec.id
+            return hit_id, False
+        self._put("master_hits.csv", self._hits, hit_id,
+                  _hit_line(hit_id, key.split(","), x, y, z, gcd(x, y, z), provenance, "", "none"))
+        self._by_tuple[key] = hit_id
         self._next_id += 1
-        return rec.id, True
+        return hit_id, True
 
     def set_factorization(self, hit_id: int, fact: Factorization) -> None:
         """Refuses, changing nothing, a row a read refuses (naming the hit) and
-        the first finding of `_factor_faults` on the rows and status."""
+        the first finding of `_factor_faults`, which proves no prime factor() proved."""
         rec = replace(self.get(hit_id), f1_status=fact.status)
         pieces = [(p, e, 0) for p, e in fact.factors] + [(fact.residual, 1, 1)] * (fact.residual > 1)
         try:
             rows = sorted((_factor_row((hit_id, *piece), self._hits) for piece in pieces), key=_factor_order)
         except ValueError as err:
             raise ValueError(f"hit {hit_id}: {err}") from None
-        _refuse(_factor_faults(rec, rows))
+        _refuse(_factor_faults(rec, rows, fact.proved))
         self._put("f1_factors.csv", self._factors, hit_id, "\n".join(map(_line, rows)) or None)
         self._put("master_hits.csv", self._hits, hit_id, _line(rec))
 
@@ -200,25 +195,25 @@ def validate_consistency(store: Store) -> list[str]:
     """Re-derives every identity field and lists violations by id; rows by the setters' rules."""
     bad: list[str] = []
     for rec in store.hits():
-        t = rec.tuple
-        ok, reason = master.is_admissible(*t)
-        if not ok:
-            bad.append(f"hit {rec.id}: inadmissible ({reason})")
+        try:  # edges tests admissibility once; the reason is sought only for a refusal
+            x, y, z, _, _, dyz = master.edges(rec.tuple)
+        except ValueError:
+            bad.append(f"hit {rec.id}: inadmissible ({master.is_admissible(*rec.tuple)[1]})")
             continue
-        if tuple(master.sigma_canonical(t)) != tuple(t):
+        if (rec.m, rec.n) < (rec.a, rec.b):  # sigma_canonical would swap the pairs
             bad.append(f"hit {rec.id}: not sigma-canonical")
-        brick = master.edges(t)
-        if brick.dyz is None:
+        if dyz is None:
             bad.append(f"hit {rec.id}: M is not a square")
             continue
-        derived = (brick.x, brick.y, brick.z, gcd(gcd(brick.x, brick.y), brick.z))
         stored = (rec.x, rec.y, rec.z, rec.g_scale)
-        for name, want, got in zip(("x", "y", "z", "g_scale"), derived, stored):
+        for name, want, got in zip(("x", "y", "z", "g_scale"), (x, y, z, gcd(x, y, z)), stored):
             if want != got:
                 bad.append(f"hit {rec.id}: {name} is {got}, derived {want}")
-        if not _PROVENANCE.fullmatch(rec.provenance):
-            bad.append(f"hit {rec.id}: bad provenance {rec.provenance!r}")
-        bad += _tag_faults(rec.id, rec.family_tags) + _factor_faults(rec, store.factor_rows(rec.id))
+        bad += _provenance_faults(rec.id, rec.provenance)
+        if rec.family_tags:
+            bad += _tag_faults(rec.id, rec.family_tags)
+        if rec.f1_status != "none" or rec.id in store._factors:  # else the rule finds nothing
+            bad += _factor_faults(rec, store.factor_rows(rec.id))
     for row in store.fibres():
         bad.extend(_fibre_faults(row))
     return bad
@@ -228,6 +223,10 @@ def _refuse(faults: list[str]) -> None:
     """A setter's refusal: the first finding of its rule, as `verify consistency` prints it."""
     if faults:
         raise ValueError(faults[0])
+
+
+def _provenance_faults(hit_id: int, provenance: str) -> list[str]:
+    return [] if _PROVENANCE.fullmatch(provenance) else [f"hit {hit_id}: bad provenance {provenance!r}"]
 
 
 def _tag_faults(hit_id: int, tags) -> list[str]:
@@ -243,7 +242,7 @@ def _read_faults(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
     return [f"hit {rec.id}: repeated prime rows"] if len(set(primes)) != len(primes) else []
 
 
-def _factor_faults(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
+def _factor_faults(rec: HitRecord, rows: list[FactorRow], proved=()) -> list[str]:
     if rec.f1_status not in F1_STATUSES:
         return [f"hit {rec.id}: bad f1_status {rec.f1_status!r}"]
     if rec.f1_status == "none":
@@ -253,7 +252,7 @@ def _factor_faults(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
         return bad
     # every row has prime >= 2 and exponent >= 1: a read refuses any other
     bad.extend(f"hit {rec.id}: composite {row.prime} marked prime"
-               for row in rows if not row.is_residual and not is_prime(row.prime))
+               for row in rows if not (row.is_residual or row.prime in proved or is_prime(row.prime)))
     residuals = [r for r in rows if r.is_residual]
     if rec.f1_status == "full" and residuals:
         bad.append(f"hit {rec.id}: full status with a residual row")
@@ -342,15 +341,20 @@ def _signature(st) -> tuple:
 def _line(row) -> str:
     """A row as export writes it."""
     if type(row) is HitRecord:
-        fields = (row.id, row.a, row.b, row.m, row.n, row.x, row.y, row.z, row.g_scale,
-                  row.provenance, ";".join(sorted(row.family_tags)), row.f1_status)
-    elif type(row) is FibreRow:
+        return _hit_line(row.id, (row.a, row.b, row.m, row.n), row.x, row.y, row.z, row.g_scale,
+                         row.provenance, ";".join(sorted(row.family_tags)), row.f1_status)
+    if type(row) is FibreRow:
         fields = (row.m, row.n, row.torsion_d1, row.torsion_d2,
                   "" if row.rank_lb is None else row.rank_lb,
                   csvrows.serialize_points(row.generators))
     else:
         fields = (row.hit_id, row.prime, row.exponent, int(row.is_residual))
     return csvrows.csv_line(fields)
+
+
+def _hit_line(hit_id, t, x, y, z, g_scale, provenance, tags, status) -> str:
+    """A hit row as export writes it, t its a, b, m, n: the one statement of HIT_COLUMNS' order."""
+    return csvrows.csv_line((hit_id, *t, x, y, z, g_scale, provenance, tags, status))
 
 
 def _factor_order(row: FactorRow) -> tuple:

@@ -1,17 +1,18 @@
 """Shared helpers: pseudorandom admissible tuples, lists of fibres, the
-hits of the factor-audit store for property tests, a fault written into
-a store as its lines, and reference rules (halving a point, lifting one,
-ECM's projective stage 2) the tests check the package against."""
+hits of the factor-audit and fibre-deep walks for property tests, a fault
+written into a store as its lines, and reference rules (halving a point,
+lifting one, ECM's projective stage 2, a tuple's brick, norms and hit line)
+the tests check the package against."""
 import functools
 from fractions import Fraction
 from math import gcd
 
 from brickforge.ecq import INFINITY, CurvePoint, _triple, add, cubic_rhs, two_torsion
 from brickforge.fibration import FibreCurve, lift_pairs
-from brickforge.master import EuclidPair, MasterTuple
+from brickforge.master import Brick, EuclidPair, MasterTuple, PythTriple, pair_fault, sigma_canonical
 from brickforge import ntkernel
-from brickforge.ntkernel import is_square_rational
-from brickforge.store import _line
+from brickforge.ntkernel import is_perfect_square, is_square_rational
+from brickforge.store import HitRecord, _line
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive pytest's output capture
@@ -77,14 +78,15 @@ EIGHT_TORSION = [(9, 16), (16, 9), (27, 48)]
 
 
 @functools.cache
-def audit_tuples() -> tuple[MasterTuple, ...]:
-    """The 346 hits of mw run (22,17) at seed height 80, K=2: the store that
-    perfbench's factor-audit factors."""
+def bench_walk(K: int) -> tuple[MasterTuple, ...]:
+    """The hits of mw run (22,17) at seed height 80 and this K, in the order
+    of the walk: at K=2 the 346 of the store perfbench's factor-audit
+    factors, at K=3 the 1,059 of its fibre-deep export."""
     from brickforge.fibration import build_fibre
     from brickforge.mw import enumerate_and_certify, naive_quartic_search, seeds_from_hits
 
     c = build_fibre(22, 17)
-    run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), 2)
+    run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), K)
     return tuple(run.outputs)
 
 
@@ -149,3 +151,42 @@ def ecm_stage2_projective(n: int, x: int, z: int, a24: int) -> list[int]:
         products.append(acc)
         xg, zg, xh, zh = xh, zh, *xadd(n, xh, zh, xr, zr, xg, zg)
     return products
+
+
+def _reference_triple(a: int, b: int) -> PythTriple:
+    if pair_fault(a, b):
+        raise ValueError(f"inadmissible pair ({a}, {b})")
+    return PythTriple(a * a - b * b, 2 * a * b, a * a + b * b)
+
+
+def _reference_triples(t: MasterTuple):
+    return _reference_triple(t.a, t.b), _reference_triple(t.m, t.n)
+
+
+def reference_edges(t: MasterTuple) -> Brick:
+    """The brick of a tuple from its two triples as `PythTriple`s, each pair
+    gated on its own: the rule `master.edges` derives from plain ints."""
+    t1, t2 = _reference_triples(t)
+    y, z = t1.V * t2.U, t1.U * t2.V
+    return Brick(x=t1.U * t2.U, y=y, z=z, dxy=t1.W * t2.U, dxz=t1.U * t2.W,
+                 dyz=is_perfect_square(y * y + z * z))
+
+
+def reference_master_norm(t: MasterTuple) -> int:
+    t1, t2 = _reference_triples(t)
+    return (t1.V * t2.U) ** 2 + (t1.U * t2.V) ** 2
+
+
+def reference_f1(t: MasterTuple) -> int:
+    t1, t2 = _reference_triples(t)
+    return (t1.W * t2.U) ** 2 + (t1.U * t2.V) ** 2
+
+
+def reference_hit_line(hit_id: int, t: MasterTuple, provenance: str) -> str:
+    """The line of a new hit as `_line` writes its record: what
+    `Store.insert_hit` forms without building that record."""
+    canon = sigma_canonical(t)
+    e = reference_edges(canon)
+    return _line(HitRecord(id=hit_id, a=canon.a, b=canon.b, m=canon.m, n=canon.n,
+                           x=e.x, y=e.y, z=e.z, g_scale=gcd(gcd(e.x, e.y), e.z),
+                           provenance=provenance))

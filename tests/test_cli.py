@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import audit_tuples, put_lines
+from conftest import bench_walk, put_lines
 from brickforge import cli, master
 from brickforge import store as store_module
 from brickforge.families import primitive_sorted
@@ -467,7 +467,7 @@ def test_non_ascii_byte_in_a_store_file_is_operational_error(db, capsys, name):
 def test_non_ascii_byte_deep_in_a_store_file_is_named_where_it_is(db, capsys, name):
     # the offset is the file's, wherever in it the byte is
     store = Store()
-    for t in audit_tuples():
+    for t in bench_walk(2):
         store.set_factorization(store.insert_hit(t, "MW-22-17")[0], master.factor_f1(t, 0))
     export_csv(store, db)
     (db / "manifest.txt").unlink()

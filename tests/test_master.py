@@ -1,9 +1,17 @@
 import random
+import re
 from math import gcd
 
 import pytest
 
-from conftest import admissible_fibres, audit_tuples, random_admissible
+from conftest import (
+    admissible_fibres,
+    bench_walk,
+    random_admissible,
+    reference_edges,
+    reference_f1,
+    reference_master_norm,
+)
 from brickforge.master import (
     Brick,
     EuclidPair,
@@ -22,6 +30,7 @@ from brickforge.master import (
     triple_from_pair,
     triples,
 )
+from brickforge.store import Store
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
 
@@ -88,13 +97,42 @@ def test_f1_factors_as_two_polynomials():
 
 
 def test_a_hit_writes_f1_as_a_sum_of_two_squares_three_ways():
-    hits = (GOLDEN, MasterTuple(835, 88, 160, 89), *audit_tuples())
+    hits = (GOLDEN, MasterTuple(835, 88, 160, 89), *bench_walk(2))
     for t in hits:
         e = edges(t)
         n = f1(t)
         assert n == e.dxy**2 + e.z**2 == e.x**2 + e.dyz**2 == e.dxz**2 + e.y**2
         P, E = f1_divisors(t)
         assert 1 < gcd(n, P) < n and 1 < gcd(n, E) < n
+
+
+def test_tuple_functions_match_the_reference_rule():
+    # the fibre-deep walk's hits, as the walk certifies them, and random tuples
+    rng = random.Random(30)
+    tuples = (*bench_walk(3), *(random_admissible(rng) for _ in range(3000)))
+    assert len(tuples) == 1059 + 3000
+    for t in tuples:
+        e = edges(t)
+        assert (e, master_norm(t), f1(t)) == (reference_edges(t), reference_master_norm(t),
+                                              reference_f1(t)), t
+        assert is_master_hit(t) == e.dyz
+    assert all(edges(t).dyz is not None for t in bench_walk(3))
+
+
+@pytest.mark.parametrize("t", [(3, 1, 44, 9), (44, 9, 3, 1), (9, 44, 55, 48), (55, 48, 4, 2),
+                               (55, 48, 3, 0), (4, 2, 3, 3), (5, 5, 2, 1)])
+def test_an_inadmissible_pair_is_refused_as_the_reference_refuses_it(t):
+    t = MasterTuple(*t)
+    for fn, reference in ((edges, reference_edges), (master_norm, reference_master_norm),
+                          (f1, reference_f1), (is_master_hit, reference_master_norm),
+                          (triples, reference_edges),
+                          (lambda t: Store().insert_hit(t, "Rathbun-Search"),
+                           lambda t: reference_edges(sigma_canonical(t)))):
+        with pytest.raises(ValueError) as want:
+            reference(t)
+        assert str(want.value).startswith("inadmissible pair (")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            fn(t)
 
 
 def test_edges_golden():

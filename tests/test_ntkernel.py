@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import audit_tuples, ecm_stage2_projective
+from conftest import bench_walk, ecm_stage2_projective
 from brickforge import ntkernel
 from brickforge.master import MasterTuple, f1, f1_divisors, factor_f1
 from brickforge.ntkernel import (
@@ -424,7 +424,7 @@ def test_trial_division_by_blocks_matches_plain_loop():
     # the first and last prime of every few runs, where a run's product starts and ends
     edges = [primes[i] for k in range(0, len(primes), 8 * ntkernel._BLOCK)
              for i in (k, min(k + ntkernel._BLOCK - 1, len(primes) - 1))]
-    audit = [f1(t) for t in audit_tuples()]
+    audit = [f1(t) for t in bench_walk(2)]
     assert len(audit) == 346
     # the plain loop takes about 2 ms on each of these 90-digit values, so a
     # quarter of them, spread over the whole store, keeps the test short
@@ -523,7 +523,7 @@ def test_factor_f1_full_results_match_plain_factor_on_the_audit_store():
     # multiply back to n; it is compared with the plain one where that one
     # also finishes.
     full = compared = 0
-    for t in audit_tuples()[::4]:
+    for t in bench_walk(2)[::4]:
         n = f1(t)
         split = factor_f1(t, budget=0.05)
         _certified(split, n)
@@ -535,4 +535,4 @@ def test_factor_f1_full_results_match_plain_factor_on_the_audit_store():
             compared += 1
             assert split == plain
     assert full >= 20 and compared >= 5
-    assert all(len(f1_divisors(t)) == 2 for t in audit_tuples())
+    assert all(len(f1_divisors(t)) == 2 for t in bench_walk(2))

@@ -16,7 +16,7 @@ from brickforge.ecq import CurvePoint
 from brickforge.families import FAMILY_TAGS
 from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
-from brickforge.ntkernel import Factorization, factor
+from brickforge.ntkernel import Factorization, factor, is_prime
 from brickforge.store import (
     CSV_NAMES,
     EXPORT_MARK,
@@ -27,7 +27,7 @@ from brickforge.store import (
     import_csv,
     validate_consistency,
 )
-from conftest import put_lines, random_admissible
+from conftest import bench_walk, put_lines, random_admissible, reference_hit_line
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
 STORE_FILES = (*CSV_NAMES, "manifest.txt")
@@ -65,9 +65,30 @@ def test_insert_rejects_non_hit():
 
 
 def test_insert_rejects_unknown_provenance():
+    # verify consistency's finding, naming the id the hit would get
+    for db, t, hit_id in ((Store(), GOLDEN, 1), (golden_store(), MasterTuple(40, 33, 41, 32), 3)):
+        before = dict(db._hits)
+        with pytest.raises(ValueError, match=f"^hit {hit_id}: bad provenance 'Handwritten'$"):
+            db.insert_hit(t, "Handwritten")
+        assert db._hits == before and db._next_id == hit_id
+
+
+def test_insert_writes_the_line_of_the_reference_rule():
+    # the fibre-deep walk's hits in a random order, each in a random slot
+    # order and with a random provenance
+    rng = random.Random(30)
+    hits = list(bench_walk(3))
+    rng.shuffle(hits)
     db = Store()
-    with pytest.raises(ValueError):
-        db.insert_hit(GOLDEN, "Handwritten")
+    for t in hits:
+        if rng.random() < 0.5:
+            t = MasterTuple(t.m, t.n, t.a, t.b)
+        provenance = rng.choice(("Rathbun-Search", "Saunderson-Generator",
+                                 f"MW-{rng.randrange(2, 100)}-{rng.randrange(1, 100)}",
+                                 f"Exhaustive-Bound-{rng.randrange(10 ** 6)}"))
+        hit_id, created = db.insert_hit(t, provenance)
+        assert created and db._hits[hit_id] == reference_hit_line(hit_id, t, provenance)
+    assert len(db) == 1059 and validate_consistency(db) == []
 
 
 def test_derived_fields():
@@ -239,6 +260,7 @@ def _factorize(hit_id, factors, residual=1, status="full"):
 
 # each corruption of CORRUPTIONS a setter can write, as its call
 BY_SETTER = {
+    "bad provenance": lambda db: db.insert_hit(GOLDEN, "Guesswork"),
     "unknown tags": lambda db: db.set_family_tags(1, {"Bogus"}),
     "bad f1_status": _factorize(1, GOLDEN_FACTORS, status="maybe"),
     "inadmissible fibre": lambda db: db.upsert_fibre(FibreRow(4, 4, 2, 4)),
@@ -270,6 +292,21 @@ def test_a_setter_refuses_what_verify_consistency_reports(tmp_path, monkeypatch,
     db = golden_store()
     export_csv(db, tmp_path)
     _refused_unchanged(db, tmp_path, monkeypatch, BY_SETTER[name], CORRUPTIONS[name][1])
+
+
+def test_set_factorization_proves_only_the_primes_factor_did_not(monkeypatch):
+    proofs = []
+    monkeypatch.setattr(store_module, "is_prime", lambda n: proofs.append(n) or is_prime(n))
+    db = golden_store()
+    fact = factor(master.f1(GOLDEN))
+    db.set_factorization(1, fact)
+    assert proofs == []
+    # built by hand, the same factorization goes through the whole rule
+    db.set_factorization(1, Factorization(fact.factors, fact.residual, fact.status))
+    assert proofs == [p for p, _ in GOLDEN_FACTORS]
+    # a factor that factor() did not prove is proved: a composite is refused as before
+    with pytest.raises(ValueError, match="^hit 1: composite 97417 marked prime$"):
+        db.set_factorization(1, replace(fact, factors=[(7, 2), (13, 3), (97417, 1), (9349, 1)]))
 
 
 def test_status_none_drops_the_factor_rows(tmp_path):
