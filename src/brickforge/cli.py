@@ -112,13 +112,15 @@ def _load(dirpath) -> Store:
 
 
 def _pmap(jobs, fn, items):
+    """fn over items, in order, each result yielded as it is taken, and then freed."""
     items = list(items)
     if jobs <= 1 or len(items) < 2:
-        return map(fn, items)  # each result made as the caller takes it, and then freed
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor  # imported here: no other command needs it
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
 
 
 def _factored(db: Store) -> list:

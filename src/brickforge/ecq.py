@@ -43,15 +43,11 @@ def cubic_rhs(c, X: Fraction) -> Fraction:
 
 
 def on_curve(c, P: CurvePoint) -> bool:
-    if P.is_infinity:
-        return True
-    return P.Y * P.Y == cubic_rhs(c, P.X)
+    return P.is_infinity or P.Y * P.Y == cubic_rhs(c, P.X)
 
 
 def neg(c, P: CurvePoint) -> CurvePoint:
-    if P.is_infinity:
-        return INFINITY
-    return CurvePoint(P.X, -P.Y)
+    return INFINITY if P.is_infinity else CurvePoint(P.X, -P.Y)
 
 
 def _triple(P: CurvePoint) -> tuple[int, int, int] | None:
@@ -152,12 +148,7 @@ def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:
 
 def two_torsion(c) -> list[CurvePoint]:
     """The three rational points of order two; the cubic always splits."""
-    zero = Fraction(0)
-    return [
-        CurvePoint(Fraction(c.e1), zero),
-        CurvePoint(Fraction(c.e2), zero),
-        CurvePoint(Fraction(c.e3), zero),
-    ]
+    return [CurvePoint(Fraction(e), Fraction(0)) for e in (c.e1, c.e2, c.e3)]
 
 
 TORSION_STRUCTURE = (2, 4)  # Z/2 x Z/4 on every fibre, see torsion_subgroup

@@ -89,15 +89,16 @@ def lift_pairs(c: FibreCurve, u: int, w: int, D: int) -> tuple[EuclidPair | None
     wherever Y != 0.  The point lifts when |t| = a/b in lowest terms has
     a > b with a - b odd.  The root of 1/tau is b/a, so one root decides
     both, and at most one of the two lifts.  The three points with Y = 0
-    are those where tau is None or 0, and lift to nothing.
+    are those where tau is None or 0, and lift to nothing.  As a and b are
+    coprime, a - b is odd exactly when one of them is even, that is when
+    v2(num) != v2(w); so a root with equal lowest set bits is refused
+    before the gcd, and only a root that lifts pays for it.
     """
     num = 2 * c.gamma * (u + c.B * D * D) * D
-    if not num or not w:
+    if not num or not w or num & -num == w & -w:
         return None, None
     g = gcd(num, w)
     a, b = abs(num // g), abs(w // g)
-    if (a - b) % 2 == 0:
-        return None, None
     return (EuclidPair(a, b), None) if a > b else (None, EuclidPair(b, a))
 
 

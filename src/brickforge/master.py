@@ -5,9 +5,11 @@ it generates the primitive triple (a^2 - b^2, 2ab, a^2 + b^2).  Two
 such pairs form a tuple (a, b, m, n), and the tuple is a hit when the
 coupling norm M = (V1*U2)^2 + (U1*V2)^2 is a perfect square, in which
 case the edges x = U1*U2, y = V1*U2, z = U1*V2 form a box with integer
-face diagonals.  `edges` is the one derivation of that box and certifies
-the hit (dyz is the root of M); it, `master_norm` and `f1` read the
-triples' entries as plain ints, admissibility tested once per pair.
+face diagonals.  `_box` is the one derivation of that box and certifies
+the hit (dyz is the root of M); `edges`, `row_fields` and `factor_f1`
+read it.  A store row's g_scale = gcd(x, y, z) is gcd(U1, U2): the
+triples are primitive, so gcd(x, y) = U2 and gcd(x, z) = U1.  `_box`,
+`master_norm` and `f1` read the entries as plain ints, each pair gated once.
 """
 from __future__ import annotations
 
@@ -129,24 +131,39 @@ def f1_divisors(t: MasterTuple) -> tuple[int, ...]:
     >>> f1(t) == e.dxy ** 2 + e.z ** 2 == e.x ** 2 + e.dyz ** 2 == e.dxz ** 2 + e.y ** 2
     True
     """
-    t1, t2 = triples(t)
-    e = edges(t)
-    P = t1.W * t2.W - t1.V * t2.V
-    if e.dyz is None:
-        return (P,)
-    return (P, e.dxy * e.x - e.z * e.dyz)
+    return _f1_and_divisors(t)[1]
+
+
+def _f1_and_divisors(t: MasterTuple) -> tuple[int, tuple[int, ...]]:
+    (U1, V1, W1, U2, V2, W2), (x, _, z, dyz) = _box(t)
+    dxy, P = W1 * U2, W1 * W2 - V1 * V2
+    return dxy * dxy + z * z, (P,) if dyz is None else (P, dxy * x - z * dyz)
 
 
 def factor_f1(t: MasterTuple, budget: float = DEFAULT_BUDGET) -> Factorization:
     """f1 factored within `budget` seconds, its cofactor split along
     f1_divisors before p - 1 and ECM (see ntkernel.factor)."""
-    return factor(f1(t), budget, divisors=f1_divisors(t))
+    value, divisors = _f1_and_divisors(t)
+    return factor(value, budget, divisors=divisors)
+
+
+def _box(t: MasterTuple):
+    """The entries (U1, V1, W1, U2, V2, W2) and the box (x, y, z, dyz), dyz
+    None when M is no square."""
+    (U1, V1, W1), (U2, V2, W2) = _pair_entries(t[0], t[1]), _pair_entries(t[2], t[3])
+    y, z = V1 * U2, U1 * V2
+    return (U1, V1, W1, U2, V2, W2), (U1 * U2, y, z, is_perfect_square(y * y + z * z))
+
+
+def row_fields(t: MasterTuple) -> tuple[int, int, int, int, int | None]:
+    """x, y, z and g_scale = gcd(U1, U2) of a tuple's store row, then dyz (None for no hit)."""
+    (U1, _, _, U2, _, _), (x, y, z, dyz) = _box(t)
+    return x, y, z, gcd(U1, U2), dyz
 
 
 def edges(t: MasterTuple) -> Brick:
-    (U1, V1, W1), (U2, V2, W2) = _pair_entries(t[0], t[1]), _pair_entries(t[2], t[3])
-    y, z = V1 * U2, U1 * V2
-    return Brick(U1 * U2, y, z, W1 * U2, U1 * W2, is_perfect_square(y * y + z * z))
+    (U1, _, W1, U2, _, W2), (x, y, z, dyz) = _box(t)
+    return Brick(x, y, z, W1 * U2, U1 * W2, dyz)
 
 
 def is_perfect_cuboid(t: MasterTuple) -> bool:

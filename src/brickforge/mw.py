@@ -1,12 +1,12 @@
 """Bounded enumeration of new hits fibre by fibre.
 
 Seeds (points of presumed infinite order, independence never assumed)
-come from a direct quartic scan, a stored database, or a file.  All
-integer combinations with coefficients up to K, shifted through every
-torsion point, are pushed through tau; positive square values lift to
-candidate pairs and each distinct pair is re-certified with exact integer
-arithmetic before it may be reported.  Soundness is total, completeness
-is not claimed at any bound.
+come from a direct quartic scan or a file.  All integer combinations
+with coefficients up to K, shifted through every torsion point, are
+pushed through tau; positive square values lift to candidate pairs and
+each distinct pair is re-certified with exact integer arithmetic before
+it may be reported.  Soundness is total, completeness is not claimed at
+any bound.
 
 The quartic scan looks for the admissible (a, b) with a <= H whose
 coupling norm M(a, b) = (2 a b U2)^2 + ((a^2 - b^2) V2)^2 is a square,
@@ -31,17 +31,19 @@ Y = r/d^3.  Partial sums over coefficient prefixes are shared, so each
 combination (the base) costs one chord or tangent in integers
 (`ecq._sum`, one gcd).  Each torsion shift of a base is the unreduced
 sum u/D^2, w/D^3 (`ecq._raw_sum`), and its lift is read from the root
-2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`, one gcd).
-Only one shift per coset of E[2] = {O, (e1,0), (e2,0), (e3,0)} is
-computed, by T0, the coset's first point without the flag in the table
-of `ecq.torsion_subgroup`: tau(base + T) is tau(base + T0) or, where T
-has the flag, its inverse, so one root decides the lifts of all four
-translates.  A base at infinity or above a torsion point, where the
-shift is undefined, is itself torsion, so none of its translates lifts.
-A base past the size cap is skipped with all of its translates.
-Each distinct lifted pair is certified once per run, and output then: on
-one fibre a pair names one sigma-canonical tuple, and distinct pairs
-distinct ones.
+2 gamma (u + B D^2) D / w of tau (`fibration.lift_pairs`, a gcd only for
+a root that lifts).  Only one shift per coset of E[2] = {O, (e1,0),
+(e2,0), (e3,0)} is computed, by T0, the coset's first point without the
+flag in the table of `ecq.torsion_subgroup`: tau(base + T) is
+tau(base + T0) or, where T has the flag, its inverse.  So the walk reads
+a point's two coset roots and goes through the four distinct (coset,
+flag) entries of the table in the order they first appear, each standing
+for its two translates.  A base at infinity or above a torsion point,
+where the shift is undefined, is itself torsion, so none of its
+translates lifts.  A base past the size cap is skipped with all of its
+translates.  Each distinct lifted pair is certified once per run, at its
+first entry, and output then: on one fibre a pair names one
+sigma-canonical tuple, and distinct pairs distinct ones.
 
 The seeds are dependent, so many coefficient vectors land on one point
 (8,403 vectors on 2,312 points on (22,17) at H=80, K=3).  The walk keeps
@@ -55,12 +57,13 @@ key is summed, lifted and certified as above; a later one adds its
 stored number of lifts, or of skipped translates, to the counts and
 appends nothing.  So `candidates`, `lifted`, `certified` and
 `skipped_large` count the vectors of the box times the torsion points,
-not the work done, and the outputs keep their order.  Points are not
-merged up to a torsion translate or a sign, because the size cap is
-tested per point.
+not the work done, and the outputs keep their order; they are set once,
+at the end, from local counts.  Points are not merged up to a torsion
+translate or a sign, because the size cap is tested per point.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, cycle, islice, repeat
@@ -299,9 +302,7 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
         P = _triple(P)
         row = {0: None}
         for k in range(1, K + 1):
-            row[k] = _sum(c, row[k - 1], P)
-        for k in range(1, K + 1):
-            R = row[k]
+            R = row[k] = _sum(c, row[k - 1], P)
             row[-k] = None if R is None else (R[0], -R[1], R[2])
         multiples.append(row)
     prefixes = {(): None}
@@ -319,11 +320,13 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
     relations: list = []  # echelon basis of the proven relations, see `_reduce`
     known: dict[tuple[int, ...], int] = {}  # key -> pairs lifted, or -1 past the cap
     pivots = corrections = None
-    stats = MwStats()
+    # each (coset, flag) entry of the table, in order of first appearance, and its translates
+    entries = list(Counter(torsion.cosets).items())
     outputs: list[MasterTuple] = []
     certified: set[EuclidPair] = set()
-    for vec in _coefficient_vectors(len(seeds), K):
-        stats.candidates += len(shifts)
+    vectors = _coefficient_vectors(len(seeds), K)
+    lifted = skipped = 0  # skipped counts vectors, each with all of its translates
+    for vec in vectors:
         key = vec
         if relations:  # v - _reduce(relations, v) depends only on v at the pivots
             at = pivots(vec)
@@ -333,47 +336,43 @@ def enumerate_and_certify(c: FibreCurve, seeds: list[CurvePoint], K: int) -> MwR
             key = tuple(map(sub, vec, offset))
         count = known.get(key)
         if count is not None:  # the same point as an earlier vector
-            if count < 0:
-                stats.skipped_large += len(shifts)
-            else:
-                stats.lifted += count
-                stats.certified += count
+            skipped += count < 0
+            lifted += max(count, 0)
             continue
         base = _sum(c, partial_sum(vec[:-1]), multiples[-1][vec[-1]])
         # the bit lengths of the reduced X = p/d^2 and Y = r/d^3
         if base is not None and max(base[0].bit_length(), base[1].bit_length(),
                                     (base[2] ** 3).bit_length()) > _CAP_BITS:
-            stats.skipped_large += len(shifts)
+            skipped += 1
             known[key] = -1
             continue
         relation = None
+        count = 0
         if base is None or base[2] == 1 and base[0] in torsion_xs:
             # no shift is defined, and the base is torsion: nothing lifts,
             # and its order is 1 at infinity, 2 where Y = 0, else 4
             k = 1 if base is None else 2 if base[1] == 0 else 4
             relation = tuple(k * x for x in vec)
-            pairs = ()
         else:
             # one root of tau per coset
             roots = {k: lift_pairs(c, *(base if T is None else _raw_sum(c, base, T)))
                      for k, T in reps.items()}
-            pairs = [roots[k][inverted] for k, inverted in torsion.cosets]
-        count = 0
-        for pair in pairs:
-            if pair is None:
-                continue
-            count += 1
-            if pair not in certified:
-                t = MasterTuple(pair.a, pair.b, c.m, c.n)
-                if is_master_hit(t) is None:
-                    raise AssertionError(f"lifted pair {tuple(t)} failed certification")
-                certified.add(pair)
-                outputs.append(sigma_canonical(t))
-        stats.lifted += count
-        stats.certified += count
+            for (k, inverted), translates in entries:
+                pair = roots[k][inverted]
+                if pair is None:
+                    continue
+                count += translates
+                if pair not in certified:
+                    t = MasterTuple(pair.a, pair.b, c.m, c.n)
+                    if is_master_hit(t) is None:
+                        raise AssertionError(f"lifted pair {tuple(t)} failed certification")
+                    certified.add(pair)
+                    outputs.append(sigma_canonical(t))
+        lifted += count
         known[key] = count
         if relation is not None and _add_relation(relations, relation):
             # a key reduced by the old basis still names its point, though
             # a later vector of that point may now reduce further
             pivots, corrections = itemgetter(*(p for p, _ in relations)), {}
+    stats = MwStats(len(vectors) * len(shifts), lifted, lifted, skipped * len(shifts))
     return MwRun(outputs=outputs, stats=stats, provenance=f"MW-{c.m}-{c.n}")

@@ -50,13 +50,8 @@ def is_square_rational(q: Fraction) -> Fraction | None:
     """
     if q <= 0:
         return None
-    rn = is_perfect_square(q.numerator)
-    if rn is None:
-        return None
-    rd = is_perfect_square(q.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
+    rn, rd = is_perfect_square(q.numerator), is_perfect_square(q.denominator)
+    return None if rn is None or rd is None else Fraction(rn, rd)
 
 
 def valuation(n: int, p: int) -> int:
@@ -79,12 +74,8 @@ def valuation(n: int, p: int) -> int:
 
 def _mr_composite(n: int, a: int) -> bool:
     """One Miller-Rabin round; True means a witnesses compositeness."""
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(a, d, n)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    x = pow(a, (n - 1) >> s, n)
     if x == 1 or x == n - 1:
         return False
     for _ in range(s - 1):
@@ -190,10 +181,7 @@ class Factorization:
     proved: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def product(self) -> int:
-        out = self.residual
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return self.residual * math.prod(p**e for p, e in self.factors)
 
 
 _BLOCK = 256  # trial primes per gcd

@@ -7,7 +7,9 @@ text, from import to export.  A read parses the lines it needs at each
 call and returns frozen snapshots; the four setters (`insert_hit`,
 `set_factorization`, `set_family_tags`, `upsert_fibre`) are the only way a
 row changes.  `insert_hit` forms a new hit's line from its canonical tuple,
-as the key's text, and its brick, with no record built to be formatted.
+as the key's text, and `master.row_fields`, with no record built to be
+formatted.  Its g_scale is gcd(U1, U2), as the triples are primitive:
+gcd(x, y) = U2 and gcd(x, z) = U1, so gcd(x, y, z) = gcd(U1, U2).
 
 An export replaces each file atomically, manifest.txt first, and an import
 checks every file against the sha256 listed in manifest.txt, so a torn
@@ -31,7 +33,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from math import gcd, prod
+from math import prod
 from operator import itemgetter, methodcaller
 
 from . import csvrows, master
@@ -145,13 +147,13 @@ class Store:
         key = csvrows.tuple_key(canon)
         hit_id = self._by_tuple.get(key, self._next_id)
         _refuse(_provenance_faults(hit_id, provenance))
-        x, y, z, _, _, dyz = master.edges(canon)
+        x, y, z, g_scale, dyz = master.row_fields(canon)
         if dyz is None:
             raise ValueError(f"{tuple(t)} is not a Master-Hit")
         if key in self._by_tuple:
             return hit_id, False
         self._put("master_hits.csv", self._hits, hit_id,
-                  _hit_line(hit_id, key.split(","), x, y, z, gcd(x, y, z), provenance, "", "none"))
+                  _hit_line(hit_id, key.split(","), x, y, z, g_scale, provenance, "", "none"))
         self._by_tuple[key] = hit_id
         self._next_id += 1
         return hit_id, True
@@ -195,8 +197,8 @@ def validate_consistency(store: Store) -> list[str]:
     """Re-derives every identity field and lists violations by id; rows by the setters' rules."""
     bad: list[str] = []
     for rec in store.hits():
-        try:  # edges tests admissibility once; the reason is sought only for a refusal
-            x, y, z, _, _, dyz = master.edges(rec.tuple)
+        try:  # row_fields tests admissibility once; the reason is sought only for a refusal
+            x, y, z, g_scale, dyz = master.row_fields(rec.tuple)
         except ValueError:
             bad.append(f"hit {rec.id}: inadmissible ({master.is_admissible(*rec.tuple)[1]})")
             continue
@@ -206,7 +208,7 @@ def validate_consistency(store: Store) -> list[str]:
             bad.append(f"hit {rec.id}: M is not a square")
             continue
         stored = (rec.x, rec.y, rec.z, rec.g_scale)
-        for name, want, got in zip(("x", "y", "z", "g_scale"), (x, y, z, gcd(x, y, z)), stored):
+        for name, want, got in zip(("x", "y", "z", "g_scale"), (x, y, z, g_scale), stored):
             if want != got:
                 bad.append(f"hit {rec.id}: {name} is {got}, derived {want}")
         bad += _provenance_faults(rec.id, rec.provenance)

@@ -118,6 +118,16 @@ def test_factorize_parallel_matches_serial(db, tmp_path_factory, monkeypatch, ca
         assert parallel.factor_rows(hit_id) == serial.factor_rows(hit_id)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pmap_yields_each_result_in_order_as_it_is_taken(jobs):
+    # an iterator, not a list of every result: a pool's results are yielded
+    # from inside its with block, one at a time
+    results = cli._pmap(jobs, abs, range(-40, 0))
+    assert iter(results) is results
+    assert next(results) == 40
+    assert list(results) == list(map(abs, range(-39, 0)))
+
+
 @pytest.mark.parametrize("argv,message", [
     (["factorize", "--budget", "-1"], "--budget must be a finite number above 0"),
     (["factorize", "--budget", "0"], "--budget must be a finite number above 0"),

@@ -289,3 +289,21 @@ def test_lift_pairs_matches_the_square_root_rule():
             kinds["Y = 0" if not P.Y else "lifts" if want[0] else
                   "inverse lifts" if want[1] else "no lift"] += 1
     assert min(kinds.values()) >= 100, kinds
+    # the 2-adic refusal on any integers: the root num/w, num = 2 gamma (u + B D^2) D,
+    # zero or negative in either part, and its parts scaled by powers of two apart
+    c = build_fibre(22, 17)
+    kinds = dict.fromkeys(("num = 0", "w = 0", "num < 0", "w < 0", "lifts", "refused"), 0)
+    for _ in range(4000):
+        D = rng.choice((1, -1, 2, -6, rng.randrange(-10**6, 10**6) or 1))
+        u = -c.B * D * D if rng.random() < 0.1 else rng.randrange(-10**9, 10**9) << rng.randrange(12)
+        num = 2 * c.gamma * (u + c.B * D * D) * D
+        odd = rng.randrange(-10**9, 10**9) | 1
+        # w with v2(w) = v2(num) + 0, 1 or 3, or any w, or none
+        w = rng.choice((0, odd << rng.randrange(40), odd * (num & -num) << rng.choice((0, 0, 1, 3))))
+        want = _lift_pairs_by_root(None if not w else Fraction(num, w) ** 2)
+        assert lift_pairs(c, u, w, D) == want, (u, w, D)
+        for kind, seen in (("num = 0", not num), ("w = 0", not w), ("num < 0", num < 0),
+                           ("w < 0", w < 0), ("lifts", want != (None, None)),
+                           ("refused", num and w and want == (None, None))):
+            kinds[kind] += bool(seen)
+    assert min(kinds.values()) >= 200, kinds

@@ -20,16 +20,19 @@ from brickforge.master import (
     edges,
     f1,
     f1_divisors,
+    factor_f1,
     is_admissible,
     is_master_hit,
     is_perfect_cuboid,
     master_norm,
     parameter_set,
     recover_master_tuple_scaled,
+    row_fields,
     sigma_canonical,
     triple_from_pair,
     triples,
 )
+from brickforge.ntkernel import factor
 from brickforge.store import Store
 
 GOLDEN = MasterTuple(55, 48, 44, 9)
@@ -116,7 +119,35 @@ def test_tuple_functions_match_the_reference_rule():
         assert (e, master_norm(t), f1(t)) == (reference_edges(t), reference_master_norm(t),
                                               reference_f1(t)), t
         assert is_master_hit(t) == e.dyz
+        assert row_fields(t) == (e.x, e.y, e.z, gcd(gcd(e.x, e.y), e.z), e.dyz), t
     assert all(edges(t).dyz is not None for t in bench_walk(3))
+
+
+def test_g_scale_is_the_gcd_of_the_two_legs_u():
+    # primitive triples: gcd(x, y) = U2 and gcd(x, z) = U1, so gcd(x, y, z) = gcd(U1, U2)
+    rng = random.Random(31)
+    tuples = (*bench_walk(3), *(random_admissible(rng) for _ in range(3000)))
+    scaled = 0
+    for t in tuples:
+        (U1, _, _), (U2, _, _) = triples(t)
+        e = reference_edges(t)
+        assert (gcd(e.x, e.y), gcd(e.x, e.z)) == (U2, U1), t
+        assert gcd(U1, U2) == gcd(gcd(e.x, e.y), e.z) == row_fields(t)[3], t
+        scaled += gcd(U1, U2) > 1
+    assert scaled >= 1000  # the rule is tested where g_scale is not 1
+
+
+def test_factor_f1_factors_f1_along_its_divisors():
+    # at budget 0 the result depends on no clock: trial division and the divisor split
+    rng = random.Random(32)
+    tuples = (*bench_walk(3), *(random_admissible(rng, hi=10**6) for _ in range(300)))
+    partial = 0
+    for t in tuples:
+        got = factor_f1(t, 0)
+        assert got == factor(f1(t), 0, divisors=f1_divisors(t)), t
+        assert got.product() == reference_f1(t)
+        partial += got.status == "partial"
+    assert 0 < partial < len(tuples)
 
 
 @pytest.mark.parametrize("t", [(3, 1, 44, 9), (44, 9, 3, 1), (9, 44, 55, 48), (55, 48, 4, 2),
@@ -125,7 +156,8 @@ def test_an_inadmissible_pair_is_refused_as_the_reference_refuses_it(t):
     t = MasterTuple(*t)
     for fn, reference in ((edges, reference_edges), (master_norm, reference_master_norm),
                           (f1, reference_f1), (is_master_hit, reference_master_norm),
-                          (triples, reference_edges),
+                          (triples, reference_edges), (row_fields, reference_edges),
+                          (factor_f1, reference_f1), (f1_divisors, reference_f1),
                           (lambda t: Store().insert_hit(t, "Rathbun-Search"),
                            lambda t: reference_edges(sigma_canonical(t)))):
         with pytest.raises(ValueError) as want:
