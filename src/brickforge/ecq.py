@@ -5,11 +5,12 @@ the three roots e1, e2, e3; all point coordinates are Fractions, or the
 integers (p, r, d) of X = p/d^2 and Y = r/d^3 that the group law works
 in, so every identity below is checked exactly, never numerically.
 
-The group law (add, neg, scalar_mul) assumes its inputs are on
-the curve; it checks only the integral form its sums take.  Points
-are checked where they enter: seed file lines in `mw.load_seed_file`,
-seeds in `mw.enumerate_and_certify`, hit pairs in `fibration.phi` and
-stored generators in `store.validate_consistency`.  The torsion of every
+The group law (`add`, and `_sum` and `_raw_sum` on triples) assumes its
+inputs are on the curve; it checks only the integral form its sums take.
+Points are checked where they enter: seed file lines in
+`mw.load_seed_file`, seeds in `mw.enumerate_and_certify`, hit pairs in
+`fibration.phi` and stored generators in `store._fibre_faults`, which
+`upsert_fibre` and `verify consistency` both run.  The torsion of every
 fibre is Z/2 x Z/4 (`TORSION_STRUCTURE`), none of it lifts to a hit, and
 its points come from `torsion_subgroup`, unchecked, with a table of
 their cosets of E[2] that tells the MW walk which translates share tau
@@ -44,10 +45,6 @@ def cubic_rhs(c, X: Fraction) -> Fraction:
 
 def on_curve(c, P: CurvePoint) -> bool:
     return P.is_infinity or P.Y * P.Y == cubic_rhs(c, P.X)
-
-
-def neg(c, P: CurvePoint) -> CurvePoint:
-    return INFINITY if P.is_infinity else CurvePoint(P.X, -P.Y)
 
 
 def _triple(P: CurvePoint) -> tuple[int, int, int] | None:
@@ -132,18 +129,6 @@ def add(c, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     """Chord-tangent sum of two points on the curve, in the integers of
     their triples (`_sum`)."""
     return _point(_sum(c, _triple(P), _triple(Q)))
-
-
-def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:
-    if k < 0:
-        k, P = -k, neg(c, P)
-    R = INFINITY
-    while k:
-        if k & 1:
-            R = add(c, R, P)
-        P = add(c, P, P)
-        k >>= 1
-    return R
 
 
 def two_torsion(c) -> list[CurvePoint]:

@@ -36,14 +36,6 @@ class MasterTuple(NamedTuple):
     m: int
     n: int
 
-    @property
-    def first(self) -> EuclidPair:
-        return EuclidPair(self.a, self.b)
-
-    @property
-    def second(self) -> EuclidPair:
-        return EuclidPair(self.m, self.n)
-
 
 class Brick(NamedTuple):
     x: int
@@ -94,7 +86,7 @@ def triple_from_pair(p: EuclidPair) -> PythTriple:
 
 def triples(t: MasterTuple) -> tuple[PythTriple, PythTriple]:
     """Both triples, each pair gated once."""
-    return triple_from_pair(t.first), triple_from_pair(t.second)
+    return PythTriple(*_pair_entries(t[0], t[1])), PythTriple(*_pair_entries(t[2], t[3]))
 
 
 def master_norm(t: MasterTuple) -> int:
@@ -164,18 +156,6 @@ def row_fields(t: MasterTuple) -> tuple[int, int, int, int, int | None]:
 def edges(t: MasterTuple) -> Brick:
     (U1, _, W1, U2, _, W2), (x, y, z, dyz) = _box(t)
     return Brick(x, y, z, W1 * U2, U1 * W2, dyz)
-
-
-def is_perfect_cuboid(t: MasterTuple) -> bool:
-    """Whether the hit's space diagonal is an integer.  (None known.)"""
-    e = edges(t)
-    if e.dyz is None:
-        raise ValueError("is_perfect_cuboid expects a certified hit")
-    by_edges = is_perfect_square(e.x**2 + e.y**2 + e.z**2) is not None
-    by_norm = is_perfect_square(f1(t)) is not None
-    if by_edges != by_norm:
-        raise AssertionError(f"space-diagonal verdicts disagree on {tuple(t)}")
-    return by_edges
 
 
 def canonical_expressions(t: MasterTuple) -> list[int]:

@@ -1,8 +1,8 @@
 """Shared helpers: pseudorandom admissible tuples, lists of fibres, the
 hits of the factor-audit and fibre-deep walks for property tests, a fault
-written into a store as its lines, and reference rules (halving a point,
-lifting one, ECM's projective stage 2, a tuple's brick, norms and hit line)
-the tests check the package against."""
+written into a store as its lines, and reference rules (negating, multiplying,
+halving and lifting a point, ECM's projective stage 2, a tuple's brick, norms
+and hit line) the tests check the package against."""
 import functools
 from fractions import Fraction
 from math import gcd
@@ -88,6 +88,23 @@ def bench_walk(K: int) -> tuple[MasterTuple, ...]:
     c = build_fibre(22, 17)
     run = enumerate_and_certify(c, seeds_from_hits(c, naive_quartic_search(c, 80)), K)
     return tuple(run.outputs)
+
+
+def neg(c, P: CurvePoint) -> CurvePoint:
+    return INFINITY if P.is_infinity else CurvePoint(P.X, -P.Y)
+
+
+def scalar_mul(c, k: int, P: CurvePoint) -> CurvePoint:
+    """kP by double-and-add over `ecq.add`, -P for k < 0."""
+    if k < 0:
+        k, P = -k, neg(c, P)
+    R = INFINITY
+    while k:
+        if k & 1:
+            R = add(c, R, P)
+        P = add(c, P, P)
+        k >>= 1
+    return R
 
 
 def halve(c, P: CurvePoint) -> list[CurvePoint]:

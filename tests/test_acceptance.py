@@ -7,6 +7,7 @@ and generous; a budget miss is a failure, a slow-but-correct run is not.
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 from brickforge import cli, master
 from brickforge.blockers import (
@@ -176,18 +177,24 @@ def test_criterion_06_tau_phi_identity():
              f"{symbolic}/50 exact identity proofs, {numeric}/8 seed numerics")
 
 
-def test_criterion_07_generator_soundness(tmp_path):
+def test_criterion_07_generator_soundness(tmp_path, capsys):
     start = time.monotonic()
     code = cli.main(["mw", "run", "--m", "44", "--n", "9",
                      "--seed-height", "60", "--K", "3", "--db", str(tmp_path)])
     elapsed = time.monotonic() - start
     hits = import_csv(tmp_path).hits()
     certified = sum(master.is_master_hit(rec.tuple) is not None for rec in hits)
-    perfect = sum(master.is_perfect_cuboid(rec.tuple) for rec in hits)
-    ok = (code == 0 and elapsed < 300 and len(hits) >= 1
-          and certified == len(hits) and perfect == 0)
-    _verdict(7, ok, f"{len(hits)} hits in {elapsed:.1f}s, "
-                    f"{certified} certified, {perfect} perfect cuboids")
+    capsys.readouterr()
+    # verify consistency proves the stored x, y, z equal those the tuple
+    # derives, so verify perfect tests the brick of each hit
+    checks = [cli.main(["verify", what, "--db", str(tmp_path)])
+              for what in ("consistency", "perfect")]
+    out = capsys.readouterr().out
+    ok = (code == 0 and elapsed < 300 and len(hits) >= 1 and certified == len(hits)
+          and checks == [0, 0] and out == f"records={len(hits)} violations=0\n"
+                                           f"records={len(hits)} perfect_cuboids=0\n")
+    _verdict(7, ok, f"{len(hits)} hits in {elapsed:.1f}s, {certified} certified, "
+                    f"verify consistency and perfect: {' | '.join(out.splitlines())}")
 
 
 def test_criterion_08_structural_identities():
@@ -199,8 +206,10 @@ def test_criterion_08_structural_identities():
             value = master.f1(t)
             if value % 2 == 0:
                 raise AssertionError("f1 even")
-            canonical_decomposition(t)  # asserts its identities internally
-            semiscaled(t)               # likewise
+            d = canonical_decomposition(t)
+            if value != d.g0 ** 2 * (d.xi ** 2 + d.eta ** 2) or gcd(d.xi, d.eta) != 1:
+                raise AssertionError("canonical decomposition fails")
+            semiscaled(t)  # asserts its identities internally
             for p in (3, 5, 7, 11, 13, 17):
                 alpha, beta, predicted = padic_profile(t, p)
                 if alpha != beta and valuation(value, p) != predicted:

@@ -93,6 +93,16 @@ def test_verify_perfect_flags_fake_square_record(db, capsys):
     assert cli.main(["verify", "consistency"]) == 1
 
 
+def test_verify_perfect_finds_no_perfect_cuboid_among_paper_hits(db, capsys):
+    # the golden hit, a single-blocker row and an even-largest row of the paper
+    store = Store()
+    for t in ((55, 48, 44, 9), (835, 88, 160, 89), (1770, 1219, 1408, 477)):
+        store.insert_hit(MasterTuple(*t), "Rathbun-Search")
+    export_csv(store, db)
+    assert cli.main(["verify", "perfect"]) == 0
+    assert capsys.readouterr().out == "records=3 perfect_cuboids=0\n"
+
+
 def test_factorize_and_idempotence(db, capsys):
     seeded_db(db, factored=False)
     assert cli.main(["factorize", "--budget", "30"]) == 0

@@ -5,16 +5,16 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import EIGHT_TORSION, admissible_fibres, halve, hand_fibre, lift_point, random_pair
+from conftest import (
+    EIGHT_TORSION, admissible_fibres, halve, hand_fibre, lift_point, neg, random_pair, scalar_mul,
+)
 from brickforge.ecq import (
     INFINITY,
     CurvePoint,
     TorsionGroup,
     add,
     cubic_rhs,
-    neg,
     on_curve,
-    scalar_mul,
     torsion_subgroup,
     two_torsion,
 )

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EIGHT_TORSION, admissible_fibres, halve, hand_fibre, lift_point, random_pair
-from brickforge.ecq import (
-    CurvePoint, INFINITY, _triple, add, scalar_mul, torsion_subgroup, two_torsion,
+from conftest import (
+    EIGHT_TORSION, admissible_fibres, halve, hand_fibre, lift_point, random_pair, scalar_mul,
 )
+from brickforge.ecq import CurvePoint, INFINITY, _triple, add, torsion_subgroup, two_torsion
 from brickforge.fibration import (
     build_fibre, lift_pairs, phi, quartic_rhs, tau, tau_phi_identity,
 )

@@ -23,7 +23,6 @@ from brickforge.master import (
     factor_f1,
     is_admissible,
     is_master_hit,
-    is_perfect_cuboid,
     master_norm,
     parameter_set,
     recover_master_tuple_scaled,
@@ -120,6 +119,9 @@ def test_tuple_functions_match_the_reference_rule():
                                               reference_f1(t)), t
         assert is_master_hit(t) == e.dyz
         assert row_fields(t) == (e.x, e.y, e.z, gcd(gcd(e.x, e.y), e.z), e.dyz), t
+        # f1 is the squared space diagonal, hit or not: the box is a perfect
+        # cuboid exactly when the x^2 + y^2 + z^2 `verify perfect` tests is a square
+        assert f1(t) == e.x**2 + e.y**2 + e.z**2, t
     assert all(edges(t).dyz is not None for t in bench_walk(3))
 
 
@@ -190,14 +192,6 @@ def test_edge_diagonal_identities_random():
         assert e.x**2 + e.z**2 == e.dxz**2
         if e.dyz is not None:
             assert e.y**2 + e.z**2 == e.dyz**2
-
-
-def test_is_perfect_cuboid():
-    assert is_perfect_cuboid(GOLDEN) is False
-    assert is_perfect_cuboid(MasterTuple(835, 88, 160, 89)) is False
-    assert is_perfect_cuboid(MasterTuple(1770, 1219, 1408, 477)) is False
-    with pytest.raises(ValueError):
-        is_perfect_cuboid(MasterTuple(2, 1, 2, 1))
 
 
 def test_canonical_expressions():

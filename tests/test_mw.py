@@ -7,11 +7,9 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import admissible_fibres, lift_point
+from conftest import admissible_fibres, lift_point, neg, scalar_mul
 from brickforge import cli, ecq, master, mw
-from brickforge.ecq import (
-    INFINITY, CurvePoint, add, neg, scalar_mul, torsion_subgroup, two_torsion,
-)
+from brickforge.ecq import INFINITY, CurvePoint, add, torsion_subgroup, two_torsion
 from brickforge.fibration import build_fibre, tau
 from brickforge.master import EuclidPair, MasterTuple, edges, is_master_hit, sigma_canonical
 from brickforge.mw import (
