@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .master import MasterTuple, f1, is_master_hit, parameter_set, triples
+from .master import MasterTuple, f1, is_master_hit, parameter_set, row_fields, triples
 from .ntkernel import Factorization, is_perfect_square, is_prime, valuation
 
 VALID_MODIFIERS = (1, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
@@ -45,28 +45,23 @@ def blockers(f: Factorization) -> list[tuple[int, int]]:
 def verify_blocker_conjecture(t: MasterTuple, f: Factorization) -> BlockerReport:
     """Look for an exponent-one blocker coprime to the whole parameter set.
 
-    With a partial factorization a witness still certifies the verdict,
-    because exponent one is confirmed directly against f1 by two exact
-    divisions; no witness under partial status is undecidable rather
-    than a violation.
+    Each exponent-one candidate, under every status, is confirmed by two
+    exact divisions of f1 = x^2 + y^2 + z^2 (the brick's squared space
+    diagonal, from the hit check's one derivation), so a row that is not what
+    it says certifies nothing; no witness under partial status is undecidable.
     """
-    if is_master_hit(t) is None:
+    x, y, z, _, dyz = row_fields(t)
+    if dyz is None:
         raise ValueError(f"{tuple(t)} is not a hit")
-    value = f1(t)
+    value = x * x + y * y + z * z
     blist = blockers(f)
     if f.status == "full":
         for p, _ in blist:
             if p % 4 != 1:
-                raise AssertionError(f"blocker {p} = 3 mod 4 on {tuple(t)}, impossible for a two-square norm")
+                raise ValueError(f"blocker {p} = 3 mod 4 on {tuple(t)}, impossible for a two-square norm")
     pset = parameter_set(t)
-    witnesses = []
-    for p, e in blist:
-        if e != 1:
-            continue
-        if f.status == "partial" and not (value % p == 0 and value % (p * p) != 0):
-            continue
-        if all(gcd(p, member) == 1 for member in pset):
-            witnesses.append(p)
+    witnesses = [p for p, e in blist if e == 1 and value % p == 0 and value % (p * p) != 0
+                 and all(gcd(p, member) == 1 for member in pset)]
     if witnesses:
         verdict = "verified"
     elif f.status == "partial":

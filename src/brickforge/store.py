@@ -173,10 +173,10 @@ class Store:
 
     def factorization_of(self, rec: HitRecord) -> Factorization | None:
         """The factorization of `rec`, its status read from it; refused as `_read_faults` finds."""
-        if rec.f1_status == "none":
-            return None
         rows = self.factor_rows(rec.id)
         _refuse(_read_faults(rec, rows))
+        if rec.f1_status == "none":
+            return None
         return Factorization(factors=[(r.prime, r.exponent) for r in rows if not r.is_residual],
                              residual=prod(r.prime ** r.exponent for r in rows if r.is_residual),
                              status=rec.f1_status)
@@ -237,35 +237,40 @@ def _tag_faults(hit_id: int, tags) -> list[str]:
 
 
 def _read_faults(rec: HitRecord, rows: list[FactorRow]) -> list[str]:
-    """The faults of `_factor_faults` that a read refuses: those that cost no is_prime."""
-    if not rows:
-        return [f"hit {rec.id}: status {rec.f1_status} but no factor rows"]
-    primes = [r.prime for r in rows if not r.is_residual]
-    return [f"hit {rec.id}: repeated prime rows"] if len(set(primes)) != len(primes) else []
-
-
-def _factor_faults(rec: HitRecord, rows: list[FactorRow], proved=()) -> list[str]:
-    if rec.f1_status not in F1_STATUSES:
-        return [f"hit {rec.id}: bad f1_status {rec.f1_status!r}"]
-    if rec.f1_status == "none":
+    """The faults of a hit's status and factor rows that cost no is_prime,
+    which every read refuses: a bad status, rows under status none, no rows,
+    a repeated prime, full with a residual row, partial without one, and a
+    product that is not f1."""
+    status = rec.f1_status
+    if status not in F1_STATUSES:
+        return [f"hit {rec.id}: bad f1_status {status!r}"]
+    if status == "none":
         return [f"hit {rec.id}: factor rows without factorization status"] if rows else []
-    bad = _read_faults(rec, rows)
     if not rows:
-        return bad
-    # every row has prime >= 2 and exponent >= 1: a read refuses any other
-    bad.extend(f"hit {rec.id}: composite {row.prime} marked prime"
-               for row in rows if not (row.is_residual or row.prime in proved or is_prime(row.prime)))
-    residuals = [r for r in rows if r.is_residual]
-    if rec.f1_status == "full" and residuals:
+        return [f"hit {rec.id}: status {status} but no factor rows"]
+    bad = []
+    primes = [r.prime for r in rows if not r.is_residual]
+    if len(set(primes)) != len(primes):
+        bad.append(f"hit {rec.id}: repeated prime rows")
+    if status == "full" and len(primes) < len(rows):
         bad.append(f"hit {rec.id}: full status with a residual row")
-    if rec.f1_status == "partial":
-        if not residuals:
-            bad.append(f"hit {rec.id}: partial status without a residual row")
-        # factor() gives a piece up only after is_prime refuses it
-        bad.extend(f"hit {rec.id}: residual {r.prime} is prime" for r in residuals if is_prime(r.prime))
+    if status == "partial" and len(primes) == len(rows):
+        bad.append(f"hit {rec.id}: partial status without a residual row")
     if prod(row.prime ** row.exponent for row in rows) != master.f1(rec.tuple):
         bad.append(f"hit {rec.id}: factor rows do not multiply back to f1")
     return bad
+
+
+def _factor_faults(rec: HitRecord, rows: list[FactorRow], proved=()) -> list[str]:
+    """`_read_faults`, then the two findings that need is_prime: a composite
+    marked prime (unless `proved` holds it), and a partial's prime residual."""
+    # every row has prime >= 2 and exponent >= 1: a read refuses any other
+    return [*_read_faults(rec, rows),
+            *(f"hit {rec.id}: composite {row.prime} marked prime" for row in rows
+              if not (row.is_residual or row.prime in proved or is_prime(row.prime))),
+            # factor() gives a piece up only after is_prime refuses it
+            *(f"hit {rec.id}: residual {row.prime} is prime" for row in rows
+              if row.is_residual and rec.f1_status == "partial" and is_prime(row.prime))]
 
 
 def _fibre_faults(row: FibreRow) -> list[str]:

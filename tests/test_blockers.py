@@ -92,6 +92,25 @@ def test_verify_blocker_conjecture_partial_witness():
     assert verify_blocker_conjecture(GOLDEN, partial).verdict == "undecidable_partial"
 
 
+def test_verify_blocker_conjecture_confirms_a_full_witness_against_f1():
+    # 13 is outside the parameter set, but 13^3 divides f1 exactly: a row
+    # 13^1 under status full is confirmed by the same two divisions as under
+    # partial, and is no witness
+    value = f1(GOLDEN)
+    assert value % 13**3 == 0 and value % 13**4
+    rep = verify_blocker_conjecture(GOLDEN, Factorization([(13, 1)], 1, "full"))
+    assert (rep.verdict, rep.exponent_one_outside_P) == ("violated", [])
+
+
+def test_verify_blocker_conjecture_refuses_a_3_mod_4_blocker():
+    # 91 = 7 * 13 marked prime: the product is f1, and the blocker 7 is refused
+    # as no full factorization of a two-square norm can hold it
+    fact = Factorization([(7, 1), (13, 2), (61, 1), (91, 1), (1597, 1), (9349, 1)], 1, "full")
+    assert fact.product() == f1(GOLDEN)
+    with pytest.raises(ValueError, match="^blocker 7 = 3 mod 4 on "):
+        verify_blocker_conjecture(GOLDEN, fact)
+
+
 def test_verify_blocker_conjecture_rejects_non_hit():
     with pytest.raises(ValueError):
         verify_blocker_conjecture(MasterTuple(2, 1, 2, 1), Factorization())

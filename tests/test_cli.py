@@ -619,6 +619,71 @@ def test_a_verdict_command_refuses_repeated_prime_rows(db, capsys, argv):
     assert capsys.readouterr().out.splitlines()[1:] == ["hit 1: repeated prime rows"]
 
 
+def hand_built_golden(db, rows) -> None:
+    """A store of GOLDEN alone, status full, whose f1_factors.csv holds `rows`
+    ("prime,exponent,is_residual") and which has no manifest, as a store
+    written by hand is loaded: unchecked."""
+    store = Store()
+    store.set_factorization(store.insert_hit(GOLDEN, "Rathbun-Search")[0],
+                            master.factor_f1(GOLDEN))
+    export_csv(store, db)
+    (db / "manifest.txt").unlink()
+    (db / "f1_factors.csv").write_text(
+        "hit_id,prime,exponent,is_residual\n" + "".join(f"1,{row}\n" for row in rows))
+
+
+GOLDEN_ROWS = ["7,2,0", "13,3,0", "61,1,0", "1597,1,0", "9349,1,0"]
+
+# each fault of a full record's factor rows that costs no is_prime, its rows
+# and the first line verify consistency prints for it
+FULL_ROW_FAULTS = {
+    "no rows": ([], "hit 1: status full but no factor rows"),
+    "repeated prime": (["7,1,0", "7,1,0", *GOLDEN_ROWS[1:]], "hit 1: repeated prime rows"),
+    # 61 * 1597 * 9349 as a residual under status full: read as no witness, violated
+    "residual row": (["7,2,0", "13,3,0", f"{61 * 1597 * 9349},1,1"],
+                     "hit 1: full status with a residual row"),
+    # one forged row: read as its own witness, verified
+    "wrong product": (["1000033,1,0"], "hit 1: factor rows do not multiply back to f1"),
+}
+
+
+@pytest.mark.parametrize("argv", [["verify", "theorem"], ["verify", "single-blocker"],
+                                  ["report", "--what", "k-distribution"],
+                                  ["report", "--what", "blockers"]], ids=" ".join)
+@pytest.mark.parametrize("fault", FULL_ROW_FAULTS)
+def test_a_verdict_command_refuses_what_verify_consistency_reports(db, capsys, fault, argv):
+    # a full record is read only through its rows: a verdict on rows verify
+    # consistency rejects would be a false verdict, so it is refused (exit 2)
+    # in the words verify consistency prints (exit 1)
+    rows, finding = FULL_ROW_FAULTS[fault]
+    hand_built_golden(db, rows)
+    assert (cli.main(argv), tuple(capsys.readouterr())) == (2, ("", f"error: {finding}\n"))
+    assert cli.main(["verify", "consistency"]) == 1
+    assert finding in capsys.readouterr().out.splitlines()[1:]
+
+
+def test_a_composite_row_with_the_right_product_is_no_traceback(db, capsys):
+    # 7 and 91 = 7 * 13 as primes: the product is f1, and the 3 mod 4 blocker
+    # 7 is refused (exit 2) rather than raised as an AssertionError
+    hand_built_golden(db, ["7,1,0", "13,2,0", "61,1,0", "91,1,0", "1597,1,0", "9349,1,0"])
+    assert cli.main(["verify", "theorem"]) == 2
+    assert capsys.readouterr().err == ("error: blocker 7 = 3 mod 4 on (44, 9, 55, 48), "
+                                       "impossible for a two-square norm\n")
+    assert cli.main(["verify", "consistency"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["hit 1: composite 91 marked prime"]
+
+
+def test_verify_theorem_derives_each_full_record_six_times(factored_k2, monkeypatch, capsys):
+    # two pair gates for the read's f1, two for the hit check and f1 of the
+    # verdict, two for the parameter set
+    full = sum(rec.f1_status == "full" for rec in import_csv(factored_k2).hits())
+    gate, calls = master._pair_entries, []
+    monkeypatch.setattr(master, "_pair_entries", lambda a, b: calls.append(1) or gate(a, b))
+    assert cli.main(["verify", "theorem", "--db", str(factored_k2)]) == 0
+    assert f"verified={full} " in capsys.readouterr().out
+    assert len(calls) == 6 * full
+
+
 def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(db):
     seeded_db(db)
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -230,6 +230,8 @@ CORRUPTIONS = {
                                  "hit 1: partial status without a residual row", 1),
     "prime residual": (lambda db: (_prime_as_residual(db), _set(f1_status="partial")(db)),
                        "hit 1: residual 61 is prime", 1),
+    "wrong product": (lambda db: put_lines(db, 1, factors=db.factor_rows(1)[:-1]),
+                      "hit 1: factor rows do not multiply back to f1", 1),
 }
 
 
@@ -249,6 +251,27 @@ def test_validate_flags_each_corruption(tmp_path, capsys, corrupt, finding, code
         assert out == f"records=2 violations=1\n{finding}\n"
     else:
         assert err == f"error: {finding}\n"
+
+
+# each corruption of CORRUPTIONS that costs no is_prime to find, and the hit
+# it is in: every read of that hit's factorization refuses it
+READ_FAULTS = {"bad f1_status": 1, "rows without status": 2, "status without rows": 1,
+               "repeated prime": 1, "full with residual": 1, "partial without residual": 1,
+               "wrong product": 1}
+
+
+@pytest.mark.parametrize("name", [*READ_FAULTS, "composite marked prime", "prime residual"])
+def test_a_read_refuses_what_verify_consistency_finds_without_is_prime(monkeypatch, name):
+    db = golden_store()
+    corrupt, finding, _ = CORRUPTIONS[name]
+    corrupt(db)
+    monkeypatch.setattr(store_module, "is_prime", None)  # a read proves nothing prime
+    rec = db.get(READ_FAULTS.get(name, 1))
+    if name in READ_FAULTS:
+        with pytest.raises(ValueError, match=f"^{re.escape(finding)}$"):
+            db.factorization_of(rec)
+    else:  # only verify consistency, which proves the rows prime, finds these
+        assert db.factorization_of(rec).product() == master.f1(GOLDEN)
 
 
 GOLDEN_FACTORS = [(7, 2), (13, 3), (61, 1), (1597, 1), (9349, 1)]
