@@ -9,9 +9,9 @@ to all 29 canonical expressions of the tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .master import MasterTuple, f1, is_master_hit, parameter_set, row_fields, triples
+from .master import MasterTuple, is_master_hit, parameter_set, row_fields, triples
 from .ntkernel import Factorization, is_perfect_square, is_prime, valuation
 
 VALID_MODIFIERS = (1, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
@@ -37,31 +37,36 @@ class SemiScaledCoords:
     g_minus: int
 
 
-def blockers(f: Factorization) -> list[tuple[int, int]]:
-    """Odd-exponent primes among the known factors, ascending."""
-    return [(p, e) for p, e in f.factors if e % 2 == 1]
-
-
-def verify_blocker_conjecture(t: MasterTuple, f: Factorization) -> BlockerReport:
-    """Look for an exponent-one blocker coprime to the whole parameter set.
-
-    Each exponent-one candidate, under every status, is confirmed by two
-    exact divisions of f1 = x^2 + y^2 + z^2 (the brick's squared space
-    diagonal, from the hit check's one derivation), so a row that is not what
-    it says certifies nothing; no witness under partial status is undecidable.
+def blockers(t: MasterTuple, f: Factorization) -> list[tuple[int, int]]:
+    """The odd-exponent rows p^e of f, ascending, each confirmed by two exact
+    divisions of f1 = x^2 + y^2 + z^2 (from the hit check's one derivation):
+    p^e divides f1, p^(e+1) does not.  Under status full a failing row, or a p
+    not 1 mod 4, raises ValueError; under partial a failing row is dropped, as
+    the residual may hold the rest of its power.  No row is proved prime here.
     """
     x, y, z, _, dyz = row_fields(t)
     if dyz is None:
         raise ValueError(f"{tuple(t)} is not a hit")
     value = x * x + y * y + z * z
-    blist = blockers(f)
-    if f.status == "full":
-        for p, _ in blist:
-            if p % 4 != 1:
-                raise ValueError(f"blocker {p} = 3 mod 4 on {tuple(t)}, impossible for a two-square norm")
+    out = []
+    for p, e in f.factors:
+        if e % 2 == 0:
+            continue
+        if f.status == "full" and p % 4 != 1:
+            raise ValueError(f"blocker {p} = 3 mod 4 on {tuple(t)}, impossible for a two-square norm")
+        if value % p**e == 0 and value // p**e % p:
+            out.append((p, e))
+        elif f.status == "full":
+            raise ValueError(f"row {p}^{e} does not divide f1 exactly on {tuple(t)}")
+    return out
+
+
+def verify_blocker_conjecture(t: MasterTuple, f: Factorization) -> BlockerReport:
+    """Look for an exponent-one blocker coprime to the whole parameter set among
+    those `blockers` confirms; no witness under partial status is undecidable."""
+    blist = blockers(t, f)
     pset = parameter_set(t)
-    witnesses = [p for p, e in blist if e == 1 and value % p == 0 and value % (p * p) != 0
-                 and all(gcd(p, member) == 1 for member in pset)]
+    witnesses = [p for p, e in blist if e == 1 and all(gcd(p, member) == 1 for member in pset)]
     if witnesses:
         verdict = "verified"
     elif f.status == "partial":
@@ -88,32 +93,25 @@ def verify_E1(t: MasterTuple) -> bool:
     return is_perfect_square(d.xi**2 + d.eta**2) is None
 
 
-def _square_part_split(value: int, f: Factorization, g0: int):
-    # rf = product of odd-exponent primes, h = sqrt of the even cofactor
-    rf = 1
-    for p, e in f.factors:
-        if e % 2 == 1:
-            if e != 1:
-                return None
-            rf *= p
-    h = isqrt(value // rf)
-    if h * h * rf != value:
-        raise AssertionError("square part of f1 not square after removing exponent-one blockers")
-    if h % g0:
-        raise AssertionError(f"g0 = {g0} does not divide h = {h}")
-    return rf, h, h // g0
-
-
 def k_invariant(t: MasterTuple, f: Factorization):
-    """(rf, h, k) with f1 = rf * h^2 and h = k * g0.
+    """(rf, h, k) with f1 = rf * h^2, rf the product of the blockers, h = k * g0.
 
-    Needs a full factorization whose blockers all have exponent one;
-    returns None otherwise.  A g0 that fails to divide h would refute
-    the decomposition result and raises instead of returning.
-    """
+    Needs a full factorization; None when a blocker has exponent above one.
+    As f1 = g0^2 (xi^2 + eta^2), that holds when (xi^2 + eta^2) / rf = k^2, as
+    the decomposition result makes it for f1's prime factorization: rows that
+    leave anything else raise ValueError."""
     if f.status != "full":
         raise ValueError("k_invariant needs a full factorization")
-    return _square_part_split(f1(t), f, canonical_decomposition(t).g0)
+    found = blockers(t, f)
+    if any(e != 1 for _, e in found):
+        return None
+    rf = prod(p for p, _ in found)
+    d = canonical_decomposition(t)
+    tail = d.xi * d.xi + d.eta * d.eta
+    k = isqrt(tail // rf)
+    if k * k * rf != tail:
+        raise ValueError(f"f1 / {rf} is not g0^2 = {d.g0 ** 2} times a square on {tuple(t)}")
+    return rf, k * d.g0, k
 
 
 def gaussian_gcds(t: MasterTuple) -> tuple[int, int]:
@@ -131,7 +129,7 @@ def semiscaled(t: MasterTuple) -> SemiScaledCoords:
         raise AssertionError(f"g+*g- != gcd(U1,U2) on {tuple(t)}")
     if gcd(g_plus, g_minus) != 1:
         raise AssertionError(f"g+ and g- share a factor on {tuple(t)}")
-    value = f1(t)
+    value = (t1.W * t2.U) ** 2 + (t1.U * t2.V) ** 2  # f1
     if value % (g_plus * g_plus) or value % (g_minus * g_minus):
         raise AssertionError(f"semi-scaled square divisibility fails on {tuple(t)}")
     return SemiScaledCoords(g_plus, g_minus)

@@ -123,10 +123,19 @@ def _pmap(jobs, fn, items):
         yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
 
 
-def _factored(db: Store) -> list:
-    """(record, factorization) of each record whose f1 is fully factored: the
-    only ones a verdict on the blockers examines; each command prints how many it skipped."""
-    return [(rec, db.factorization_of(rec)) for rec in db.hits() if rec.f1_status == "full"]
+def _factored(db: Store, judge) -> list:
+    """(record, judge(tuple, factorization)) of each fully factored record, the only ones a
+    verdict on the blockers examines (each command prints how many it skipped); a judge's
+    refusal is raised naming the hit, as a read's already is."""
+    out = []
+    for rec in db.hits():
+        if rec.f1_status == "full":
+            fact = db.factorization_of(rec)
+            try:
+                out.append((rec, judge(rec.tuple, fact)))
+            except ValueError as err:
+                raise ValueError(f"hit {rec.id}: {err}") from None
+    return out
 
 
 def _summary(counts: dict, failing: str = "", ids=()) -> int:
@@ -141,14 +150,10 @@ def _summary(counts: dict, failing: str = "", ids=()) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     db = _load(args.db)
-    full = _factored(db)
+    full = _factored(db, verify_blocker_conjecture)
     counts = dict.fromkeys(("verified", "violated", "undecidable_partial"), 0)
-    violated = []
-    for rec, fact in full:
-        verdict = verify_blocker_conjecture(rec.tuple, fact).verdict
-        counts[verdict] += 1
-        if verdict == "violated":
-            violated.append(rec.id)
+    counts.update(Counter(report.verdict for _, report in full))
+    violated = [rec.id for rec, report in full if report.verdict == "violated"]
     counts["skipped_not_full"] = len(db) - len(full)
     return _summary(counts, "violated", violated)
 
@@ -171,8 +176,8 @@ def _cmd_verify_consistency(args) -> int:
 
 def _cmd_verify_single_blocker(args) -> int:
     db = _load(args.db)
-    full = _factored(db)
-    single = [rec for rec, fact in full if len(blockers(fact)) == 1]
+    full = _factored(db, blockers)
+    single = [rec for rec, found in full if len(found) == 1]
     fails = [rec.id for rec in single if not is_strictly_semiscaled(rec.tuple)]
     return _summary({"single_blocker": len(single),
                      "strictly_semiscaled": len(single) - len(fails),
@@ -271,15 +276,13 @@ def _cmd_report(args) -> int:
             extra = f" torsion={torsion[pair]}" if pair in torsion else ""
             print(f"{pair[0]} {pair[1]} hits={hist[pair]}{extra}")
         return 0
-    full = _factored(db)
     if args.what == "k-distribution":
-        hist = Counter()
-        for rec, fact in full:
-            split = k_invariant(rec.tuple, fact)
-            hist[str(split[2]) if split else "undefined"] += 1
+        full = _factored(db, k_invariant)
+        hist = Counter(str(split[2]) if split else "undefined" for _, split in full)
         _print_table("k", hist, key=lambda k: (k == "undefined", len(k), k))
     else:
-        hist = Counter(len(blockers(fact)) for _, fact in full)
+        full = _factored(db, blockers)
+        hist = Counter(len(found) for _, found in full)
         _print_table("num_blockers", hist, key=int)
     return _summary({"skipped_not_full": len(db) - len(full)})
 

@@ -19,7 +19,7 @@ b divisible by l, where M = a^4 V2^2.  A square M is a square mod every
 l, so ANDing the masks of a few primes with the parity and range masks
 drops no hit, and each a that survives still gets gcd and the exact
 `isqrt` test.  The pairs it finds are checked again by `seeds_from_hits`
-(`master_norm`) and `phi` (on the curve) before they become seeds.
+(`is_master_hit`) and `phi` (on the curve) before they become seeds.
 
 The `ecq` group law assumes its inputs are on the curve, so points are
 checked where they enter: seed file lines in `load_seed_file`, hit pairs
@@ -74,10 +74,8 @@ from .ecq import (  # no call to add here: perfbench's wrapper test reads mw.add
     CurvePoint, _raw_sum, _sum, _triple, add, on_curve, torsion_subgroup,
 )
 from .fibration import FibreCurve, lift_pairs, phi, quartic_rhs
-from .master import (
-    EuclidPair, MasterTuple, is_master_hit, master_norm, sigma_canonical, triple_from_pair,
-)
-from .ntkernel import is_perfect_square, is_square_rational
+from .master import EuclidPair, MasterTuple, is_master_hit, sigma_canonical, triple_from_pair
+from .ntkernel import is_square_rational
 
 DIGIT_CAP = 10000  # skip combination points with larger coordinates and their translates
 MAX_BOX = 10 ** 6  # refuse a walk over more coefficient vectors than this
@@ -173,7 +171,7 @@ def seeds_from_hits(c: FibreCurve, hits) -> list[CurvePoint]:
     to a torsion point (`ecq.torsion_subgroup`)."""
     points: list[CurvePoint] = []
     for a, b in hits:
-        q = is_perfect_square(master_norm(MasterTuple(a, b, c.m, c.n)))
+        q = is_master_hit(MasterTuple(a, b, c.m, c.n))
         if q is None:
             raise ValueError(f"({a},{b}) is not a hit on fibre ({c.m},{c.n})")
         P = phi(c, Fraction(a, b), Fraction(q, b * b))

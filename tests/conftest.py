@@ -1,8 +1,9 @@
-"""Shared helpers: pseudorandom admissible tuples, lists of fibres, the
-hits of the factor-audit and fibre-deep walks for property tests, a fault
-written into a store as its lines, and reference rules (negating, multiplying,
-halving and lifting a point, ECM's projective stage 2, a tuple's brick, norms
-and hit line) the tests check the package against."""
+"""Shared helpers: the paper's eight rows, pseudorandom admissible tuples,
+lists of fibres, the hits of the factor-audit and fibre-deep walks for
+property tests, a fault written into a store as its lines, and reference
+rules (negating, multiplying, halving and lifting a point, ECM's projective
+stage 2, a tuple's brick, norms and hit line) the tests check the package
+against."""
 import functools
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,21 @@ from brickforge.master import Brick, EuclidPair, MasterTuple, PythTriple, pair_f
 from brickforge import ntkernel
 from brickforge.ntkernel import is_perfect_square, is_square_rational
 from brickforge.store import HitRecord, _line
+
+# the paper's golden tuple, its four single-blocker rows with their modifier
+# k, and its three rows whose largest prime outside the parameters is even
+GOLDEN = (55, 48, 44, 9)
+SINGLE_BLOCKER_ROWS = [
+    ((835, 88, 160, 89), 29),
+    ((180133, 174512, 3977, 3904), 29),
+    ((731423, 108452, 14896, 8177), 29),
+    ((1162341, 60812, 18768, 11065), 89),
+]
+EVEN_LARGEST_ROWS = [
+    (1770, 1219, 1408, 477),
+    (39732, 16895, 6400, 3069),
+    (50626, 33631, 6461, 3736),
+]
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive pytest's output capture

@@ -33,20 +33,10 @@ from brickforge.master import MasterTuple
 from brickforge.mw import seeds_from_hits
 from brickforge.ntkernel import is_square_rational, valuation
 from brickforge.store import FibreRow, Store, export_csv, import_csv, validate_consistency
-from conftest import ACCEPTANCE_LINES, halve, random_admissible, random_pair
-
-GOLDEN = (55, 48, 44, 9)
-SINGLE_BLOCKER_ROWS = [
-    ((835, 88, 160, 89), 29),
-    ((180133, 174512, 3977, 3904), 29),
-    ((731423, 108452, 14896, 8177), 29),
-    ((1162341, 60812, 18768, 11065), 89),
-]
-EVEN_LARGEST_ROWS = [
-    (1770, 1219, 1408, 477),
-    (39732, 16895, 6400, 3069),
-    (50626, 33631, 6461, 3736),
-]
+from conftest import (
+    ACCEPTANCE_LINES, EVEN_LARGEST_ROWS, GOLDEN, SINGLE_BLOCKER_ROWS, halve, random_admissible,
+    random_pair,
+)
 
 _FACTS: dict = {}
 
@@ -106,7 +96,7 @@ def test_criterion_02_single_blocker_rows():
             if idx == 1:
                 problems.append("first row must reach full status")
             continue
-        bl = blockers(fact)
+        bl = blockers(t, fact)
         if not (len(bl) == 1 and bl[0][1] == 1 and outside_P(t, bl[0][0])):
             problems.append(f"row {idx} blocker shape wrong: {bl}")
         if not is_strictly_semiscaled(t):

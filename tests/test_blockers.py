@@ -14,8 +14,8 @@ from brickforge.blockers import (
     twelve_formulas,
     verify_E1,
     verify_blocker_conjecture,
-    _square_part_split,
 )
+from brickforge import master
 from brickforge.master import (
     MasterTuple,
     canonical_expressions,
@@ -49,9 +49,27 @@ def test_tuple_functions_reject_inadmissible(name, t):
 
 def test_blockers_listing():
     f = factor(f1(GOLDEN))
-    assert blockers(f) == [(13, 3), (61, 1), (1597, 1), (9349, 1)]
-    assert blockers(Factorization([(5, 2), (13, 2)])) == []
-    assert blockers(Factorization([(5, 1)])) == [(5, 1)]
+    assert blockers(GOLDEN, f) == [(13, 3), (61, 1), (1597, 1), (9349, 1)]
+    assert blockers(GOLDEN, Factorization([(5, 2), (13, 2)])) == []
+    # 5 does not divide f1: a full row that fails its two divisions is refused
+    assert f1(GOLDEN) % 5
+    with pytest.raises(ValueError, match=r"^row 5\^1 does not divide f1 exactly on "):
+        blockers(GOLDEN, Factorization([(5, 1)]))
+
+
+def test_blockers_drops_a_partial_row_that_fails_against_f1():
+    # 13^3 divides f1 exactly: under partial a row 13^1 may leave the rest of
+    # its power in the residual, so it is dropped, and 61 is kept
+    value = f1(GOLDEN)
+    partial = Factorization([(13, 1), (61, 1)], value // (13 * 61), "partial")
+    assert blockers(GOLDEN, partial) == [(61, 1)]
+    # a row of a prime that is not 1 mod 4 is dropped there too, not refused
+    assert blockers(GOLDEN, Factorization([(7, 1)], value // 7, "partial")) == []
+
+
+def test_blockers_rejects_non_hit():
+    with pytest.raises(ValueError, match="is not a hit$"):
+        blockers(MasterTuple(2, 1, 2, 1), Factorization())
 
 
 def test_verify_blocker_conjecture_golden():
@@ -94,12 +112,12 @@ def test_verify_blocker_conjecture_partial_witness():
 
 def test_verify_blocker_conjecture_confirms_a_full_witness_against_f1():
     # 13 is outside the parameter set, but 13^3 divides f1 exactly: a row
-    # 13^1 under status full is confirmed by the same two divisions as under
-    # partial, and is no witness
+    # 13^1 under status full fails the same two divisions as under partial,
+    # and a full factorization holding it is refused
     value = f1(GOLDEN)
     assert value % 13**3 == 0 and value % 13**4
-    rep = verify_blocker_conjecture(GOLDEN, Factorization([(13, 1)], 1, "full"))
-    assert (rep.verdict, rep.exponent_one_outside_P) == ("violated", [])
+    with pytest.raises(ValueError, match=r"^row 13\^1 does not divide f1 exactly on "):
+        verify_blocker_conjecture(GOLDEN, Factorization([(13, 1)], 1, "full"))
 
 
 def test_verify_blocker_conjecture_refuses_a_3_mod_4_blocker():
@@ -176,10 +194,23 @@ def test_k_invariant_needs_full():
         k_invariant(GOLDEN, Factorization([], 5, "partial"))
 
 
-def test_square_part_split_synthetic():
-    # f1 = 5 * 21^2 with g0 = 7 gives rf = 5, h = 21, k = 3
-    f = Factorization([(3, 2), (5, 1), (7, 2)])
-    assert _square_part_split(2205, f, 7) == (5, 21, 3)
+def test_k_invariant_three_blockers():
+    # f1 = 5^4 13^2 53 97 317 and g0 = 65: rf = 53 * 97 * 317, h = 5^2 * 13 = 5 * g0
+    t = MasterTuple(22, 17, 33, 32)
+    f = factor(f1(t))
+    assert f.factors == [(5, 4), (13, 2), (53, 1), (97, 1), (317, 1)]
+    assert canonical_decomposition(t).g0 == 65
+    assert k_invariant(t, f) == (1629697, 325, 5)
+
+
+def test_k_invariant_refuses_rows_that_leave_no_square():
+    # the blocker 259801 left out: f1 / rf is no square, which no prime
+    # factorization of f1 gives, so the rows are refused, not asserted on
+    value = f1(APPA1)
+    assert value % 259801 == 0
+    fact = Factorization([(value // 259801, 1)], 1, "full")
+    with pytest.raises(ValueError, match="is not g0\\^2 = .* times a square on "):
+        k_invariant(APPA1, fact)
 
 
 def test_gaussian_gcds():
@@ -202,6 +233,14 @@ def test_semiscaled():
     assert (c.g_plus, c.g_minus) == (1, 7)
     c = semiscaled(MasterTuple(2, 1, 2, 1))
     assert (c.g_plus, c.g_minus) == (1, 3)
+
+
+def test_semiscaled_derives_the_tuple_four_times(monkeypatch):
+    # two pair gates in gaussian_gcds, two for the triples that also give f1
+    gate, calls = master._pair_entries, []
+    monkeypatch.setattr(master, "_pair_entries", lambda a, b: calls.append(1) or gate(a, b))
+    semiscaled(APPA1)
+    assert len(calls) == 4
 
 
 def test_semiscaled_invariants_random():

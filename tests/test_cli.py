@@ -662,15 +662,32 @@ def test_a_verdict_command_refuses_what_verify_consistency_reports(db, capsys, f
     assert finding in capsys.readouterr().out.splitlines()[1:]
 
 
+# two one-hit (55,48,44,9) stores whose rows multiply to f1 with every row
+# marked prime: 91 = 7 * 13 in A, 169 = 13^2 in B, where 13^3 divides f1
+# exactly; each with the refusal of the verdict commands and the composite
+# verify consistency proves
+COMPOSITE_ROW_STORES = {
+    "A": (["7,1,0", "13,2,0", "61,1,0", "91,1,0", "1597,1,0", "9349,1,0"],
+          "blocker 7 = 3 mod 4 on (44, 9, 55, 48), impossible for a two-square norm", 91),
+    "B": (["7,2,0", "13,1,0", "61,1,0", "169,1,0", "1597,1,0", "9349,1,0"],
+          "row 13^1 does not divide f1 exactly on (44, 9, 55, 48)", 169),
+}
+
+
 def test_a_composite_row_with_the_right_product_is_no_traceback(db, capsys):
-    # 7 and 91 = 7 * 13 as primes: the product is f1, and the 3 mod 4 blocker
-    # 7 is refused (exit 2) rather than raised as an AssertionError
-    hand_built_golden(db, ["7,1,0", "13,2,0", "61,1,0", "91,1,0", "1597,1,0", "9349,1,0"])
-    assert cli.main(["verify", "theorem"]) == 2
-    assert capsys.readouterr().err == ("error: blocker 7 = 3 mod 4 on (44, 9, 55, 48), "
-                                       "impossible for a two-square norm\n")
-    assert cli.main(["verify", "consistency"]) == 1
-    assert capsys.readouterr().out.splitlines()[1:] == ["hit 1: composite 91 marked prime"]
+    # every verdict command reads the odd-exponent rows through blockers(t, f),
+    # which checks each against f1: the 3 mod 4 row 7 and the row 13^1 are
+    # refused (exit 2, naming the hit), not raised as an AssertionError (exit 1)
+    # nor counted as blockers (exit 0)
+    for name, (rows, refusal, composite) in COMPOSITE_ROW_STORES.items():
+        hand_built_golden(db, rows)
+        for argv in (["verify", "theorem"], ["verify", "single-blocker"],
+                     ["report", "--what", "k-distribution"], ["report", "--what", "blockers"]):
+            assert (cli.main(argv), tuple(capsys.readouterr())) == (
+                2, ("", f"error: hit 1: {refusal}\n")), (name, argv)
+        assert cli.main(["verify", "consistency"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"hit 1: composite {composite} marked prime"], name
 
 
 def test_verify_theorem_derives_each_full_record_six_times(factored_k2, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,7 +8,9 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import admissible_fibres, lift_point, neg, scalar_mul
+from conftest import (
+    EVEN_LARGEST_ROWS, GOLDEN, SINGLE_BLOCKER_ROWS, admissible_fibres, lift_point, neg, scalar_mul,
+)
 from brickforge import cli, ecq, master, mw
 from brickforge.ecq import INFINITY, CurvePoint, add, torsion_subgroup, two_torsion
 from brickforge.fibration import build_fibre, tau
@@ -21,6 +24,7 @@ from brickforge.mw import (
     seeds_from_hits,
 )
 from brickforge.ntkernel import is_perfect_square
+from brickforge.store import import_csv
 
 F449 = build_fibre(44, 9)
 F21 = build_fibre(2, 1)
@@ -193,6 +197,23 @@ def test_mw_run_refuses_a_box_above_the_cap(tmp_path, monkeypatch, capsys):
     assert ("the walk over 13 seeds at K=2 has 610,351,562 coefficient vectors, "
             "above the 1,000,000 allowed") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_mw_run_finds_each_paper_row_from_its_other_pair(tmp_path):
+    # the row (a, b, m, n) is the hit (m, n) on the fibre (a, b), so a seed
+    # search at height m finds it, and K=1 brings it back from its seed; all
+    # eight searches, the largest at height 18,768, together within 30 s
+    # (under half a second on a shared 2-CPU host)
+    rows = [GOLDEN, *(row for row, _ in SINGLE_BLOCKER_ROWS), *EVEN_LARGEST_ROWS]
+    start = time.monotonic()
+    for i, (a, b, m, n) in enumerate(rows):
+        db = tmp_path / str(i)
+        db.mkdir()
+        assert cli.main(["mw", "run", "--m", str(a), "--n", str(b), "--seed-height", str(m),
+                         "--K", "1", "--db", str(db)]) == 0
+        want = sigma_canonical(MasterTuple(a, b, m, n))
+        assert any(rec.tuple == want for rec in import_csv(db).hits()), (a, b, m, n)
+    assert time.monotonic() - start < 30
 
 
 def test_mirror_point_same_tau():
